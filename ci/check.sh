@@ -2,7 +2,7 @@
 # Tier-1 verify + bench regression gate, with optional sanitizer lanes.
 #
 # Usage:
-#   ci/check.sh [build-dir]                 # Release lane + bench gate
+#   ci/check.sh [build-dir]                 # Release + bench gates + perfbench
 #   ci/check.sh --sanitize asan [build-dir] # Debug + ASan/UBSan, tiers only
 #   ci/check.sh --sanitize tsan [build-dir] # RelWithDebInfo + TSan (incl. stress)
 #   ci/check.sh --sanitize ubsan [build-dir]# Debug + UBSan, tiers only
@@ -228,6 +228,11 @@ if [[ "${RUN_BENCH}" == 1 ]]; then
     --out "${BUILD_DIR}/BENCH_ingest.json" \
     --baseline "${REPO_ROOT}/ci/bench_ingest_baseline.json" \
     --min-ratio "${PP_BENCH_GATE_MIN_RATIO:-0.30}"
+
+  echo "== perfbench self-test (build + every workload, tiny) =="
+  # run.py is the only build of perfbench/: a library name it calls can be
+  # renamed with every tier above still green, and only this catches it.
+  python3 "${REPO_ROOT}/perfbench/run.py" --self-test
 fi
 
 echo "== OK (${SANITIZE:-${MODE:-release}} lane) =="

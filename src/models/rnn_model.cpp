@@ -1,49 +1,6 @@
 #include "models/rnn_model.hpp"
 
-#include "obs/metrics.hpp"
-#include "tensor/gemm.hpp"
-#include "util/math.hpp"
-#include "util/stopwatch.hpp"
-
 namespace pp::models {
-
-namespace {
-
-/// Stage histograms for the batched prediction head, resolved once per
-/// precision (function-local static at the call site) and per GEMM kernel,
-/// so a sampled call does no registry lookup — only two clock reads.
-struct HeadStageHists {
-  std::array<obs::LatencyHistogram*, 3> gemm{};  // naive / blocked / simd
-  obs::LatencyHistogram* sigmoid = nullptr;
-};
-
-HeadStageHists make_head_hists(const char* precision) {
-  auto& registry = obs::MetricsRegistry::global();
-  HeadStageHists hists;
-  const char* kernels[3] = {"naive", "blocked", "simd"};
-  for (std::size_t k = 0; k < 3; ++k) {
-    hists.gemm[k] = &registry.histogram(
-        "pp_serving_stage_ns", {{"stage", "head_gemm"},
-                                {"precision", precision},
-                                {"kernel", kernels[k]}});
-  }
-  hists.sigmoid = &registry.histogram(
-      "pp_serving_stage_ns", {{"stage", "sigmoid"}, {"precision", precision}});
-  return hists;
-}
-
-std::size_t gemm_kernel_slot() {
-  switch (tensor::gemm_dispatched_kernel()) {
-    case tensor::GemmKernel::kNaive:
-      return 0;
-    case tensor::GemmKernel::kBlocked:
-      return 1;
-    default:
-      return 2;
-  }
-}
-
-}  // namespace
 
 RnnModel::RnnModel(const data::Dataset& dataset_meta,
                    const RnnModelConfig& config)
@@ -119,45 +76,7 @@ std::unique_ptr<RnnModel> RnnModel::clone() const {
   return copy;
 }
 
-std::vector<double> RnnModel::score_session_batch(
-    const tensor::Matrix& hidden_block, const tensor::Matrix& x_block) const {
-  // Stage timing piggybacks on the caller's sampling decision
-  // (SampledSection), so head_gemm/sigmoid cover exactly the batches the
-  // policy's TraceSpan timed and the per-stage sums stay comparable.
-  if (obs::SampledSection::active()) {
-    static const HeadStageHists hists = make_head_hists("f32");
-    Stopwatch lap;
-    std::vector<double> scores = network_->infer_logits(hidden_block, x_block);
-    hists.gemm[gemm_kernel_slot()]->record(lap.lap_ns());
-    for (double& s : scores) s = pp::sigmoid(s);
-    hists.sigmoid->record(lap.elapsed_ns());
-    return scores;
-  }
-  std::vector<double> scores = network_->infer_logits(hidden_block, x_block);
-  for (double& s : scores) s = pp::sigmoid(s);
-  return scores;
-}
-
 void RnnModel::enable_quantized_serving() { network_->prepare_quantized(); }
-
-std::vector<double> RnnModel::score_session_batch_q8(
-    const tensor::QuantizedMatrix& hidden_block,
-    const tensor::Matrix& x_block) const {
-  if (obs::SampledSection::active()) {
-    static const HeadStageHists hists = make_head_hists("int8");
-    Stopwatch lap;
-    std::vector<double> scores =
-        network_->infer_logits_q8(hidden_block, x_block);
-    hists.gemm[gemm_kernel_slot()]->record(lap.lap_ns());
-    for (double& s : scores) s = pp::sigmoid(s);
-    hists.sigmoid->record(lap.elapsed_ns());
-    return scores;
-  }
-  std::vector<double> scores =
-      network_->infer_logits_q8(hidden_block, x_block);
-  for (double& s : scores) s = pp::sigmoid(s);
-  return scores;
-}
 
 void RnnModel::save(const std::string& path) const {
   BinaryWriter writer;

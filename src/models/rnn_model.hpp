@@ -68,26 +68,12 @@ class RnnModel {
   /// online tier clones the shadow network into fresh immutable versions.
   std::unique_ptr<RnnModel> clone() const;
 
-  /// Batched session-start scoring: `hidden_block` is [B x hidden],
-  /// `x_block` is [B x predict_input_size()]; returns B access
-  /// probabilities. Row b exactly equals the per-session score of the same
-  /// (hidden, x) pair — the serving tier batches cohorts through this.
-  std::vector<double> score_session_batch(
-      const tensor::Matrix& hidden_block,
-      const tensor::Matrix& x_block) const;
-
   /// Builds the int8 weight replicas for the quantized serving mode
   /// ("weights quantized once at load"). Requires the GRU cell; call
   /// before constructing an int8 RnnPolicy. load() refreshes the replicas
   /// automatically once enabled.
   void enable_quantized_serving();
   bool quantized_serving() const { return network_->quantized_ready(); }
-  /// Int8 twin of score_session_batch: `hidden_block` carries the stored
-  /// int8 bytes with per-row scales; scoring runs entirely on the int8
-  /// kernels.
-  std::vector<double> score_session_batch_q8(
-      const tensor::QuantizedMatrix& hidden_block,
-      const tensor::Matrix& x_block) const;
 
   const train::RnnNetwork& network() const { return *network_; }
   train::RnnNetwork& network() { return *network_; }

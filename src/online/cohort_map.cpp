@@ -26,9 +26,7 @@ CohortRegistryMap::Cohort::Cohort(std::string id,
                                   const data::Dataset& dataset_meta,
                                   const CohortConfig& config)
     : id_(std::move(id)),
-      registry_(initial, config.quantize_replicas ||
-                             config.learner.gate_int8 ||
-                             initial->quantized_serving()),
+      registry_(initial, config.quantize_replicas_for(*initial)),
       learner_(registry_, dataset_meta, with_cohort_label(config.learner, id_)),
       daemon_(learner_, config.daemon) {}
 

@@ -48,6 +48,12 @@ struct CohortConfig {
   /// Daemon schedule; set daemon.checkpoint_path per cohort (paths are not
   /// derived — two cohorts writing one file would corrupt both).
   OnlineUpdateDaemonConfig daemon;
+
+  /// The effective replica policy of a cohort seeded with `initial`.
+  bool quantize_replicas_for(const models::RnnModel& initial) const {
+    return quantize_replicas || learner.gate_int8 ||
+           initial.quantized_serving();
+  }
 };
 
 class CohortRegistryMap {

@@ -41,10 +41,7 @@ void validate_spec(const TenantSpec& spec) {
       throw std::invalid_argument(
           who + "int8 precision requires the kInt8 state codec");
     }
-    const bool replicas = spec.cohort.quantize_replicas ||
-                          spec.cohort.learner.gate_int8 ||
-                          spec.model->quantized_serving();
-    if (!replicas) {
+    if (!spec.cohort.quantize_replicas_for(*spec.model)) {
       throw std::invalid_argument(
           who +
           "int8 precision requires int8 replicas: set "

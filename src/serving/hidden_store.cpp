@@ -1,6 +1,7 @@
 #include "serving/hidden_store.hpp"
 
 #include <stdexcept>
+#include <type_traits>
 
 #include "tensor/qgemm.hpp"
 #include "util/serialize.hpp"
@@ -9,35 +10,86 @@ namespace pp::serving {
 
 namespace {
 
-void encode_matrix(const tensor::Matrix& m, StateCodec codec,
-                   BinaryWriter& writer) {
-  writer.write_u32(static_cast<std::uint32_t>(m.rows()));
-  writer.write_u32(static_cast<std::uint32_t>(m.cols()));
-  if (codec == StateCodec::kFloat32) {
-    writer.write_bytes(m.data(), m.size() * sizeof(float));
-    return;
-  }
-  // int8 per-tensor affine: v ≈ scale * q with q in [-127, 127]. The
-  // sanitization rules (scale from finite entries only, NaN -> 0, ±Inf
-  // saturates, denormal-scale clamp) live in QuantizedMatrix::quantize —
-  // the single source of truth shared with the quantized scoring path.
-  const tensor::QuantizedMatrix q = tensor::QuantizedMatrix::quantize(m);
+template <class State>
+constexpr bool kInt8View =
+    std::is_same_v<State, train::QuantizedInferenceState>;
+
+/// State matrices per layer of the model's cell: LSTM (h, c), GRU/tanh h.
+std::uint32_t cell_parts(const train::RnnNetworkConfig& cfg) {
+  return cfg.cell == nn::CellType::kLstm ? 2 : 1;
+}
+
+void encode_q8(const tensor::QuantizedMatrix& q, BinaryWriter& writer) {
+  writer.write_u32(static_cast<std::uint32_t>(q.rows()));
+  writer.write_u32(static_cast<std::uint32_t>(q.cols()));
   writer.write_f32(q.scale());
   writer.write_bytes(q.data(), q.size());
 }
 
-tensor::Matrix decode_matrix(StateCodec codec, BinaryReader& reader) {
+void encode_matrix(const tensor::Matrix& m, StateCodec codec,
+                   BinaryWriter& writer) {
+  if (codec == StateCodec::kInt8) {
+    // int8 per-tensor affine: v ≈ scale * q with q in [-127, 127]. The
+    // sanitization rules (scale from finite entries only, NaN -> 0, ±Inf
+    // saturates, denormal-scale clamp) live in QuantizedMatrix::quantize —
+    // the single source of truth shared with the quantized scoring path.
+    encode_q8(tensor::QuantizedMatrix::quantize(m), writer);
+    return;
+  }
+  writer.write_u32(static_cast<std::uint32_t>(m.rows()));
+  writer.write_u32(static_cast<std::uint32_t>(m.cols()));
+  writer.write_bytes(m.data(), m.size() * sizeof(float));
+}
+
+void encode_layer(const std::vector<tensor::Matrix>& layer, StateCodec codec,
+                  BinaryWriter& writer) {
+  writer.write_u32(static_cast<std::uint32_t>(layer.size()));
+  for (const auto& part : layer) encode_matrix(part, codec, writer);
+}
+
+void encode_layer(const tensor::QuantizedMatrix& layer, StateCodec,
+                  BinaryWriter& writer) {
+  if (!layer.per_tensor()) {
+    throw std::invalid_argument(
+        "put_q8: per-user states carry one scale (got a per-row batch)");
+  }
+  writer.write_u32(1);  // parts: GRU h only
+  encode_q8(layer, writer);
+}
+
+/// Reads a part's shape. Callers memcpy hidden_size values straight out of
+/// a returned state, so a record written by a differently-sized model must
+/// fail loudly here, before its payload is read.
+void read_shape(BinaryReader& reader, std::size_t hidden_size) {
   const std::uint32_t rows = reader.read_u32();
   const std::uint32_t cols = reader.read_u32();
-  tensor::Matrix m(rows, cols);
-  if (codec == StateCodec::kFloat32) {
-    reader.read_bytes(m.data(), m.size() * sizeof(float));
-    return m;
+  if (rows != 1 || cols != hidden_size) {
+    throw std::runtime_error("get: stored state geometry " +
+                             std::to_string(rows) + "x" +
+                             std::to_string(cols) +
+                             " mismatches model hidden size " +
+                             std::to_string(hidden_size));
   }
+}
+
+tensor::QuantizedMatrix decode_q8(BinaryReader& reader,
+                                  std::size_t hidden_size) {
+  read_shape(reader, hidden_size);
   const float scale = reader.read_f32();
-  for (std::size_t i = 0; i < m.size(); ++i) {
-    m[i] = scale * static_cast<float>(reader.read_pod<std::int8_t>());
+  std::vector<std::int8_t> data(hidden_size);
+  reader.read_bytes(data.data(), data.size());
+  return tensor::QuantizedMatrix::from_raw(1, hidden_size, scale,
+                                           std::move(data));
+}
+
+tensor::Matrix decode_matrix(StateCodec codec, BinaryReader& reader,
+                             std::size_t hidden_size) {
+  if (codec == StateCodec::kInt8) {
+    return decode_q8(reader, hidden_size).dequantize();
   }
+  read_shape(reader, hidden_size);
+  tensor::Matrix m(1, hidden_size);
+  reader.read_bytes(m.data(), m.size() * sizeof(float));
   return m;
 }
 
@@ -47,98 +99,10 @@ std::string HiddenStateStore::key(std::uint64_t user_id) const {
   return "h:" + std::to_string(user_id);
 }
 
-void HiddenStateStore::put(std::uint64_t user_id, const StoredState& state) {
-  BinaryWriter writer;
-  writer.write_i64(state.last_update_time);
-  writer.write_u32(state.updates);
-  writer.write_u32(static_cast<std::uint32_t>(state.state.layers.size()));
-  for (const auto& layer : state.state.layers) {
-    writer.write_u32(static_cast<std::uint32_t>(layer.size()));
-    for (const auto& part : layer) encode_matrix(part, codec_, writer);
-  }
-  store_->put(key(user_id), writer.take());
-}
-
-std::optional<StoredState> HiddenStateStore::get(
-    std::uint64_t user_id, const train::RnnNetwork& network) const {
-  auto bytes = store_->get(key(user_id));
-  if (!bytes.has_value()) return std::nullopt;
-  BinaryReader reader(std::move(*bytes));
-  StoredState state;
-  state.last_update_time = reader.read_i64();
-  state.updates = reader.read_u32();
-  const std::uint32_t layers = reader.read_u32();
-  // Serving memcpys hidden_size values straight out of the returned
-  // state, so a record written by a differently-sized model must fail
-  // loudly here rather than feed an out-of-bounds read downstream.
-  const auto& cfg = network.config();
-  if (layers != static_cast<std::uint32_t>(cfg.num_layers)) {
-    throw std::runtime_error("get: stored layer count mismatches model");
-  }
-  state.state.layers.resize(layers);
-  for (std::uint32_t l = 0; l < layers; ++l) {
-    const std::uint32_t parts = reader.read_u32();
-    state.state.layers[l].reserve(parts);
-    for (std::uint32_t p = 0; p < parts; ++p) {
-      tensor::Matrix part = decode_matrix(codec_, reader);
-      if (part.rows() != 1 || part.cols() != cfg.hidden_size) {
-        throw std::runtime_error("get: stored state geometry " +
-                                 part.shape_string() +
-                                 " mismatches model hidden size " +
-                                 std::to_string(cfg.hidden_size));
-      }
-      state.state.layers[l].push_back(std::move(part));
-    }
-  }
-  return state;
-}
-
-std::optional<QuantizedStoredState> HiddenStateStore::get_q8(
-    std::uint64_t user_id, const train::RnnNetwork& network) const {
-  if (codec_ != StateCodec::kInt8) {
-    throw std::logic_error("get_q8: store must use the kInt8 codec");
-  }
-  auto bytes = store_->get(key(user_id));
-  if (!bytes.has_value()) return std::nullopt;
-  BinaryReader reader(std::move(*bytes));
-  QuantizedStoredState state;
-  state.last_update_time = reader.read_i64();
-  state.updates = reader.read_u32();
-  const std::uint32_t layers = reader.read_u32();
-  const auto& cfg = network.config();
-  if (layers != static_cast<std::uint32_t>(cfg.num_layers)) {
-    throw std::runtime_error("get_q8: stored layer count mismatches model");
-  }
-  state.state.layers.reserve(layers);
-  for (std::uint32_t l = 0; l < layers; ++l) {
-    const std::uint32_t parts = reader.read_u32();
-    if (parts != 1) {
-      throw std::runtime_error(
-          "get_q8: multi-part (LSTM) states have no quantized serving path");
-    }
-    const std::uint32_t rows = reader.read_u32();
-    const std::uint32_t cols = reader.read_u32();
-    // Callers memcpy cols bytes out of the returned state; a record
-    // written by a differently-sized model must not read out of bounds.
-    if (rows != 1 || cols != cfg.hidden_size) {
-      throw std::runtime_error("get_q8: stored state geometry " +
-                               std::to_string(rows) + "x" +
-                               std::to_string(cols) +
-                               " mismatches model hidden size " +
-                               std::to_string(cfg.hidden_size));
-    }
-    const float scale = reader.read_f32();
-    std::vector<std::int8_t> data(static_cast<std::size_t>(rows) * cols);
-    reader.read_bytes(data.data(), data.size());
-    state.state.layers.push_back(tensor::QuantizedMatrix::from_raw(
-        rows, cols, scale, std::move(data)));
-  }
-  return state;
-}
-
-void HiddenStateStore::put_q8(std::uint64_t user_id,
-                              const QuantizedStoredState& state) {
-  if (codec_ != StateCodec::kInt8) {
+template <class State>
+void HiddenStateStore::put(std::uint64_t user_id,
+                           const BasicStoredState<State>& state) {
+  if (kInt8View<State> && codec_ != StateCodec::kInt8) {
     throw std::logic_error("put_q8: store must use the kInt8 codec");
   }
   BinaryWriter writer;
@@ -146,23 +110,62 @@ void HiddenStateStore::put_q8(std::uint64_t user_id,
   writer.write_u32(state.updates);
   writer.write_u32(static_cast<std::uint32_t>(state.state.layers.size()));
   for (const auto& layer : state.state.layers) {
-    if (!layer.per_tensor()) {
-      throw std::invalid_argument(
-          "put_q8: per-user states carry one scale (got a per-row batch)");
-    }
-    writer.write_u32(1);  // parts: GRU h only
-    writer.write_u32(static_cast<std::uint32_t>(layer.rows()));
-    writer.write_u32(static_cast<std::uint32_t>(layer.cols()));
-    writer.write_f32(layer.scale());
-    writer.write_bytes(layer.data(), layer.size());
+    encode_layer(layer, codec_, writer);
   }
   store_->put(key(user_id), writer.take());
 }
 
+template <class State>
+std::optional<BasicStoredState<State>> HiddenStateStore::get(
+    std::uint64_t user_id, const train::RnnNetwork& network) const {
+  const auto& cfg = network.config();
+  if (kInt8View<State> &&
+      (codec_ != StateCodec::kInt8 || cell_parts(cfg) != 1)) {
+    throw std::logic_error(
+        "get_q8: needs the kInt8 codec and a single-part (GRU) cell");
+  }
+  auto bytes = store_->get(key(user_id));
+  if (!bytes.has_value()) return std::nullopt;
+  BinaryReader reader(std::move(*bytes));
+  BasicStoredState<State> state;
+  state.last_update_time = reader.read_i64();
+  state.updates = reader.read_u32();
+  const std::uint32_t layers = reader.read_u32();
+  if (layers != static_cast<std::uint32_t>(cfg.num_layers)) {
+    throw std::runtime_error("get: stored layer count mismatches model");
+  }
+  state.state.layers.reserve(layers);
+  for (std::uint32_t l = 0; l < layers; ++l) {
+    const std::uint32_t parts = reader.read_u32();
+    if (parts != cell_parts(cfg)) {
+      throw std::runtime_error("get: stored part count mismatches model cell");
+    }
+    if constexpr (kInt8View<State>) {
+      state.state.layers.push_back(decode_q8(reader, cfg.hidden_size));
+    } else {
+      auto& layer = state.state.layers.emplace_back();
+      layer.reserve(parts);
+      for (std::uint32_t p = 0; p < parts; ++p) {
+        layer.push_back(decode_matrix(codec_, reader, cfg.hidden_size));
+      }
+    }
+  }
+  return state;
+}
+
+template void HiddenStateStore::put(std::uint64_t, const StoredState&);
+template void HiddenStateStore::put(std::uint64_t,
+                                    const QuantizedStoredState&);
+template std::optional<StoredState> HiddenStateStore::get(
+    std::uint64_t, const train::RnnNetwork&) const;
+template std::optional<QuantizedStoredState> HiddenStateStore::get<
+    train::QuantizedInferenceState>(std::uint64_t,
+                                    const train::RnnNetwork&) const;
+
 std::size_t HiddenStateStore::encoded_bytes(
     const train::RnnNetwork& network) const {
   const auto& cfg = network.config();
-  const std::size_t parts = cfg.cell == nn::CellType::kLstm ? 2 : 1;
+  const std::size_t parts = cell_parts(cfg);
   const std::size_t per_value = codec_ == StateCodec::kFloat32 ? 4 : 1;
   const std::size_t header = 8 + 4 + 4;
   const std::size_t per_matrix =

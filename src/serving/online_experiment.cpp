@@ -98,12 +98,9 @@ OnlineExperimentResult run_online_experiment(
     online_spec.threshold = config.rnn_threshold;
     online_spec.grace = config.grace;
     online_spec.cohort.learner = config.learner;
-    // clone() never carries int8 replicas, so the replica policy must be
-    // explicit: an int8 gate (or an int8-serving source model) needs every
-    // published version rebuilt before the swap (the Cohort ctor also ORs
-    // these in; stated here for the spec reader).
-    online_spec.cohort.quantize_replicas =
-        config.learner.gate_int8 || rnn_model.quantized_serving();
+    // clone() never carries int8 replicas, so an int8-serving source model
+    // must state its replica policy; the cohort ORs in the int8 gate.
+    online_spec.cohort.quantize_replicas = rnn_model.quantized_serving();
     online_spec.learner_checkpoint = config.learner_checkpoint;
     if (!config.durable_state_dir.empty()) {
       // Durable tier: hidden states land in the crash-safe segment-log

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -33,18 +32,8 @@ RnnPolicy::RnnPolicy(const models::RnnModel& model, HiddenStateStore& store,
       store_(&store),
       precision_(precision),
       bucketizer_(
-          static_cast<int>(model.network().config().time_buckets)) {
-  if (precision_ == ScorePrecision::kInt8) {
-    if (store.codec() != StateCodec::kInt8) {
-      throw std::invalid_argument(
-          "RnnPolicy: int8 scoring needs a kInt8-codec HiddenStateStore");
-    }
-    if (!model.quantized_serving()) {
-      throw std::invalid_argument(
-          "RnnPolicy: call RnnModel::enable_quantized_serving() before "
-          "constructing an int8 policy");
-    }
-  }
+          static_cast<int>(model.network().config().time_buckets)),
+      scorer_(bind_scorer()) {
   init_obs();
 }
 
@@ -58,26 +47,33 @@ RnnPolicy::RnnPolicy(const online::ModelRegistry& registry,
       // Geometry is fixed across publishes (the registry enforces it), so
       // the seed version's time encoding is every version's time encoding.
       bucketizer_(static_cast<int>(
-          registry.current()->model->network().config().time_buckets)) {
-  if (precision_ == ScorePrecision::kInt8) {
-    if (store.codec() != StateCodec::kInt8) {
-      throw std::invalid_argument(
-          "RnnPolicy: int8 scoring needs a kInt8-codec HiddenStateStore");
-    }
-    if (!active_->model->quantized_serving() ||
-        !registry.quantize_replicas()) {
-      throw std::invalid_argument(
-          "RnnPolicy: int8 scoring through a registry requires "
-          "quantize_replicas (every published version needs fresh int8 "
-          "replicas)");
-    }
-  }
+          registry.current()->model->network().config().time_buckets)),
+      scorer_(bind_scorer()) {
   init_obs();
+}
+
+RnnPolicy::AnyScorer RnnPolicy::bind_scorer() const {
+  if (precision_ == ScorePrecision::kFloat32) {
+    return train::F32Scorer(model().network());
+  }
+  if (store_->codec() != StateCodec::kInt8) {
+    throw std::invalid_argument(
+        "RnnPolicy: int8 scoring needs a kInt8-codec HiddenStateStore");
+  }
+  // Through a registry every published version needs fresh int8 replicas.
+  if (!model().quantized_serving() ||
+      (registry_ != nullptr && !registry_->quantize_replicas())) {
+    throw std::invalid_argument(
+        "RnnPolicy: int8 scoring needs RnnModel::enable_quantized_serving() "
+        "(through a registry: quantize_replicas)");
+  }
+  return train::Int8Scorer(model().network());
 }
 
 void RnnPolicy::init_obs() {
   auto& registry = obs::MetricsRegistry::global();
-  const char* prec = precision_ == ScorePrecision::kInt8 ? "int8" : "f32";
+  const char* prec =
+      std::visit([](const auto& s) { return s.kLabel; }, scorer_);
   obs_kv_get_ = &registry.histogram(
       "pp_serving_stage_ns", {{"stage", "kv_get"}, {"precision", prec}});
   obs_encode_ = &registry.histogram(
@@ -92,7 +88,11 @@ void RnnPolicy::init_obs() {
 }
 
 void RnnPolicy::begin_batch() {
-  if (registry_ != nullptr) active_ = registry_->current();
+  if (registry_ == nullptr) return;
+  if (auto current = registry_->current(); current != active_) {
+    active_ = std::move(current);
+    scorer_ = bind_scorer();
+  }
 }
 
 double RnnPolicy::score_session(std::uint64_t user_id, std::int64_t t,
@@ -107,8 +107,9 @@ double RnnPolicy::score_session(std::uint64_t user_id, std::int64_t t,
   return score_sessions({&s, 1}).front();
 }
 
-std::vector<double> RnnPolicy::score_sessions(
-    std::span<const SessionStart> sessions) {
+template <class S>
+std::vector<double> RnnPolicy::score_with(
+    const S& scorer, std::span<const SessionStart> sessions) {
   const std::size_t batch = sessions.size();
   if (batch == 0) return {};
   const models::RnnModel& active = model();
@@ -116,23 +117,16 @@ std::vector<double> RnnPolicy::score_sessions(
   const auto& seq_cfg = active.sequence_config();
   const std::size_t fw = net.config().feature_size;
   const std::size_t tb = net.config().time_buckets;
-  const std::size_t hidden_size = net.config().hidden_size;
-  const bool q8 = precision_ == ScorePrecision::kInt8;
 
   tensor::Matrix x(batch, fw + tb);
   // f32 mode gathers decoded hidden rows; int8 mode gathers the stored
   // bytes themselves (per-row scales). Cold users get the cell's actual
   // initial state (not an assumed zero fill) in either precision.
-  tensor::Matrix h(q8 ? 0 : batch, hidden_size);
-  tensor::QuantizedMatrix h_q8(q8 ? batch : 0, hidden_size);
-  const train::InferenceState cold =
-      q8 ? train::InferenceState{} : net.infer_initial_state();
-  const train::QuantizedInferenceState cold_q8 =
-      q8 ? net.infer_initial_state_q8() : train::QuantizedInferenceState{};
+  typename S::Block h(batch, net.config().hidden_size);
   // Per-batch stage breakdown (sampled 1-in-N): kv_get and feature_encode
   // accumulate per-session laps; head_gemm/sigmoid are recorded inside
-  // score_session_batch under the same SampledSection; the span's total is
-  // this function's wall time. Pure observation — no branch below depends
+  // scorer.score under the same SampledSection; the span's total is this
+  // function's wall time. Pure observation — no branch below depends
   // on a recorded value.
   obs::TraceSpan span({obs_kv_get_, obs_encode_}, obs_batch_wall_);
   for (std::size_t b = 0; b < batch; ++b) {
@@ -142,49 +136,25 @@ std::vector<double> RnnPolicy::score_sessions(
     // only the model evaluation is batched. The stripe lock orders the
     // snapshot read against any concurrent on_session_complete for the
     // same user.
-    std::int64_t last_update_time = 0;
-    std::uint32_t updates = 0;
-    if (q8) {
-      std::optional<QuantizedStoredState> stored;
-      {
-        MutexLock lock(stripe_for(s.user_id));
-        stored = store_->get_q8(s.user_id, net);
-      }
-      if (stored.has_value()) {
-        last_update_time = stored->last_update_time;
-        updates = stored->updates;
-      }
-      const tensor::QuantizedMatrix& hidden =
-          stored.has_value() ? stored->state.hidden() : cold_q8.hidden();
-      std::memcpy(h_q8.row_data(b), hidden.data(), hidden_size);
-      h_q8.set_row_scale(b, hidden.scale());
-    } else {
-      std::optional<StoredState> stored;
-      {
-        MutexLock lock(stripe_for(s.user_id));
-        stored = store_->get(s.user_id, net);
-      }
-      if (stored.has_value()) {
-        last_update_time = stored->last_update_time;
-        updates = stored->updates;
-      }
-      const tensor::Matrix& hidden =
-          stored.has_value() ? stored->state.hidden() : cold.hidden();
-      std::memcpy(h.row(b).data(), hidden.data(),
-                  hidden_size * sizeof(float));
+    std::optional<BasicStoredState<typename S::State>> stored;
+    {
+      MutexLock lock(stripe_for(s.user_id));
+      stored = store_->get<typename S::State>(s.user_id, net);
     }
+    scorer.gather(h, b, stored.has_value() ? stored->state : scorer.cold());
     span.stage_add(0);  // kv_get: stripe-locked lookup + state gather
     if (seq_cfg.context_at_predict && fw > 0) {
       train::encode_step_features(active.schema(), seq_cfg.feature_mode,
                                   s.t, s.context, x.row(b));
     }
-    const std::int64_t gap = updates > 0 ? s.t - last_update_time : 0;
+    const std::int64_t gap = stored.has_value() && stored->updates > 0
+                                 ? s.t - stored->last_update_time
+                                 : 0;
     bucketizer_.encode(gap, x.row(b).subspan(fw, tb));
     span.stage_add(1);  // feature_encode: context + gap bucketization
   }
 
-  std::vector<double> scores = q8 ? active.score_session_batch_q8(h_q8, x)
-                                  : active.score_session_batch(h, x);
+  std::vector<double> scores = scorer.score(h, x);
   if (span.sampled()) {
     obs_batch_sessions_->record(static_cast<std::int64_t>(batch));
   }
@@ -194,7 +164,15 @@ std::vector<double> RnnPolicy::score_sessions(
   return scores;
 }
 
-void RnnPolicy::on_session_complete(const JoinedSession& joined) {
+std::vector<double> RnnPolicy::score_sessions(
+    std::span<const SessionStart> sessions) {
+  return std::visit(
+      [&](const auto& scorer) { return score_with(scorer, sessions); },
+      scorer_);
+}
+
+template <class S>
+void RnnPolicy::complete_with(const S& scorer, const JoinedSession& joined) {
   const models::RnnModel& active = model();
   const train::RnnNetwork& net = active.network();
   const auto& seq_cfg = active.sequence_config();
@@ -213,28 +191,12 @@ void RnnPolicy::on_session_complete(const JoinedSession& joined) {
   // Read the prior state in the active precision. The int8 mode keeps the
   // stored bytes as-is: they feed the quantized GRU products directly and
   // only the updated hidden is re-encoded.
-  StoredState state;
-  QuantizedStoredState state_q8;
-  const bool q8 = precision_ == ScorePrecision::kInt8;
-  std::int64_t last_update_time = 0;
-  std::uint32_t updates = 0;
-  if (q8) {
-    if (auto stored = store_->get_q8(joined.user_id, net);
-        stored.has_value()) {
-      state_q8 = std::move(*stored);
-    } else {
-      state_q8.state = net.infer_initial_state_q8();
-    }
-    last_update_time = state_q8.last_update_time;
-    updates = state_q8.updates;
+  BasicStoredState<typename S::State> state;
+  if (auto stored = store_->get<typename S::State>(joined.user_id, net);
+      stored.has_value()) {
+    state = std::move(*stored);
   } else {
-    if (auto stored = store_->get(joined.user_id, net); stored.has_value()) {
-      state = std::move(*stored);
-    } else {
-      state.state = net.infer_initial_state();
-    }
-    last_update_time = state.last_update_time;
-    updates = state.updates;
+    state.state = scorer.cold();
   }
 
   tensor::Matrix row(1, fw + tb + 1);
@@ -244,23 +206,21 @@ void RnnPolicy::on_session_complete(const JoinedSession& joined) {
                                 row.row(0));
   }
   const std::int64_t dt =
-      updates > 0 ? joined.session_start - last_update_time : 0;
+      state.updates > 0 ? joined.session_start - state.last_update_time : 0;
   bucketizer_.encode(dt, row.row(0).subspan(fw, tb));
   row.row(0)[fw + tb] = joined.access ? 1.0f : 0.0f;
 
-  if (q8) {
-    net.infer_update_q8(state_q8.state, row);
-    state_q8.last_update_time = joined.session_start;
-    state_q8.updates += 1;
-    store_->put_q8(joined.user_id, state_q8);
-  } else {
-    net.infer_update(state.state, row);
-    state.last_update_time = joined.session_start;
-    state.updates += 1;
-    store_->put(joined.user_id, state);
-  }
+  scorer.update(state.state, row);
+  state.last_update_time = joined.session_start;
+  state.updates += 1;
+  store_->put(joined.user_id, state);
   state_updates_.fetch_add(1, std::memory_order_relaxed);
   model_flops_.fetch_add(net.update_flops(), std::memory_order_relaxed);
+}
+
+void RnnPolicy::on_session_complete(const JoinedSession& joined) {
+  std::visit([&](const auto& scorer) { complete_with(scorer, joined); },
+             scorer_);
 }
 
 ServingCostSummary RnnPolicy::cost_summary() const {

@@ -11,6 +11,7 @@
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "models/gbdt_model.hpp"
@@ -19,6 +20,7 @@
 #include "serving/aggregation_service.hpp"
 #include "serving/hidden_store.hpp"
 #include "serving/stream.hpp"
+#include "train/scorer.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_pool.hpp"
 
@@ -110,7 +112,8 @@ class PrecomputePolicy {
 enum class ScorePrecision { kFloat32, kInt8 };
 
 /// RNN serving (§9): hidden state + t_k in the KV store; TorchScript-like
-/// split execution — MLP at session start, GRU at session end.
+/// split execution — MLP at session start, GRU at session end, both on the
+/// precision's scorer (train/scorer.hpp), as the offline replay runs them.
 ///
 /// Thread-safe: score_sessions / on_session_complete may be called from
 /// concurrent serving workers. Per-user state access is serialized through
@@ -158,6 +161,18 @@ class RnnPolicy final : public PrecomputePolicy {
   }
 
  private:
+  using AnyScorer = std::variant<train::F32Scorer, train::Int8Scorer>;
+
+  /// The one precision dispatch: precision_'s scorer over model(), after
+  /// checking the int8 preconditions.
+  AnyScorer bind_scorer() const;
+  /// score_sessions / on_session_complete, written once over a scorer.
+  template <class S>
+  std::vector<double> score_with(const S& scorer,
+                                 std::span<const SessionStart> sessions);
+  template <class S>
+  void complete_with(const S& scorer, const JoinedSession& joined);
+
   /// Resolves user_id to its stripe. PP_RETURN_CAPABILITY tells the
   /// analysis which array element a MutexLock at the call site actually
   /// acquires, so two different stripes are never conflated.
@@ -188,6 +203,9 @@ class RnnPolicy final : public PrecomputePolicy {
   HiddenStateStore* store_;
   ScorePrecision precision_;
   features::LogBucketizer bucketizer_;
+  /// Bound to model(); begin_batch() re-binds it with the pin, under the
+  /// same no-scoring-in-flight contract.
+  AnyScorer scorer_;
   /// Striped per-user locks: one stripe serializes the read-modify-write
   /// of every user hashing to it; different stripes never contend.
   std::array<Mutex, kLockStripes> stripes_;

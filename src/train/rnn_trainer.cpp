@@ -9,8 +9,8 @@
 
 #include "autograd/ops.hpp"
 #include "nn/optimizer.hpp"
+#include "train/scorer.hpp"
 #include "util/logging.hpp"
-#include "util/math.hpp"
 #include "util/thread.hpp"
 #include "util/thread_pool.hpp"
 
@@ -20,12 +20,17 @@ using namespace autograd;
 
 namespace {
 
-/// Leaf [1 x cols] variable copied from row r of a matrix.
-Variable row_input(const Matrix& m, std::size_t r) {
+/// [1 x cols] copy of row r of a matrix.
+Matrix row_copy(const Matrix& m, std::size_t r) {
   Matrix row(1, m.cols());
   std::memcpy(row.data(), m.data() + r * m.cols(),
               m.cols() * sizeof(float));
-  return Variable(std::move(row), /*requires_grad=*/false);
+  return row;
+}
+
+/// Leaf [1 x cols] variable copied from row r of a matrix.
+Variable row_input(const Matrix& m, std::size_t r) {
+  return Variable(row_copy(m, r), /*requires_grad=*/false);
 }
 
 struct UserLossResult {
@@ -412,15 +417,14 @@ namespace {
 
 /// Shared tape-free replay scaffold of score_users / score_users_q8: the
 /// per-user sequence walk with lazy update application, the
-/// [emit_from, emit_to) emission filter, ~256-row flush blocks through the
+/// [emit_from, emit_to) emission filter, ~256-row blocks through the
 /// batched RNNpredict head, optional per-user thread fan-out, and the
-/// deterministic (user-order) series merge. `Path` supplies the numerics —
-/// state representation, update step, hidden-snapshot gather, and the
-/// batched head — so the f32 and int8 replays cannot drift apart in
-/// emission semantics (the prequential gate compares their series 1:1).
-template <typename Path>
-ScoredSeries replay_users(const RnnNetwork& network,
-                          const data::Dataset& dataset,
+/// deterministic (user-order) series merge. `Scorer` (scorer.hpp) supplies
+/// the numerics serving runs, so the f32 and int8 replays cannot drift
+/// apart in emission semantics (the prequential gate compares their series
+/// 1:1).
+template <typename Scorer>
+ScoredSeries replay_users(const Scorer& scorer, const data::Dataset& dataset,
                           std::span<const std::size_t> user_indices,
                           const SequenceConfig& sequence_config,
                           bool timeshift, std::int64_t emit_from,
@@ -430,45 +434,35 @@ ScoredSeries replay_users(const RnnNetwork& network,
     const UserSequence seq =
         build_sequence(dataset, dataset.users[user_indices[i]],
                        sequence_config, timeshift);
-    Path path(network);
-    std::uint32_t applied = 0;
-    const std::size_t pred_cols = seq.predict_inputs.cols();
-    constexpr std::size_t kBlock = 256;
-    std::vector<float> x_buf, labels;
-    std::vector<std::int64_t> stamps;
-    auto flush = [&] {
-      if (stamps.empty()) return;
-      const std::size_t n = stamps.size();
-      Matrix x_block(n, pred_cols, std::move(x_buf));
-      const std::vector<double> logits = path.infer_block(n, x_block);
-      for (std::size_t b = 0; b < n; ++b) {
-        partial[i].append(pp::sigmoid(logits[b]), labels[b], stamps[b]);
-      }
-      x_buf.clear();
-      labels.clear();
-      stamps.clear();
-    };
+    std::vector<std::size_t> emitted;
     for (std::size_t p = 0; p < seq.num_predictions(); ++p) {
-      while (applied < seq.h_index[p]) {
-        Matrix x(1, seq.update_inputs.cols());
-        std::memcpy(x.data(),
-                    seq.update_inputs.data() +
-                        static_cast<std::size_t>(applied) *
-                            seq.update_inputs.cols(),
-                    seq.update_inputs.cols() * sizeof(float));
-        path.update(x);
-        ++applied;
-      }
       const std::int64_t ts = seq.timestamps[p];
-      if (ts < emit_from || (emit_to != 0 && ts >= emit_to)) continue;
-      path.gather_hidden();
-      const float* row = seq.predict_inputs.data() + p * pred_cols;
-      x_buf.insert(x_buf.end(), row, row + pred_cols);
-      labels.push_back(seq.labels[p]);
-      stamps.push_back(ts);
-      if (stamps.size() >= kBlock) flush();
+      if (ts >= emit_from && (emit_to == 0 || ts < emit_to)) {
+        emitted.push_back(p);
+      }
     }
-    flush();
+    typename Scorer::State state = scorer.cold();
+    std::uint32_t applied = 0;
+    constexpr std::size_t kBlock = 256;
+    for (std::size_t begin = 0; begin < emitted.size(); begin += kBlock) {
+      const std::size_t n = std::min(kBlock, emitted.size() - begin);
+      typename Scorer::Block hidden(n, state.hidden().cols());
+      Matrix x(n, seq.predict_inputs.cols());
+      for (std::size_t r = 0; r < n; ++r) {
+        const std::size_t p = emitted[begin + r];
+        for (; applied < seq.h_index[p]; ++applied) {
+          scorer.update(state, row_copy(seq.update_inputs, applied));
+        }
+        scorer.gather(hidden, r, state);
+        std::copy(seq.predict_inputs.row(p).begin(),
+                  seq.predict_inputs.row(p).end(), x.row(r).begin());
+      }
+      const std::vector<double> scores = scorer.score(hidden, x);
+      for (std::size_t r = 0; r < n; ++r) {
+        const std::size_t p = emitted[begin + r];
+        partial[i].append(scores[r], seq.labels[p], seq.timestamps[p]);
+      }
+    }
   };
   if (num_threads > 1 && user_indices.size() > 1) {
     ThreadPool pool(num_threads);
@@ -481,68 +475,6 @@ ScoredSeries replay_users(const RnnNetwork& network,
   return out;
 }
 
-/// f32 numerics: decoded hidden rows, f32 GRU update, batched
-/// infer_logits head. Row b of a block equals the same row scored alone
-/// (GEMM row independence), so blocking is bit-transparent.
-struct F32ReplayPath {
-  const RnnNetwork& network;
-  InferenceState state;
-  std::size_t hidden_cols;
-  std::vector<float> h_buf;
-
-  explicit F32ReplayPath(const RnnNetwork& net)
-      : network(net),
-        state(net.infer_initial_state()),
-        hidden_cols(net.config().hidden_size) {}
-
-  void update(const Matrix& x) { network.infer_update(state, x); }
-  void gather_hidden() {
-    const float* hidden = state.hidden().data();
-    h_buf.insert(h_buf.end(), hidden, hidden + hidden_cols);
-  }
-  std::vector<double> infer_block(std::size_t n, const Matrix& x_block) {
-    Matrix h_block(n, hidden_cols, std::move(h_buf));
-    h_buf.clear();
-    return network.infer_logits(h_block, x_block);
-  }
-};
-
-/// Int8 numerics: the gathered hidden snapshots are the stored bytes
-/// themselves (per-row scales), the update is the quantized GRU step, and
-/// the head runs on the int8 kernels — exactly what the kInt8 serving
-/// mode produces, block-size independent thanks to per-row quantization.
-struct Q8ReplayPath {
-  const RnnNetwork& network;
-  QuantizedInferenceState state;
-  std::size_t hidden_cols;
-  std::vector<std::int8_t> h_bytes;
-  std::vector<float> h_scales;
-
-  explicit Q8ReplayPath(const RnnNetwork& net)
-      : network(net),
-        state(net.infer_initial_state_q8()),
-        hidden_cols(net.config().hidden_size) {}
-
-  void update(const Matrix& x) { network.infer_update_q8(state, x); }
-  void gather_hidden() {
-    const tensor::QuantizedMatrix& hidden = state.hidden();
-    h_bytes.insert(h_bytes.end(), hidden.data(),
-                   hidden.data() + hidden_cols);
-    h_scales.push_back(hidden.scale());
-  }
-  std::vector<double> infer_block(std::size_t n, const Matrix& x_block) {
-    tensor::QuantizedMatrix h_block(n, hidden_cols);
-    for (std::size_t b = 0; b < n; ++b) {
-      std::memcpy(h_block.row_data(b), h_bytes.data() + b * hidden_cols,
-                  hidden_cols);
-      h_block.set_row_scale(b, h_scales[b]);
-    }
-    h_bytes.clear();
-    h_scales.clear();
-    return network.infer_logits_q8(h_block, x_block);
-  }
-};
-
 }  // namespace
 
 ScoredSeries score_users(const RnnNetwork& network,
@@ -551,9 +483,9 @@ ScoredSeries score_users(const RnnNetwork& network,
                          const SequenceConfig& sequence_config,
                          bool timeshift, std::int64_t emit_from,
                          std::int64_t emit_to, std::size_t num_threads) {
-  return replay_users<F32ReplayPath>(network, dataset, user_indices,
-                                     sequence_config, timeshift, emit_from,
-                                     emit_to, num_threads);
+  return replay_users(F32Scorer(network), dataset, user_indices,
+                      sequence_config, timeshift, emit_from, emit_to,
+                      num_threads);
 }
 
 ScoredSeries score_users_q8(const RnnNetwork& network,
@@ -562,13 +494,9 @@ ScoredSeries score_users_q8(const RnnNetwork& network,
                             const SequenceConfig& sequence_config,
                             bool timeshift, std::int64_t emit_from,
                             std::int64_t emit_to, std::size_t num_threads) {
-  if (!network.quantized_ready()) {
-    throw std::logic_error(
-        "score_users_q8: call prepare_quantized() on the network first");
-  }
-  return replay_users<Q8ReplayPath>(network, dataset, user_indices,
-                                    sequence_config, timeshift, emit_from,
-                                    emit_to, num_threads);
+  return replay_users(Int8Scorer(network), dataset, user_indices,
+                      sequence_config, timeshift, emit_from, emit_to,
+                      num_threads);
 }
 
 void ScoredSeries::append_series(const ScoredSeries& other) {

@@ -31,6 +31,12 @@ struct OpCase {
   std::function<Variable(const Variable&, const Variable&)> build;
 };
 
+// gtest prints GetParam() into the listing that ctest discovery turns into
+// test names. The default byte dump of a case holds the string and
+// std::function pointers, which change with every address-space layout, so
+// the case prints as its name instead.
+void PrintTo(const OpCase& c, std::ostream* os) { *os << c.name; }
+
 class BinaryOpGradient : public ::testing::TestWithParam<OpCase> {};
 
 TEST_P(BinaryOpGradient, MatchesFiniteDifferences) {
@@ -64,6 +70,8 @@ struct UnaryCase {
   const char* name;
   std::function<Variable(const Variable&)> build;
 };
+
+void PrintTo(const UnaryCase& c, std::ostream* os) { *os << c.name; }
 
 class UnaryOpGradient : public ::testing::TestWithParam<UnaryCase> {};
 

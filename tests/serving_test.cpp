@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -251,6 +252,8 @@ TEST(HiddenStore, GetRejectsRecordsFromDifferentlySizedModel) {
   // Serving memcpys hidden_size floats out of the returned state, so a
   // stale record written by a differently-sized model (config change with
   // a reused store) must throw instead of feeding an out-of-bounds read.
+  // The cell shapes a record too: an LSTM stores (h, c) per layer, a GRU
+  // h only, so a GRU record read by an LSTM would step past its state.
   data::MobileTabConfig config;
   config.num_users = 2;
   config.days = 2;
@@ -260,8 +263,11 @@ TEST(HiddenStore, GetRejectsRecordsFromDifferentlySizedModel) {
   small_config.mlp_hidden = 8;
   big_config.hidden_size = 16;
   big_config.mlp_hidden = 16;
+  models::RnnModelConfig lstm_config = small_config;
+  lstm_config.cell = nn::CellType::kLstm;
   const models::RnnModel small(dataset, small_config);
   const models::RnnModel big(dataset, big_config);
+  const models::RnnModel lstm(dataset, lstm_config);
 
   LocalKvStore kv;
   HiddenStateStore store(kv);
@@ -270,6 +276,13 @@ TEST(HiddenStore, GetRejectsRecordsFromDifferentlySizedModel) {
   store.put(1, state);
   EXPECT_TRUE(store.get(1, small.network()).has_value());
   EXPECT_THROW(store.get(1, big.network()), std::runtime_error);
+  EXPECT_THROW(store.get(1, lstm.network()), std::runtime_error);  // GRU→LSTM
+
+  StoredState lstm_state;
+  lstm_state.state = lstm.network().infer_initial_state();
+  store.put(2, lstm_state);
+  EXPECT_TRUE(store.get(2, lstm.network()).has_value());
+  EXPECT_THROW(store.get(2, small.network()), std::runtime_error);  // LSTM→GRU
 }
 
 TEST(HiddenStore, Int8QuartersTheFootprint) {
@@ -474,6 +487,103 @@ TEST(RnnPolicy, BatchedScoringMatchesSequentialExactly) {
   EXPECT_EQ(cost_batch.kv.bytes_read, cost_seq.kv.bytes_read);
   EXPECT_EQ(cost_batch.storage_bytes, cost_seq.storage_bytes);
   EXPECT_EQ(cost_batch.live_keys, cost_seq.live_keys);
+}
+
+/// Delegating policy that keeps every served score, per user in serving
+/// order.
+class ScoreRecordingPolicy final : public PrecomputePolicy {
+ public:
+  explicit ScoreRecordingPolicy(RnnPolicy& inner) : inner_(&inner) {}
+
+  double score_session(std::uint64_t user_id, std::int64_t t,
+                       std::span<const std::uint32_t> context) override {
+    const double score = inner_->score_session(user_id, t, context);
+    served[user_id].push_back(score);
+    return score;
+  }
+  void on_session_complete(const JoinedSession& joined) override {
+    inner_->on_session_complete(joined);
+  }
+  ServingCostSummary cost_summary() const override {
+    return inner_->cost_summary();
+  }
+  const char* name() const override { return inner_->name(); }
+
+  std::map<std::uint64_t, std::vector<double>> served;
+
+ private:
+  RnnPolicy* inner_;
+};
+
+TEST(RnnPolicy, ServedScoresEqualOfflineReplayInBothPrecisions) {
+  // The online prequential gate judges a model by RnnModel::score /
+  // score_q8, so those must be exactly what serving scores: replaying the
+  // cohort through PrecomputeService with the dataset's update lag
+  // (window = session_length, grace = update_latency) reproduces the
+  // offline replay bit for bit, in each precision.
+  data::MobileTabConfig config;
+  config.num_users = 40;
+  config.days = 6;
+  const data::Dataset dataset = data::generate_mobile_tab(config);
+  std::vector<std::size_t> users(dataset.users.size());
+  std::iota(users.begin(), users.end(), 0);
+  models::RnnModelConfig rnn_config;
+  rnn_config.hidden_size = 12;
+  rnn_config.mlp_hidden = 12;
+  rnn_config.num_threads = 2;
+  models::RnnModel model(dataset, rnn_config);
+  model.fit(dataset, users);
+  model.enable_quantized_serving();
+
+  struct Item {
+    std::int64_t t;
+    std::size_t user;
+    const data::Session* session;
+  };
+  std::vector<Item> stream;
+  for (const std::size_t u : users) {
+    for (const data::Session& s : dataset.users[u].sessions) {
+      stream.push_back({s.timestamp, u, &s});
+    }
+  }
+  std::stable_sort(stream.begin(), stream.end(),
+                   [](const Item& a, const Item& b) { return a.t < b.t; });
+
+  for (const ScorePrecision precision :
+       {ScorePrecision::kFloat32, ScorePrecision::kInt8}) {
+    const bool int8 = precision == ScorePrecision::kInt8;
+    LocalKvStore kv;
+    HiddenStateStore store(kv,
+                           int8 ? StateCodec::kInt8 : StateCodec::kFloat32);
+    RnnPolicy policy(model, store, precision);
+    ScoreRecordingPolicy recorder(policy);
+    PrecomputeService service(recorder, 0.5, dataset.session_length,
+                              dataset.update_latency, dataset.start_time);
+    std::uint64_t session_id = 1;
+    for (const Item& item : stream) {
+      service.on_session_start(session_id, item.user, item.t,
+                               item.session->context);
+      if (item.session->access) {
+        service.on_access(session_id, item.t + dataset.session_length / 2);
+      }
+      ++session_id;
+    }
+    service.flush();
+
+    const train::ScoredSeries offline =
+        int8 ? model.score_q8(dataset, users) : model.score(dataset, users);
+    std::size_t i = 0;
+    for (const std::size_t u : users) {
+      for (const double served : recorder.served[u]) {
+        ASSERT_LT(i, offline.scores.size()) << policy.name();
+        EXPECT_EQ(served, offline.scores[i])
+            << policy.name() << " user " << u << " prediction " << i;
+        ++i;
+      }
+    }
+    EXPECT_EQ(i, offline.scores.size()) << policy.name();
+    EXPECT_GT(i, 100u) << policy.name();
+  }
 }
 
 TEST(PrecomputePolicy, DefaultBatchedScoringLoopsScoreSession) {

@@ -7,6 +7,7 @@
 // guarantee. The end-to-end kill/resume acceptance harness lives in
 // storage_persist_test.cpp.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
@@ -40,8 +41,11 @@ namespace {
 /// when the test failed (the persist tier's cleanup contract).
 struct TempDir {
   std::string path;
+  /// The pid keeps directories apart when ctest runs the instances of one
+  /// parameterized test as concurrent processes.
   explicit TempDir(const std::string& name)
-      : path((std::filesystem::temp_directory_path() / ("pp_storage_" + name))
+      : path((std::filesystem::temp_directory_path() /
+              ("pp_storage_" + name + "_" + std::to_string(::getpid())))
                  .string()) {
     std::filesystem::remove_all(path);
     std::filesystem::create_directories(path);
