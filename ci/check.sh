@@ -185,20 +185,24 @@ run_tier '^(unit|obs|quant)$' "unit + obs + quant (fail fast)"
 
 # Forced-portable lane: on AVX2 runners the dispatcher resolves to the
 # SIMD kernels, which would leave the blocked fallback (the only path
-# non-AVX2 hosts ever run) untested. Re-run the kernel parity suite with
+# non-AVX2 hosts ever run) untested. Re-run the kernel parity suite and
+# the int8 serving suite (fused step and head, gate sigmoid/tanh) with
 # the portable kernel forced via the env override.
-echo "== tensor_gemm_test (PP_GEMM_FORCE_KERNEL=blocked, portable path) =="
-PP_GEMM_FORCE_KERNEL=blocked "${BUILD_DIR}/tensor_gemm_test" \
-  --gtest_brief=1
+for suite in tensor_gemm_test quantized_inference_test; do
+  echo "== ${suite} (PP_GEMM_FORCE_KERNEL=blocked, portable path) =="
+  PP_GEMM_FORCE_KERNEL=blocked "${BUILD_DIR}/${suite}" --gtest_brief=1
+done
 
 if [[ "${SANITIZE}" == asan || "${SANITIZE}" == address ]]; then
-  # Packed-panel buffer overruns live only in the AVX2 TUs; force the
-  # SIMD kernels on under ASan so tile/tail arithmetic is exercised with
-  # redzones even if this runner's dispatch would pick them anyway (and
-  # loudly exercises the degrade path when it can't).
-  echo "== tensor_gemm_test (PP_GEMM_FORCE_KERNEL=simd, ASan) =="
-  PP_GEMM_FORCE_KERNEL=simd "${BUILD_DIR}/tensor_gemm_test" \
-    --gtest_brief=1
+  # Packed-panel buffer overruns live only in the ISA TUs; force the
+  # SIMD kernels on under ASan so tile/tail arithmetic (the AVX2 panels,
+  # the VNNI panels and masked tails) is exercised with redzones even if
+  # this runner's dispatch would pick them anyway (and loudly exercises
+  # the degrade path when it can't).
+  for suite in tensor_gemm_test quantized_inference_test; do
+    echo "== ${suite} (PP_GEMM_FORCE_KERNEL=simd, ASan) =="
+    PP_GEMM_FORCE_KERNEL=simd "${BUILD_DIR}/${suite}" --gtest_brief=1
+  done
 fi
 
 run_tier '^online$' "online"

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "tensor/vmath.hpp"
 #include "util/math.hpp"
 
 namespace pp::nn {
@@ -179,42 +180,64 @@ void GruCell::infer_step(std::vector<Matrix>& state, const Matrix& x) const {
 // ------------------------------------------------------- QuantizedGruCell
 
 QuantizedGruCell::QuantizedGruCell(const GruCell& cell)
-    : input_size_(cell.input_size()),
-      hidden_size_(cell.hidden_size()),
-      wx_q_(tensor::QuantizedMatrix::quantize(cell.wx().value())),
-      wh_q_(tensor::QuantizedMatrix::quantize(cell.wh().value())),
+    : wx_(cell.wx().value()),
+      wh_(cell.wh().value()),
       bx_(cell.bx().value()),
       bh_(cell.bh().value()) {}
 
-Matrix QuantizedGruCell::infer_step(tensor::QuantizedMatrix& h,
-                                    const Matrix& x) const {
-  const std::size_t H = hidden_size_;
-  // Both gate products run int8 x int8 -> i32: the input row is quantized
-  // per row (fresh each step), the hidden operand is the stored int8 state
-  // itself. Biases and the gate nonlinearities stay f32 — they are O(H)
-  // against the O(H^2) products.
-  const tensor::QuantizedMatrix qx = tensor::QuantizedMatrix::quantize_rows(x);
-  Matrix gx = tensor::qgemm(qx, wx_q_);
-  gx.add_row_broadcast_inplace(bx_);
-  Matrix gh = tensor::qgemm(h, wh_q_);
-  gh.add_row_broadcast_inplace(bh_);
-
-  Matrix h_next(h.rows(), H);
-  for (std::size_t r = 0; r < h.rows(); ++r) {
-    for (std::size_t j = 0; j < H; ++j) {
-      const float rj = static_cast<float>(
-          pp::sigmoid(gx.at(r, j) + gh.at(r, j)));
-      const float zj = static_cast<float>(
-          pp::sigmoid(gx.at(r, H + j) + gh.at(r, H + j)));
-      const float nj =
-          std::tanh(gx.at(r, 2 * H + j) + rj * gh.at(r, 2 * H + j));
-      h_next.at(r, j) = (1.0f - zj) * nj + zj * h.dequant(r, j);
-    }
+const float* QuantizedGruCell::infer_step(tensor::QuantizedMatrix& h,
+                                          const float* x,
+                                          QuantizedScratch& s) const {
+  const std::size_t B = h.rows();
+  const std::size_t H = hidden_size();
+  const std::size_t K = input_size();
+  if (h.cols() != H || !h.symmetric()) {
+    throw std::invalid_argument(
+        "QuantizedGruCell::infer_step: h must be a symmetric [B x hidden] "
+        "int8 state");
   }
-  // Re-encode only the updated state (per-row == per-tensor at the serving
-  // batch size of 1, so the bytes match the HiddenStateStore codec).
-  h = tensor::QuantizedMatrix::quantize_rows(h_next);
-  return h_next;
+  // Quantize the input first: a stacked layer's x is s.out itself.
+  std::int8_t* qx = s.sized(s.q, B * K);
+  float* sx = s.sized(s.row_scale, B);
+  for (std::size_t b = 0; b < B; ++b) {
+    sx[b] = tensor::quantize_row(x + b * K, qx + b * K, K);
+  }
+  std::int32_t* ax = s.sized(s.acc_x, B * 3 * H);
+  std::int32_t* ah = s.sized(s.acc_h, B * 3 * H);
+  wx_.multiply(qx, B, ax);
+  wh_.multiply(h.data(), B, ah);
+
+  float* g = s.sized(s.act, 3 * H);  // [r | z | n] of one row
+  float* out = s.sized(s.out, B * H);
+  const float* bx = bx_.data();
+  const float* bh = bh_.data();
+  for (std::size_t b = 0; b < B; ++b) {
+    const float sh = h.scale(b);
+    const float sxw = sx[b] * wx_.scale();
+    const float shw = sh * wh_.scale();
+    const std::int32_t* axb = ax + b * 3 * H;
+    const std::int32_t* ahb = ah + b * 3 * H;
+    for (std::size_t j = 0; j < 2 * H; ++j) {
+      g[j] = (sxw * static_cast<float>(axb[j]) + bx[j]) +
+             (shw * static_cast<float>(ahb[j]) + bh[j]);
+    }
+    tensor::sigmoid_f32(g, g, 2 * H);
+    float* n = g + 2 * H;
+    for (std::size_t j = 0; j < H; ++j) {
+      const std::size_t c = 2 * H + j;
+      n[j] = (sxw * static_cast<float>(axb[c]) + bx[c]) +
+             g[j] * (shw * static_cast<float>(ahb[c]) + bh[c]);
+    }
+    tensor::tanh_f32(n, n, H);
+    const std::int8_t* qh = h.row_data(b);
+    float* hb = out + b * H;
+    for (std::size_t j = 0; j < H; ++j) {
+      const float z = g[H + j];
+      hb[j] = (1.0f - z) * n[j] + z * (sh * static_cast<float>(qh[j]));
+    }
+    h.set_row_scale(b, tensor::quantize_row(hb, h.row_data(b), H));
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------- LstmCell

@@ -8,6 +8,7 @@
 // to the serving key-value store).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -103,34 +104,58 @@ class GruCell final : public RecurrentCell {
   Variable bh_;  // [1 x 3*hidden]
 };
 
+/// Caller-owned working memory of the fused int8 step
+/// (QuantizedGruCell::infer_step) and head (RnnNetwork::infer_logits_q8).
+/// Buffers only grow, so once warmed up a call allocates nothing.
+struct QuantizedScratch {
+  std::vector<std::int8_t> q;           // quantized activation rows
+  std::vector<float> row_scale;         // their per-row scales
+  std::vector<std::int32_t> row_zero_point;
+  std::vector<std::int32_t> acc_x;      // i32 products
+  std::vector<std::int32_t> acc_h;
+  std::vector<float> act;               // f32 activation rows
+  std::vector<float> out;               // the step's f32 next hidden rows
+
+  /// v.data(), grown to at least n elements.
+  template <class T>
+  static T* sized(std::vector<T>& v, std::size_t n) {
+    if (v.size() < n) v.resize(n);
+    return v.data();
+  }
+};
+
 /// Int8 serving replica of a GruCell (§9 single-byte hidden states scored
-/// without an f32 round trip). Gate weights are quantized once at build
-/// (per-tensor symmetric int8); each step quantizes the incoming f32 input
-/// row(s), runs both gate products on the int8 qgemm kernel — the stored
-/// int8 hidden state feeds its product directly, no dequantized hidden
-/// matrix is ever formed for the GEMM — applies the f32 gate nonlinearity
-/// elementwise, and re-encodes only the updated hidden state.
+/// without an f32 round trip). Gate weights are quantized and packed once
+/// at build (tensor::QuantizedWeights); biases stay f32.
 class QuantizedGruCell {
  public:
   explicit QuantizedGruCell(const GruCell& cell);
 
-  /// One recurrence step. `h` is the int8 hidden state ([B x hidden] plus
-  /// its scale, exactly as stored in the serving KV tier) and is replaced
-  /// in place by the re-quantized next state; the f32 next hidden is
-  /// returned for a stacked layer's input. `x` is [B x input].
-  tensor::Matrix infer_step(tensor::QuantizedMatrix& h,
-                            const tensor::Matrix& x) const;
+  /// One fused recurrence step over the B = h.rows() rows of `h`, the int8
+  /// hidden state exactly as the serving KV tier stores it (symmetric,
+  /// [B x hidden], one scale per row or per tensor). `x` is the f32 input
+  /// [B x input], row-major; it may be the `out` buffer of `scratch`.
+  ///
+  /// Each row's input is quantized, the products x·Wx (sparse: all-zero
+  /// quads skipped) and h·Wh (dense, straight from the stored bytes) are
+  /// accumulated into the scratch's i32 buffers, and the dequant, biases
+  /// and gates (tensor/vmath.hpp sigmoid and tanh) follow the unfused
+  /// order: qgemm's scale * float(acc), + bias, gx + gh. `h` is re-encoded
+  /// in place (bytes and per-row scale, the HiddenStateStore codec rules);
+  /// the f32 next hidden rows [B x hidden] are returned, held in
+  /// scratch.out, as a stacked layer's input. No allocation once the
+  /// scratch is warm.
+  const float* infer_step(tensor::QuantizedMatrix& h, const float* x,
+                          QuantizedScratch& scratch) const;
 
-  std::size_t input_size() const { return input_size_; }
-  std::size_t hidden_size() const { return hidden_size_; }
+  std::size_t input_size() const { return wx_.rows(); }
+  std::size_t hidden_size() const { return wh_.rows(); }
 
  private:
-  std::size_t input_size_;
-  std::size_t hidden_size_;
-  tensor::QuantizedMatrix wx_q_;  // int8 [input x 3*hidden]
-  tensor::QuantizedMatrix wh_q_;  // int8 [hidden x 3*hidden]
-  Matrix bx_;                     // f32 [1 x 3*hidden]
-  Matrix bh_;                     // f32 [1 x 3*hidden]
+  tensor::QuantizedWeights wx_;  // int8 [input x 3*hidden]
+  tensor::QuantizedWeights wh_;  // int8 [hidden x 3*hidden]
+  Matrix bx_;                    // f32 [1 x 3*hidden]
+  Matrix bh_;                    // f32 [1 x 3*hidden]
 };
 
 /// Standard LSTM with packed gates in (i, f, g, o) order and forget-gate

@@ -21,11 +21,10 @@ tensor::Matrix Linear::infer(const tensor::Matrix& x) const {
 }
 
 QuantizedLinear::QuantizedLinear(const Linear& layer)
-    : weight_(tensor::QuantizedMatrix::quantize(layer.weight().value())),
-      bias_(layer.bias().value()) {}
+    : weight_(layer.weight().value()), bias_(layer.bias().value()) {}
 
 tensor::Matrix QuantizedLinear::infer(const tensor::QuantizedMatrix& x) const {
-  tensor::Matrix out = tensor::qgemm(x, weight_);
+  tensor::Matrix out = tensor::qgemm(x, weight_.matrix());
   out.add_row_broadcast_inplace(bias_);
   return out;
 }

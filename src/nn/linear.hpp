@@ -1,8 +1,9 @@
 // Fully-connected layer y = x W + b with W stored [in x out] so the forward
 // pass is a single row-major matmul over [batch x in] inputs. QuantizedLinear
-// is its int8 serving twin: the weight is quantized once (per-tensor
-// symmetric), inputs arrive pre-quantized per row, and the product runs on
-// the int8 qgemm kernel — no f32 weight matrix exists at serve time.
+// is its int8 serving twin: the weight is quantized and packed once
+// (tensor::QuantizedWeights, per-tensor symmetric), inputs arrive
+// pre-quantized per row, and the products run on the int8 kernels — no f32
+// weight matrix exists at serve time.
 #pragma once
 
 #include "autograd/ops.hpp"
@@ -38,23 +39,25 @@ class Linear : public Module {
 /// Int8 replica of a Linear layer for the quantized serving path. Built
 /// once at load; the f32 weight is consumed into an int8 tensor and the
 /// bias stays f32 (added after the dequantizing epilogue, the usual int8
-/// inference convention).
+/// inference convention). The fused serving head
+/// (RnnNetwork::infer_logits_q8) runs weight().multiply() directly.
 class QuantizedLinear {
  public:
   explicit QuantizedLinear(const Linear& layer);
 
-  /// x: pre-quantized [batch x in] -> f32 [batch x out]. Row b of a batch
-  /// equals the same row inferred alone (per-row quantization upstream +
-  /// exact integer accumulation).
+  /// x: pre-quantized [batch x in] -> f32 [batch x out] through qgemm().
+  /// Row b of a batch equals the same row inferred alone (per-row
+  /// quantization upstream + exact integer accumulation).
   tensor::Matrix infer(const tensor::QuantizedMatrix& x) const;
 
   std::size_t in_features() const { return weight_.rows(); }
   std::size_t out_features() const { return weight_.cols(); }
-  const tensor::QuantizedMatrix& weight() const { return weight_; }
+  const tensor::QuantizedWeights& weight() const { return weight_; }
+  const float* bias() const { return bias_.data(); }
 
  private:
-  tensor::QuantizedMatrix weight_;  // int8 [in x out]
-  tensor::Matrix bias_;             // f32 [1 x out]
+  tensor::QuantizedWeights weight_;  // int8 [in x out]
+  tensor::Matrix bias_;              // f32 [1 x out]
 };
 
 }  // namespace pp::nn

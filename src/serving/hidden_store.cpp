@@ -1,5 +1,6 @@
 #include "serving/hidden_store.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <type_traits>
 
@@ -76,6 +77,14 @@ tensor::QuantizedMatrix decode_q8(BinaryReader& reader,
                                   std::size_t hidden_size) {
   read_shape(reader, hidden_size);
   const float scale = reader.read_f32();
+  // The codec never writes one (symmetric_scale clamps to >= FLT_MIN), and
+  // a NaN, infinite, zero or negative scale would flow straight into the
+  // gate inputs of the int8 step and head.
+  if (!(std::isfinite(scale) && scale > 0.0f)) {
+    throw std::runtime_error("get: stored int8 scale " +
+                             std::to_string(scale) +
+                             " is not finite and positive");
+  }
   std::vector<std::int8_t> data(hidden_size);
   reader.read_bytes(data.data(), data.size());
   return tensor::QuantizedMatrix::from_raw(1, hidden_size, scale,

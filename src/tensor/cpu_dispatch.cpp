@@ -17,6 +17,20 @@ CpuIsa probe_cpu_isa() {
   return CpuIsa::kGeneric;
 }
 
+/// Host support for the AVX-512 lane, false when its TU was built
+/// without the ISA.
+bool probe_avx512_vnni() {
+#if defined(PP_AVX512_KERNELS_COMPILED) && \
+    (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+  return __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512bw") &&
+         __builtin_cpu_supports("avx512vnni");
+#else
+  return false;
+#endif
+}
+
 }  // namespace
 
 CpuIsa detected_cpu_isa() {
@@ -58,6 +72,11 @@ bool simd_kernels_compiled() {
 
 bool gemm_simd_available() {
   return simd_kernels_compiled() && detected_cpu_isa() == CpuIsa::kAvx2Fma;
+}
+
+bool avx512_vnni_available() {
+  static const bool available = gemm_simd_available() && probe_avx512_vnni();
+  return available;
 }
 
 bool gemm_kernel_from_env(GemmKernel* out) {

@@ -9,6 +9,11 @@
 //                   |                    the SIMD TUs were compiled in
 //                   | GemmKernel::kBlocked otherwise
 //
+// kSimd has a second, wider lane: on hosts that also pass the AVX-512
+// VNNI probe (avx512_vnni_available), the int8 serving products run the
+// qgemm_avx512.cpp kernel instead of the AVX2 one. Everything else keeps
+// its AVX2 kernel there, and every lane returns the same bits.
+//
 // Forcing kSimd (via env or set_gemm_kernel) on a host without AVX2+FMA
 // falls back to kBlocked at dispatch time — the AVX2 code is never
 // executed on a CPU that cannot run it. Benches and tests read the
@@ -40,6 +45,13 @@ bool simd_kernels_compiled();
 /// True when kSimd would actually run the AVX2 kernels here: compiled in
 /// AND the host CPU reports AVX2+FMA.
 bool gemm_simd_available();
+
+/// True when kSimd runs its AVX-512 lane here: gemm_simd_available(), the
+/// qgemm_avx512.cpp TU compiled with its ISA, AND a host that reports
+/// AVX-512 F, BW and VNNI (with the OS saving zmm state). A separate
+/// probe rather than a CpuIsa tier, so detected_cpu_isa() and everything
+/// keyed on kAvx2Fma stay as they are on AVX-512 hosts.
+bool avx512_vnni_available();
 
 /// Parses PP_GEMM_FORCE_KERNEL ("naive" | "blocked" | "simd"). Returns
 /// true and writes *out when the variable is set to a valid value; an

@@ -14,11 +14,17 @@
 //               broadcast for f32, vpmaddubsw/vpmaddwd for int8) in
 //               dedicated -mavx2 -mfma TUs. Selected by default when the
 //               host CPU supports it; falls back to kBlocked otherwise.
+//               On AVX-512 VNNI hosts the fused int8 serving products
+//               (tensor::QuantizedWeights) run a vpdpbusd lane of kSimd
+//               instead (qgemm_avx512.cpp).
 //  * kAuto    — "use the dispatch default" (the initial configuration).
 // All kernels compose with the optional row-partitioned ThreadPool
-// variant. PP_GEMM_FORCE_KERNEL=naive|blocked|simd overrides the
-// process default (CI uses it to keep the portable path tested on AVX2
-// runners); gemm_dispatched_kernel() reports what would actually run.
+// variant, with one exception: QuantizedWeights::multiply (the fused int8
+// serving step and head) always runs on the calling thread, so
+// set_gemm_threads / GemmConfigScope thread counts do not reach it.
+// PP_GEMM_FORCE_KERNEL=naive|blocked|simd overrides the process default
+// (CI uses it to keep the portable path tested on AVX2 runners);
+// gemm_dispatched_kernel() reports what would actually run.
 //
 // Parity contract (pinned by tests/tensor_gemm_test.cpp):
 //  * Accumulation order over the shared dimension is identical

@@ -169,6 +169,65 @@ void encode_symmetric_dispatch(const float* v, std::int8_t* out,
 
 }  // namespace
 
+// ------------------------------------------------------------ row encoders
+
+float quantize_row(const float* v, std::int8_t* out, std::size_t n) {
+  const float scale = symmetric_scale(finite_max_abs_dispatch(v, n));
+  encode_symmetric_dispatch(v, out, n, 1.0f / scale);
+  return scale;
+}
+
+void quantize_row_affine(const float* v, std::int8_t* out, std::size_t n,
+                         float* scale_out, std::int32_t* zero_point_out) {
+  // Range over the finite entries, nudged to include 0 so the zero point
+  // stays in int8 range and exact zeros encode exactly. Same bit-pattern
+  // trick as finite_max_abs, run per sign: two unsigned-max reductions
+  // (largest finite positive, largest-magnitude finite negative).
+  float hi, lo_mag;
+  if (simd_codec_active()) {
+    simd::finite_range_f32(v, n, &hi, &lo_mag);
+  } else {
+    std::uint32_t hi_bits = 0, lo_bits = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      std::uint32_t bits;
+      std::memcpy(&bits, &v[j], sizeof(bits));
+      const std::uint32_t mag = bits & 0x7fffffffu;
+      const std::uint32_t keep =
+          -static_cast<std::uint32_t>(mag < kF32InfBits);
+      const std::uint32_t neg = -(bits >> 31);
+      hi_bits = std::max(hi_bits, mag & keep & ~neg);
+      lo_bits = std::max(lo_bits, mag & keep & neg);
+    }
+    std::memcpy(&hi, &hi_bits, sizeof(hi));
+    std::memcpy(&lo_mag, &lo_bits, sizeof(lo_mag));
+  }
+  const float lo = -lo_mag;
+  // Divide before subtracting: hi - lo can overflow to +Inf for finite
+  // extreme-magnitude rows (e.g. hi = 2e38, lo = -2e38), which would
+  // defeat the scale clamp and dequantize finite input to NaN.
+  float scale = hi > lo ? hi / 255.0f - lo / 255.0f : 1.0f;
+  scale = std::max(scale, std::numeric_limits<float>::min());
+  const float inv_scale = 1.0f / scale;
+  const auto zp = static_cast<std::int32_t>(std::clamp(
+      std::nearbyintf(-128.0f - lo * inv_scale), -128.0f, 127.0f));
+  *scale_out = scale;
+  *zero_point_out = zp;
+  if (simd_codec_active()) {
+    simd::quantize_affine_i8(v, out, n, inv_scale, zp);
+    return;
+  }
+  const auto zpf = static_cast<float>(zp);
+  for (std::size_t j = 0; j < n; ++j) {
+    const float x = v[j];
+    const float t =
+        std::clamp(std::nearbyintf(x * inv_scale) + zpf, -128.0f, 127.0f);
+    // NaN dequantizes to 0 (encodes as the zero point); the select keeps
+    // the loop branch-free and the NaN out of the int cast.
+    out[j] = std::isnan(x) ? static_cast<std::int8_t>(zp)
+                           : static_cast<std::int8_t>(t);
+  }
+}
+
 // ---------------------------------------------------------- QuantizedMatrix
 
 QuantizedMatrix::QuantizedMatrix(std::size_t rows, std::size_t cols)
@@ -182,12 +241,8 @@ QuantizedMatrix QuantizedMatrix::quantize(const Matrix& m) {
   q.rows_ = m.rows();
   q.cols_ = m.cols();
   q.data_.resize(m.size());
-  const float scale =
-      symmetric_scale(finite_max_abs_dispatch(m.data(), m.size()));
-  q.scales_.assign(1, scale);
+  q.scales_.assign(1, quantize_row(m.data(), q.data_.data(), m.size()));
   q.zero_points_.assign(1, 0);
-  const float inv_scale = 1.0f / scale;
-  encode_symmetric_dispatch(m.data(), q.data_.data(), m.size(), inv_scale);
   return q;
 }
 
@@ -200,12 +255,8 @@ QuantizedMatrix QuantizedMatrix::quantize_rows(const Matrix& m) {
   q.zero_points_.assign(1, 0);
   const std::size_t cols = m.cols();
   for (std::size_t r = 0; r < m.rows(); ++r) {
-    const float* row = m.data() + r * cols;
-    const float scale = symmetric_scale(finite_max_abs_dispatch(row, cols));
-    q.scales_[r] = scale;
-    const float inv_scale = 1.0f / scale;
-    encode_symmetric_dispatch(row, q.data_.data() + r * cols, cols,
-                              inv_scale);
+    q.scales_[r] = quantize_row(m.data() + r * cols,
+                                q.data_.data() + r * cols, cols);
   }
   return q;
 }
@@ -219,55 +270,8 @@ QuantizedMatrix QuantizedMatrix::quantize_rows_affine(const Matrix& m) {
   q.zero_points_.assign(std::max<std::size_t>(m.rows(), 1), 0);
   const std::size_t cols = m.cols();
   for (std::size_t r = 0; r < m.rows(); ++r) {
-    const float* row = m.data() + r * cols;
-    // Range over the finite entries, nudged to include 0 so the zero point
-    // stays in int8 range and exact zeros encode exactly. Same bit-pattern
-    // trick as finite_max_abs, run per sign: two unsigned-max reductions
-    // (largest finite positive, largest-magnitude finite negative).
-    float hi, lo_mag;
-    if (simd_codec_active()) {
-      simd::finite_range_f32(row, cols, &hi, &lo_mag);
-    } else {
-      std::uint32_t hi_bits = 0, lo_bits = 0;
-      for (std::size_t j = 0; j < cols; ++j) {
-        std::uint32_t bits;
-        std::memcpy(&bits, &row[j], sizeof(bits));
-        const std::uint32_t mag = bits & 0x7fffffffu;
-        const std::uint32_t keep =
-            -static_cast<std::uint32_t>(mag < kF32InfBits);
-        const std::uint32_t neg = -(bits >> 31);
-        hi_bits = std::max(hi_bits, mag & keep & ~neg);
-        lo_bits = std::max(lo_bits, mag & keep & neg);
-      }
-      std::memcpy(&hi, &hi_bits, sizeof(hi));
-      std::memcpy(&lo_mag, &lo_bits, sizeof(lo_mag));
-    }
-    const float lo = -lo_mag;
-    // Divide before subtracting: hi - lo can overflow to +Inf for finite
-    // extreme-magnitude rows (e.g. hi = 2e38, lo = -2e38), which would
-    // defeat the scale clamp and dequantize finite input to NaN.
-    float scale = hi > lo ? hi / 255.0f - lo / 255.0f : 1.0f;
-    scale = std::max(scale, std::numeric_limits<float>::min());
-    const float inv_scale = 1.0f / scale;
-    const auto zp = static_cast<std::int32_t>(std::clamp(
-        std::nearbyintf(-128.0f - lo * inv_scale), -128.0f, 127.0f));
-    q.scales_[r] = scale;
-    q.zero_points_[r] = zp;
-    std::int8_t* out = q.data_.data() + r * cols;
-    if (simd_codec_active()) {
-      simd::quantize_affine_i8(row, out, cols, inv_scale, zp);
-      continue;
-    }
-    const auto zpf = static_cast<float>(zp);
-    for (std::size_t j = 0; j < cols; ++j) {
-      const float v = row[j];
-      const float t =
-          std::clamp(std::nearbyintf(v * inv_scale) + zpf, -128.0f, 127.0f);
-      // NaN dequantizes to 0 (encodes as the zero point); the select keeps
-      // the loop branch-free and the NaN out of the int cast.
-      out[j] = std::isnan(v) ? static_cast<std::int8_t>(zp)
-                             : static_cast<std::int8_t>(t);
-    }
+    quantize_row_affine(m.data() + r * cols, q.data_.data() + r * cols, cols,
+                        &q.scales_[r], &q.zero_points_[r]);
   }
   return q;
 }
@@ -397,6 +401,45 @@ Matrix qgemm(const QuantizedMatrix& a, const QuantizedMatrix& b) {
     }
   }
   return out;
+}
+
+// -------------------------------------------------------- QuantizedWeights
+
+QuantizedWeights::QuantizedWeights(const Matrix& w)
+    : q_(QuantizedMatrix::quantize(w)), col_sums_(w.cols(), 0) {
+  const std::size_t k = q_.rows(), n = q_.cols();
+  const std::int8_t* wd = q_.data();
+  for (std::size_t p = 0; p < k; ++p) {
+    for (std::size_t j = 0; j < n; ++j) col_sums_[j] += wd[p * n + j];
+  }
+  if (!avx512_vnni_available() || k > simd::kQGemmSimdMaxK) return;
+  // Padding bytes stay 128 (W = 0); see the layout in gemm_simd.hpp.
+  const std::size_t blocks = (n + 15) / 16;
+  panel_.assign(((k + 3) / 4) * blocks * 64, 128);
+  for (std::size_t p = 0; p < k; ++p) {
+    for (std::size_t j = 0; j < n; ++j) {
+      panel_[((p / 4) * blocks + j / 16) * 64 + (j % 16) * 4 + p % 4] =
+          static_cast<unsigned char>(wd[p * n + j] + 128);
+    }
+  }
+}
+
+void QuantizedWeights::multiply(const std::int8_t* a, std::size_t m,
+                                std::int32_t* c) const {
+  const std::size_t k = q_.rows(), n = q_.cols();
+  const GemmKernel kernel = gemm_dispatched_kernel();
+  if (kernel == GemmKernel::kSimd && !panel_.empty()) {
+    simd::nn_i8i32_vnni(a, panel_.data(), c, m, k, n);
+    return;
+  }
+  std::fill_n(c, m * n, 0);
+  if (kernel == GemmKernel::kNaive) {
+    nn_i32_naive_range(a, q_.data(), c, k, n, 0, m);
+  } else if (kernel == GemmKernel::kSimd && k <= simd::kQGemmSimdMaxK) {
+    simd::nn_i8i32_range(a, q_.data(), c, k, n, 0, m);
+  } else {
+    nn_i32_blocked_range(a, q_.data(), c, k, n, 0, m);
+  }
 }
 
 }  // namespace pp::tensor

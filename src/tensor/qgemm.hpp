@@ -29,6 +29,12 @@
 //
 // i32 accumulators bound the shared dimension at k < 2^31 / 127^2 ≈ 133k,
 // far above any layer width here.
+//
+// The serving hot path does not go through qgemm(): QuantizedWeights
+// holds a weight packed once for every kernel lane, and its multiply()
+// writes raw i32 products into caller-owned scratch, which the fused GRU
+// step and head (nn::QuantizedGruCell, train::RnnNetwork) dequantize
+// themselves. qgemm() stays as the reference those are tested against.
 #pragma once
 
 #include <cstdint>
@@ -104,6 +110,42 @@ class QuantizedMatrix {
 /// C[m x n] = dequant(A[m x k]) * dequant(B[k x n]) via the int8 kernel.
 /// B must be per-tensor symmetric (throws std::invalid_argument otherwise).
 Matrix qgemm(const QuantizedMatrix& a, const QuantizedMatrix& b);
+
+/// One row of quantize_rows(): encodes v[0..n) into out[0..n) and returns
+/// the row's scale.
+float quantize_row(const float* v, std::int8_t* out, std::size_t n);
+/// One row of quantize_rows_affine(): encodes v[0..n) into out[0..n) and
+/// writes the row's scale and zero point.
+void quantize_row_affine(const float* v, std::int8_t* out, std::size_t n,
+                         float* scale, std::int32_t* zero_point);
+
+/// An int8 weight operand W [k x n] for the fused serving step and head,
+/// built once from the f32 weights: quantize() (per-tensor symmetric),
+/// its column sums (the correction an affine A operand needs), and on
+/// hosts with avx512_vnni_available() the (W + 128) k-quad panel that
+/// vpdpbusd consumes (layout in gemm_simd.hpp).
+class QuantizedWeights {
+ public:
+  explicit QuantizedWeights(const Matrix& w);
+
+  /// c[m x n] = a[m x k] * W with exact i32 accumulation; c is
+  /// overwritten. Runs on the calling thread with no allocation, on the
+  /// dispatched kernel: naive, blocked, or kSimd's VNNI lane (where the
+  /// panel exists) or AVX2 lane. All agree bit for bit.
+  void multiply(const std::int8_t* a, std::size_t m, std::int32_t* c) const;
+
+  const QuantizedMatrix& matrix() const noexcept { return q_; }
+  float scale() const { return q_.scale(); }
+  std::size_t rows() const noexcept { return q_.rows(); }
+  std::size_t cols() const noexcept { return q_.cols(); }
+  std::size_t size() const noexcept { return q_.size(); }
+  std::int32_t col_sum(std::size_t j) const { return col_sums_[j]; }
+
+ private:
+  QuantizedMatrix q_;
+  std::vector<std::int32_t> col_sums_;
+  std::vector<unsigned char> panel_;  // empty without the VNNI lane
+};
 
 // ---- raw i32 kernels (exposed for parity tests and benches) ----
 // c[m x n] += a[m x k] * b[k x n] over int8 operands with int32

@@ -423,6 +423,92 @@ void scale_i32_f32(const std::int32_t* acc, float* out, std::size_t n,
   }
 }
 
+// --- sigmoid / tanh (the scalar twins are in vmath.cpp) ---------------------
+
+namespace {
+
+namespace vm = vmath;
+
+__m256 abs_ps(__m256 x) {
+  return _mm256_and_ps(x, _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff)));
+}
+
+/// exp(-t) for t in [0, kExpMaxArg]; the op sequence of vmath.cpp.
+__m256 exp_neg_ps(__m256 t) {
+  const __m256 round = _mm256_set1_ps(vm::kRound);
+  const __m256 n = _mm256_sub_ps(
+      _mm256_add_ps(_mm256_mul_ps(t, _mm256_set1_ps(vm::kLog2e)), round),
+      round);
+  __m256 s = _mm256_sub_ps(_mm256_mul_ps(n, _mm256_set1_ps(vm::kLn2Hi)), t);
+  s = _mm256_add_ps(s, _mm256_mul_ps(n, _mm256_set1_ps(vm::kLn2Lo)));
+  const __m256 z = _mm256_mul_ps(s, s);
+  __m256 p = _mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(vm::kExp0), s),
+                           _mm256_set1_ps(vm::kExp1));
+  p = _mm256_add_ps(_mm256_mul_ps(p, s), _mm256_set1_ps(vm::kExp2));
+  p = _mm256_add_ps(_mm256_mul_ps(p, s), _mm256_set1_ps(vm::kExp3));
+  p = _mm256_add_ps(_mm256_mul_ps(p, s), _mm256_set1_ps(vm::kExp4));
+  p = _mm256_add_ps(_mm256_mul_ps(p, s), _mm256_set1_ps(vm::kExp5));
+  p = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(p, z), s),
+                    _mm256_set1_ps(1.0f));
+  const __m256i bits = _mm256_slli_epi32(
+      _mm256_sub_epi32(_mm256_set1_epi32(127), _mm256_cvttps_epi32(n)), 23);
+  return _mm256_mul_ps(p, _mm256_castsi256_ps(bits));
+}
+
+__m256 sigmoid_ps(__m256 x) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 e =
+      exp_neg_ps(_mm256_min_ps(abs_ps(x), _mm256_set1_ps(vm::kExpMaxArg)));
+  const __m256 neg = _mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_LT_OQ);
+  const __m256 y = _mm256_div_ps(_mm256_blendv_ps(one, e, neg),
+                                 _mm256_add_ps(one, e));
+  return _mm256_blendv_ps(y, x, _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
+}
+
+__m256 tanh_ps(__m256 x) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 t = abs_ps(x);
+  const __m256 z = _mm256_mul_ps(t, t);
+  __m256 p = _mm256_add_ps(_mm256_mul_ps(_mm256_set1_ps(vm::kTanh0), z),
+                           _mm256_set1_ps(vm::kTanh1));
+  p = _mm256_sub_ps(_mm256_mul_ps(p, z), _mm256_set1_ps(vm::kTanh2));
+  p = _mm256_add_ps(_mm256_mul_ps(p, z), _mm256_set1_ps(vm::kTanh3));
+  p = _mm256_sub_ps(_mm256_mul_ps(p, z), _mm256_set1_ps(vm::kTanh4));
+  const __m256 small = _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(p, z), t), t);
+  const __m256 e = exp_neg_ps(
+      _mm256_min_ps(_mm256_add_ps(t, t), _mm256_set1_ps(vm::kExpMaxArg)));
+  const __m256 big =
+      _mm256_div_ps(_mm256_sub_ps(one, e), _mm256_add_ps(one, e));
+  __m256 y = _mm256_blendv_ps(
+      big, small, _mm256_cmp_ps(t, _mm256_set1_ps(vm::kTanhSmall), _CMP_LT_OQ));
+  const __m256 sign =
+      _mm256_castsi256_ps(_mm256_set1_epi32(static_cast<int>(0x80000000u)));
+  y = _mm256_or_ps(y, _mm256_and_ps(x, sign));
+  return _mm256_blendv_ps(y, x, _mm256_cmp_ps(x, x, _CMP_UNORD_Q));
+}
+
+/// Applies `f` 8 lanes at a time; the tail runs through a padded copy.
+template <__m256 (*f)(__m256)>
+void map_ps(const float* x, float* y, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) _mm256_storeu_ps(y + i, f(_mm256_loadu_ps(x + i)));
+  if (i == n) return;
+  alignas(32) float tail[8] = {};
+  std::memcpy(tail, x + i, (n - i) * sizeof(float));
+  _mm256_store_ps(tail, f(_mm256_load_ps(tail)));
+  std::memcpy(y + i, tail, (n - i) * sizeof(float));
+}
+
+}  // namespace
+
+void sigmoid_f32_avx2(const float* x, float* y, std::size_t n) {
+  map_ps<sigmoid_ps>(x, y, n);
+}
+
+void tanh_f32_avx2(const float* x, float* y, std::size_t n) {
+  map_ps<tanh_ps>(x, y, n);
+}
+
 }  // namespace pp::tensor::simd
 
 
@@ -455,6 +541,10 @@ void quantize_affine_i8(const float*, std::int8_t*, std::size_t, float,
 void scale_i32_f32(const std::int32_t*, float*, std::size_t, float) {
   std::abort();
 }
+
+void sigmoid_f32_avx2(const float*, float*, std::size_t) { std::abort(); }
+
+void tanh_f32_avx2(const float*, float*, std::size_t) { std::abort(); }
 
 }  // namespace pp::tensor::simd
 

@@ -1,6 +1,8 @@
 #include "train/rnn_network.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "util/math.hpp"
@@ -8,6 +10,16 @@
 namespace pp::train {
 
 using namespace autograd;
+
+namespace {
+
+/// The per-thread working memory of the fused int8 step and head.
+nn::QuantizedScratch& thread_scratch() {
+  thread_local nn::QuantizedScratch scratch;
+  return scratch;
+}
+
+}  // namespace
 
 RnnNetwork::RnnNetwork(const RnnNetworkConfig& config, Rng& rng)
     : config_(config) {
@@ -158,56 +170,88 @@ QuantizedInferenceState RnnNetwork::infer_initial_state_q8() const {
 void RnnNetwork::infer_update_q8(QuantizedInferenceState& state,
                                  const Matrix& x) const {
   const QuantizedNetworkWeights& qw = quantized_weights();
-  const Matrix* input = &x;
-  Matrix carried;
+  if (x.cols() != config_.update_input_size() ||
+      x.rows() != state.hidden().rows()) {
+    throw std::invalid_argument("infer_update_q8: input shape " +
+                                x.shape_string() + " mismatches the state");
+  }
+  nn::QuantizedScratch& scratch = thread_scratch();
+  const float* input = x.data();
   for (std::size_t l = 0; l < qw.cells.size(); ++l) {
-    carried = qw.cells[l].infer_step(state.layers[l], *input);
-    input = &carried;
+    input = qw.cells[l].infer_step(state.layers[l], input, scratch);
   }
 }
 
 std::vector<double> RnnNetwork::infer_logits_q8(
     const tensor::QuantizedMatrix& h_block, const Matrix& x_block) const {
   const QuantizedNetworkWeights& qw = quantized_weights();
-  if (h_block.rows() != x_block.rows()) {
-    throw std::invalid_argument("infer_logits_q8: batch mismatch");
-  }
   const std::size_t B = h_block.rows();
   const std::size_t H = config_.hidden_size;
+  const std::size_t P = config_.predict_input_size();
+  const std::size_t M = config_.mlp_hidden;
+  if (x_block.rows() != B || h_block.cols() != H || x_block.cols() != P) {
+    throw std::invalid_argument("infer_logits_q8: shape mismatch");
+  }
+  // One fused pass per stage over the whole block, each product into the
+  // scratch's i32 buffer; the dequant / bias / activation order is the
+  // unfused chain's (qgemm's scale * float(acc), then + bias), so a row
+  // scores the same alone or in any batch.
+  nn::QuantizedScratch& s = thread_scratch();
+  const std::size_t width = std::max(H + P, M);
+  std::int8_t* q = s.sized(s.q, B * width);
+  float* scale = s.sized(s.row_scale, B);
+  std::int32_t* zp = s.sized(s.row_zero_point, B);
+  std::int32_t* acc = s.sized(s.acc_x, B * std::max(H, M));
+  float* act = s.sized(s.act, B * width);
 
   // Latent cross: h' = h ∘ (1 + L(x)). The stored int8 h enters only this
-  // elementwise product, dequantized value-by-value with its per-row
-  // scale; the L(x) product itself is int8.
-  Matrix crossed(B, H);
+  // elementwise product, dequantized with its per-row scale; the L(x)
+  // product itself is int8.
   if (config_.latent_cross) {
-    const tensor::QuantizedMatrix qx =
-        tensor::QuantizedMatrix::quantize_rows(x_block);
-    const Matrix factor = qw.latent->infer(qx);
     for (std::size_t b = 0; b < B; ++b) {
-      for (std::size_t j = 0; j < H; ++j) {
-        crossed.at(b, j) = h_block.dequant(b, j) * (1.0f + factor.at(b, j));
-      }
+      scale[b] = tensor::quantize_row(x_block.data() + b * P, q + b * P, P);
     }
-  } else {
-    for (std::size_t b = 0; b < B; ++b) {
+    qw.latent->weight().multiply(q, B, acc);
+  }
+  for (std::size_t b = 0; b < B; ++b) {
+    float* row = act + b * (H + P);
+    if (config_.latent_cross) {
+      const float sl = scale[b] * qw.latent->weight().scale();
+      const float* bl = qw.latent->bias();
       for (std::size_t j = 0; j < H; ++j) {
-        crossed.at(b, j) = h_block.dequant(b, j);
+        const float factor = sl * static_cast<float>(acc[b * H + j]) + bl[j];
+        row[j] = h_block.dequant(b, j) * (1.0f + factor);
       }
+    } else {
+      for (std::size_t j = 0; j < H; ++j) row[j] = h_block.dequant(b, j);
     }
+    std::memcpy(row + H, x_block.data() + b * P, P * sizeof(float));
   }
 
   // MLP head: activations are requantized per row in front of each int8
   // product; the ReLU output is one-sided so the affine form buys a bit.
-  const Matrix mlp_in = Matrix::concat_cols(crossed, x_block);
-  Matrix hidden =
-      qw.w1->infer(tensor::QuantizedMatrix::quantize_rows(mlp_in));
-  for (std::size_t i = 0; i < hidden.size(); ++i) {
-    hidden[i] = hidden[i] > 0 ? hidden[i] : 0.0f;
+  for (std::size_t b = 0; b < B; ++b) {
+    scale[b] = tensor::quantize_row(act + b * (H + P), q + b * (H + P), H + P);
   }
-  const Matrix logit =
-      qw.w2->infer(tensor::QuantizedMatrix::quantize_rows_affine(hidden));
+  qw.w1->weight().multiply(q, B, acc);
+  const float* b1 = qw.w1->bias();
+  for (std::size_t b = 0; b < B; ++b) {
+    const float s1 = scale[b] * qw.w1->weight().scale();
+    float* hidden = act + b * M;
+    for (std::size_t j = 0; j < M; ++j) {
+      const float v = s1 * static_cast<float>(acc[b * M + j]) + b1[j];
+      hidden[j] = v > 0 ? v : 0.0f;
+    }
+    tensor::quantize_row_affine(hidden, q + b * M, M, &scale[b], &zp[b]);
+  }
+  const tensor::QuantizedWeights& w2 = qw.w2->weight();
+  w2.multiply(q, B, acc);
   std::vector<double> out(B);
-  for (std::size_t b = 0; b < B; ++b) out[b] = logit.at(b, 0);
+  for (std::size_t b = 0; b < B; ++b) {
+    const std::int32_t corrected = acc[b] - zp[b] * w2.col_sum(0);
+    out[b] = (scale[b] * w2.scale()) * static_cast<float>(corrected) +
+             qw.w2->bias()[0];
+  }
   return out;
 }
 

@@ -67,7 +67,8 @@ struct QuantizedInferenceState {
 };
 
 /// Int8 weight replicas for the quantized serving path, built once from
-/// the trained f32 parameters (prepare_quantized). Wrapped layers are
+/// the trained f32 parameters (prepare_quantized), which also packs each
+/// weight for the VNNI lane on hosts that have it. Wrapped layers are
 /// heap-held so the struct stays movable while QuantizedLinear is
 /// construct-only.
 struct QuantizedNetworkWeights {
@@ -123,15 +124,21 @@ class RnnNetwork : public nn::Module {
   /// Zero int8 state: all-zero bytes with scale 1 — bit-identical to the
   /// int8 codec's encoding of a cold f32 state.
   QuantizedInferenceState infer_initial_state_q8() const;
-  /// Int8 RNNupdate: the stored int8 hidden feeds the quantized GRU gate
-  /// products directly; only the updated state is re-encoded.
+  /// Int8 RNNupdate: one fused QuantizedGruCell::infer_step per layer
+  /// over a per-thread scratch, so a warm call allocates nothing. The
+  /// stored int8 hidden feeds the gate products directly and is
+  /// re-encoded in place. `x` is [B x update_input_size()] for a state of
+  /// B rows (throws std::invalid_argument otherwise).
   void infer_update_q8(QuantizedInferenceState& state, const Matrix& x) const;
-  /// Batched int8 RNNpredict. `h_block` is [B x hidden] int8 with per-row
-  /// scales (row b = user b's stored bytes); `x_block` is f32
-  /// [B x predict_input_size()], quantized per row internally. All weight
-  /// products run on the int8 kernel; no f32 weight matrix is formed. Row
-  /// b equals the same row scored alone (per-row activation quantization +
-  /// exact integer accumulation keep batching bit-transparent).
+  /// Batched int8 RNNpredict, fused: each stage quantizes its activation
+  /// rows and runs its int8 product (latent L(x), W1, W2) into a
+  /// per-thread i32 scratch, then dequantizes, adds the bias and applies
+  /// the activation in the order of the unfused qgemm chain. `h_block` is
+  /// [B x hidden] int8 with per-row scales (row b = user b's stored
+  /// bytes); `x_block` is f32 [B x predict_input_size()]. No f32 weight
+  /// matrix is formed, and row b equals the same row scored alone
+  /// (per-row activation quantization + exact integer accumulation keep
+  /// batching bit-transparent).
   std::vector<double> infer_logits_q8(const tensor::QuantizedMatrix& h_block,
                                       const Matrix& x_block) const;
 

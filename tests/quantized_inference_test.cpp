@@ -8,12 +8,21 @@
 //    window through the f32 and int8 serving paths and the PR-AUC delta /
 //    decision-flip rate must stay inside the quantization error budget,
 //  * threaded + sharded int8 serving bit-identical to its own sequential
-//    replay (the PR 2 stress harness, quantized).
+//    replay (the PR 2 stress harness, quantized),
+//  * the gate sigmoid/tanh: the AVX2 lane bit-identical to the scalar
+//    twin over a dense sweep, within a stated ulp bound of double,
+//  * the fused int8 step and head bit-identical to the unfused qgemm()
+//    chain on every kernel lane (portable, AVX2, AVX-512 VNNI).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "data/generators.hpp"
@@ -21,6 +30,10 @@
 #include "models/rnn_model.hpp"
 #include "serving/precompute_service.hpp"
 #include "serving_test_util.hpp"
+#include "tensor/cpu_dispatch.hpp"
+#include "tensor/gemm.hpp"
+#include "tensor/gemm_simd.hpp"
+#include "tensor/vmath.hpp"
 #include "train/sequence.hpp"
 #include "util/math.hpp"
 #include "util/thread_pool.hpp"
@@ -488,6 +501,414 @@ TEST(ScoreUsersQ8, MatchesPerPredictionQuantizedReplayExactly) {
   EXPECT_THROW(train::score_users_q8(plain.network(), dataset, users,
                                      plain.sequence_config(), false),
                std::logic_error);
+}
+
+// ---------------------------------------------------------------------------
+// The fused int8 step and head, and the gate sigmoid/tanh they share.
+
+float float_from_bits(std::uint32_t bits) {
+  float f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
+std::uint32_t bits_of(float f) {
+  std::uint32_t bits;
+  std::memcpy(&bits, &f, sizeof(bits));
+  return bits;
+}
+
+/// |y - ref| in units in the last place of ref rounded to float.
+double ulp_error(float y, double ref) {
+  if (ref == 0.0) return y == 0.0f ? 0.0 : HUGE_VAL;
+  const int exponent = std::max(std::ilogb(ref), -126);
+  return std::fabs(static_cast<double>(y) - ref) /
+         std::ldexp(1.0, exponent - 23);
+}
+
+using ArrayFn = void (*)(const float*, float*, std::size_t);
+
+/// Index of the first element whose bits differ, or npos.
+std::size_t first_bit_mismatch(const std::vector<float>& got,
+                               const std::vector<float>& want) {
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (bits_of(got[i]) != bits_of(want[i])) return i;
+  }
+  return std::string::npos;
+}
+
+TEST(GateMath, VectorLaneMatchesScalarTwinWithinUlpBound) {
+  // Dense sweep: every 997th float bit pattern with |x| < 88, both signs
+  // (about 2.2M inputs), which spans the whole non-saturated range of
+  // both functions, plus the special values and clamp boundaries.
+  constexpr std::uint32_t kStride = 997;
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> xs;
+  for (const std::uint32_t sign : {0u, 0x80000000u}) {
+    for (std::uint32_t bits = 0; bits < bits_of(88.0f); bits += kStride) {
+      xs.push_back(float_from_bits(bits | sign));
+    }
+    for (const float v :
+         {0.0f, inf, std::numeric_limits<float>::quiet_NaN(),
+          float_from_bits(0x7fc12345u), float_from_bits(0x7f800001u),
+          87.0f, std::nextafter(87.0f, 0.0f), std::nextafter(87.0f, inf),
+          88.0f, 17.0f, 9.0f, 9.1f, 43.5f, 0.625f,
+          std::nextafter(0.625f, 0.0f), std::nextafter(0.625f, inf),
+          std::numeric_limits<float>::min(),
+          std::numeric_limits<float>::denorm_min(),
+          std::numeric_limits<float>::max(), 1e30f}) {
+      xs.push_back(float_from_bits(bits_of(v) | sign));
+    }
+  }
+  const std::size_t n = xs.size();
+  std::vector<float> want_s(n), want_t(n), got(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    want_s[i] = tensor::sigmoid_f32(xs[i]);
+    want_t[i] = tensor::tanh_f32(xs[i]);
+  }
+
+  // The AVX2 lane (where this host runs it) returns the scalar twin's
+  // bits, NaN payloads included; so do the dispatched entry points, in
+  // place too.
+  const auto check = [&](const std::string& what, ArrayFn fn,
+                         const std::vector<float>& want, bool in_place) {
+    if (in_place) {
+      got = xs;
+      fn(got.data(), got.data(), n);
+    } else {
+      fn(xs.data(), got.data(), n);
+    }
+    const std::size_t bad = first_bit_mismatch(got, want);
+    EXPECT_EQ(bad, std::string::npos)
+        << what << ": x = " << xs[bad] << " gives " << got[bad]
+        << ", scalar twin " << want[bad];
+  };
+  if (tensor::gemm_simd_available()) {
+    check("avx2 sigmoid", tensor::simd::sigmoid_f32_avx2, want_s, false);
+    check("avx2 tanh", tensor::simd::tanh_f32_avx2, want_t, false);
+  }
+  for (const tensor::GemmKernel kernel :
+       {tensor::GemmKernel::kBlocked, tensor::GemmKernel::kSimd}) {
+    tensor::GemmConfigScope scope(kernel, 1);
+    const std::string name = tensor::gemm_kernel_name(kernel);
+    check(name + " sigmoid", tensor::sigmoid_f32, want_s, true);
+    check(name + " tanh", tensor::tanh_f32, want_t, true);
+  }
+
+  // Accuracy against double precision on the non-saturated ranges.
+  // Sweeps of every 11th and every 61st float measured at most 2.33 ulp
+  // (sigmoid) and 1.50 ulp (tanh).
+  double worst_s = 0.0, worst_t = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float x = xs[i];
+    if (std::isnan(x)) {
+      EXPECT_TRUE(std::isnan(want_s[i]) && std::isnan(want_t[i]));
+      continue;
+    }
+    const double xd = x;
+    if (std::fabs(x) <= 87.0f) {
+      worst_s = std::max(worst_s,
+                         ulp_error(want_s[i], 1.0 / (1.0 + std::exp(-xd))));
+    }
+    if (std::fabs(x) <= 9.0f) {
+      worst_t = std::max(worst_t, ulp_error(want_t[i], std::tanh(xd)));
+    }
+  }
+  EXPECT_LE(worst_s, 3.0);
+  EXPECT_LE(worst_t, 2.0);
+
+  // Saturation, clamps and signed zeros.
+  EXPECT_EQ(tensor::sigmoid_f32(0.0f), 0.5f);
+  EXPECT_EQ(tensor::sigmoid_f32(-0.0f), 0.5f);
+  EXPECT_EQ(tensor::sigmoid_f32(17.0f), 1.0f);
+  EXPECT_EQ(tensor::sigmoid_f32(inf), 1.0f);
+  EXPECT_EQ(tensor::sigmoid_f32(-inf), tensor::sigmoid_f32(-87.0f));
+  EXPECT_GT(tensor::sigmoid_f32(-inf), 0.0f);
+  EXPECT_LT(tensor::sigmoid_f32(-inf), 2e-38f);
+  EXPECT_EQ(tensor::tanh_f32(9.1f), 1.0f);
+  EXPECT_EQ(tensor::tanh_f32(inf), 1.0f);
+  EXPECT_EQ(tensor::tanh_f32(-inf), -1.0f);
+  EXPECT_EQ(bits_of(tensor::tanh_f32(-0.0f)), bits_of(-0.0f));
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  EXPECT_EQ(tensor::tanh_f32(tiny), tiny);
+  EXPECT_EQ(tensor::tanh_f32(-tiny), -tiny);
+}
+
+/// A GRU cell with random nonzero biases (trained biases are never zero).
+std::unique_ptr<nn::GruCell> random_gru(std::size_t input, std::size_t hidden,
+                                        Rng& rng) {
+  auto cell = std::make_unique<nn::GruCell>(input, hidden, rng);
+  for (autograd::Variable bias : {cell->bx(), cell->bh()}) {
+    bias.mutable_value() = tensor::Matrix::randn(1, 3 * hidden, rng, 0.0f, 0.5f);
+  }
+  return cell;
+}
+
+/// [rows x cols] inputs shaped like serving rows: mostly zeros (whole zero
+/// k-quads among them) around a few dense values, and a last row that is
+/// all zero when there are several rows.
+tensor::Matrix sparse_rows(std::size_t rows, std::size_t cols, Rng& rng) {
+  tensor::Matrix x(rows, cols);
+  for (std::size_t b = 0; b < rows; ++b) {
+    if (rows > 1 && b + 1 == rows) break;
+    for (std::size_t j = 0; j < cols; ++j) {
+      if (rng.uniform() < 0.3) x.at(b, j) = static_cast<float>(rng.normal());
+    }
+  }
+  return x;
+}
+
+/// [rows x hidden] int8 state with a different scale per row.
+tensor::QuantizedMatrix random_state(std::size_t rows, std::size_t hidden,
+                                     Rng& rng) {
+  tensor::QuantizedMatrix h(rows, hidden);
+  for (std::size_t b = 0; b < rows; ++b) {
+    const tensor::QuantizedMatrix row = tensor::QuantizedMatrix::quantize(
+        tensor::Matrix::randn(1, hidden, rng, 0.0f, 0.2f + 0.1f * b));
+    std::copy_n(row.data(), hidden, h.row_data(b));
+    h.set_row_scale(b, row.scale());
+  }
+  return h;
+}
+
+/// The unfused int8 GRU step: qgemm() products over quantize_rows()
+/// inputs, dequant then bias, the scalar gate twins, and a quantize_rows()
+/// re-encode of `h`. Returns the f32 next hidden rows.
+tensor::Matrix reference_step(const nn::GruCell& cell,
+                              tensor::QuantizedMatrix& h,
+                              const tensor::Matrix& x) {
+  const std::size_t H = cell.hidden_size();
+  tensor::Matrix gx =
+      tensor::qgemm(tensor::QuantizedMatrix::quantize_rows(x),
+                    tensor::QuantizedMatrix::quantize(cell.wx().value()));
+  gx.add_row_broadcast_inplace(cell.bx().value());
+  tensor::Matrix gh = tensor::qgemm(
+      h, tensor::QuantizedMatrix::quantize(cell.wh().value()));
+  gh.add_row_broadcast_inplace(cell.bh().value());
+  tensor::Matrix h_next(h.rows(), H);
+  for (std::size_t r = 0; r < h.rows(); ++r) {
+    for (std::size_t j = 0; j < H; ++j) {
+      const float rj = tensor::sigmoid_f32(gx.at(r, j) + gh.at(r, j));
+      const float zj = tensor::sigmoid_f32(gx.at(r, H + j) + gh.at(r, H + j));
+      const float nj =
+          tensor::tanh_f32(gx.at(r, 2 * H + j) + rj * gh.at(r, 2 * H + j));
+      h_next.at(r, j) = (1.0f - zj) * nj + zj * h.dequant(r, j);
+    }
+  }
+  h = tensor::QuantizedMatrix::quantize_rows(h_next);
+  return h_next;
+}
+
+/// The unfused int8 head: each layer through QuantizedLinear::infer
+/// (qgemm() then bias) on quantize_rows() / quantize_rows_affine() rows.
+std::vector<double> reference_head(const train::RnnNetwork& net,
+                                   const tensor::QuantizedMatrix& h,
+                                   const tensor::Matrix& x) {
+  const train::QuantizedNetworkWeights& qw = net.quantized_weights();
+  const std::size_t B = h.rows(), H = net.config().hidden_size;
+  tensor::Matrix factor;
+  if (net.config().latent_cross) {
+    factor = qw.latent->infer(tensor::QuantizedMatrix::quantize_rows(x));
+  }
+  tensor::Matrix crossed(B, H);
+  for (std::size_t b = 0; b < B; ++b) {
+    for (std::size_t j = 0; j < H; ++j) {
+      crossed.at(b, j) = net.config().latent_cross
+                             ? h.dequant(b, j) * (1.0f + factor.at(b, j))
+                             : h.dequant(b, j);
+    }
+  }
+  tensor::Matrix hidden = qw.w1->infer(tensor::QuantizedMatrix::quantize_rows(
+      tensor::Matrix::concat_cols(crossed, x)));
+  for (std::size_t i = 0; i < hidden.size(); ++i) {
+    hidden[i] = hidden[i] > 0 ? hidden[i] : 0.0f;
+  }
+  const tensor::Matrix logit =
+      qw.w2->infer(tensor::QuantizedMatrix::quantize_rows_affine(hidden));
+  std::vector<double> out(B);
+  for (std::size_t b = 0; b < B; ++b) out[b] = logit.at(b, 0);
+  return out;
+}
+
+void expect_same_state(const tensor::QuantizedMatrix& got,
+                       const tensor::QuantizedMatrix& want,
+                       const std::string& where) {
+  ASSERT_EQ(got.rows(), want.rows()) << where;
+  ASSERT_EQ(got.cols(), want.cols()) << where;
+  for (std::size_t b = 0; b < want.rows(); ++b) {
+    EXPECT_EQ(bits_of(got.scale(b)), bits_of(want.scale(b)))
+        << where << " row " << b;
+  }
+  EXPECT_TRUE(std::equal(got.data(), got.data() + got.size(), want.data()))
+      << where;
+}
+
+// Hidden sizes: 16-column tails (8, 33), one exact block (16) and the
+// serving size (128: 24 blocks of 3H); an input width of 37 leaves a
+// partial final k-quad. Three steps chain each state, and a second layer
+// reads the first one's f32 output out of the shared scratch, as
+// RnnNetwork::infer_update_q8 does.
+void check_fused_step(tensor::GemmKernel kernel) {
+  constexpr std::size_t kInput = 37;
+  for (const std::size_t H : {8u, 16u, 33u, 128u}) {
+    for (const std::size_t B : {1u, 3u, 9u}) {
+      const std::string where =
+          "H=" + std::to_string(H) + " B=" + std::to_string(B);
+      Rng rng(1000 + 10 * H + B);
+      const auto cell1 = random_gru(kInput, H, rng);
+      const auto cell2 = random_gru(H, H, rng);
+      const nn::QuantizedGruCell q1(*cell1), q2(*cell2);
+      tensor::QuantizedMatrix h1 = random_state(B, H, rng);
+      tensor::QuantizedMatrix h2 = random_state(B, H, rng);
+      tensor::QuantizedMatrix ref1 = h1, ref2 = h2;
+      nn::QuantizedScratch scratch;
+      for (int step = 0; step < 3; ++step) {
+        const tensor::Matrix x = sparse_rows(B, kInput, rng);
+        tensor::Matrix want1, want2;
+        {
+          tensor::GemmConfigScope scope(tensor::GemmKernel::kBlocked, 1);
+          want1 = reference_step(*cell1, ref1, x);
+          want2 = reference_step(*cell2, ref2, want1);
+        }
+        tensor::GemmConfigScope scope(kernel, 1);
+        const float* out1 = q1.infer_step(h1, x.data(), scratch);
+        EXPECT_TRUE(std::equal(out1, out1 + B * H, want1.data(),
+                               [](float a, float b) {
+                                 return bits_of(a) == bits_of(b);
+                               }))
+            << where << " layer 1 step " << step;
+        const float* out2 = q2.infer_step(h2, out1, scratch);
+        EXPECT_TRUE(std::equal(out2, out2 + B * H, want2.data(),
+                               [](float a, float b) {
+                                 return bits_of(a) == bits_of(b);
+                               }))
+            << where << " layer 2 step " << step;
+        expect_same_state(h1, ref1, where + " layer 1");
+        expect_same_state(h2, ref2, where + " layer 2");
+      }
+    }
+  }
+}
+
+/// An RnnNetwork with random nonzero biases and its int8 replicas. The
+/// predict input is 19 wide (not a multiple of 4) and the MLP H + 3.
+std::unique_ptr<train::RnnNetwork> random_network(std::size_t H,
+                                                  bool latent_cross,
+                                                  Rng& rng) {
+  train::RnnNetworkConfig config;
+  config.feature_size = 14;
+  config.time_buckets = 5;
+  config.hidden_size = H;
+  config.mlp_hidden = H + 3;
+  config.latent_cross = latent_cross;
+  auto net = std::make_unique<train::RnnNetwork>(config, rng);
+  const std::vector<std::string> names = net->parameter_names();
+  std::vector<autograd::Variable> params = net->parameters();
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    if (names[i].ends_with(".bias")) {
+      params[i].mutable_value() = tensor::Matrix::randn(
+          1, params[i].value().cols(), rng, 0.0f, 0.3f);
+    }
+  }
+  net->prepare_quantized();
+  return net;
+}
+
+void check_fused_head(tensor::GemmKernel kernel) {
+  for (const bool latent_cross : {true, false}) {
+    for (const std::size_t H : {8u, 16u, 33u, 128u}) {
+      for (const std::size_t B : {1u, 3u, 9u}) {
+        Rng rng(2000 + 10 * H + B + (latent_cross ? 1 : 0));
+        const auto net = random_network(H, latent_cross, rng);
+        const tensor::QuantizedMatrix h = random_state(B, H, rng);
+        const tensor::Matrix x =
+            sparse_rows(B, net->config().predict_input_size(), rng);
+        std::vector<double> want;
+        {
+          tensor::GemmConfigScope scope(tensor::GemmKernel::kBlocked, 1);
+          want = reference_head(*net, h, x);
+        }
+        tensor::GemmConfigScope scope(kernel, 1);
+        EXPECT_EQ(net->infer_logits_q8(h, x), want)
+            << "H=" << H << " B=" << B << " latent_cross=" << latent_cross;
+      }
+    }
+  }
+}
+
+class FusedInt8 : public ::testing::TestWithParam<tensor::GemmKernel> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == tensor::GemmKernel::kSimd &&
+        !tensor::gemm_simd_available()) {
+      GTEST_SKIP() << "no AVX2 kernels on this host";
+    }
+  }
+};
+
+TEST_P(FusedInt8, StepMatchesUnfusedReference) { check_fused_step(GetParam()); }
+
+TEST_P(FusedInt8, HeadMatchesUnfusedReference) { check_fused_head(GetParam()); }
+
+INSTANTIATE_TEST_SUITE_P(Kernels, FusedInt8,
+                         ::testing::Values(tensor::GemmKernel::kNaive,
+                                           tensor::GemmKernel::kBlocked,
+                                           tensor::GemmKernel::kSimd),
+                         [](const auto& info) {
+                           return std::string(
+                               tensor::gemm_kernel_name(info.param));
+                         });
+
+TEST(FusedInt8Vnni, StepAndHeadMatchUnfusedReference) {
+  // Where the probe passes, kSimd runs the VNNI products; this names that
+  // lane so a host that cannot run it says so instead of passing on the
+  // AVX2 lane.
+  if (!tensor::avx512_vnni_available()) {
+    GTEST_SKIP() << "host lacks AVX-512 F/BW/VNNI (or the qgemm_avx512 TU "
+                    "was built without them): the VNNI lane cannot run here";
+  }
+  check_fused_step(tensor::GemmKernel::kSimd);
+  check_fused_head(tensor::GemmKernel::kSimd);
+}
+
+TEST(QuantizedWeights, MultiplyMatchesNaiveProductOnEveryKernel) {
+  // k covers partial final quads; n covers VNNI chunks of 1..8 column
+  // blocks plus column tails; A spans the full int8 range (-128 included)
+  // with whole zero quads, the case the sparse skips take.
+  for (const std::size_t k : {1u, 3u, 4u, 5u, 37u, 130u}) {
+    for (const std::size_t n : {1u, 15u, 16u, 17u, 130u, 384u}) {
+      for (const std::size_t m : {1u, 3u, 9u}) {
+        Rng rng(3000 + k * 1000 + n * 10 + m);
+        const tensor::QuantizedWeights w(
+            tensor::Matrix::randn(k, n, rng, 0.0f, 1.0f));
+        std::vector<std::int8_t> a(m * k, 0);
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          if (rng.uniform() < 0.5) continue;
+          a[i] = static_cast<std::int8_t>(
+              static_cast<int>(rng.uniform() * 256.0) - 128);
+        }
+        a[0] = -128;
+        std::vector<std::int32_t> want(m * n, 0);
+        tensor::qgemm_nn_i32_naive(a.data(), w.matrix().data(), want.data(),
+                                   m, k, n);
+        for (const tensor::GemmKernel kernel :
+             {tensor::GemmKernel::kNaive, tensor::GemmKernel::kBlocked,
+              tensor::GemmKernel::kSimd}) {
+          tensor::GemmConfigScope scope(kernel, 1);
+          std::vector<std::int32_t> got(m * n, 0x5a5a5a5a);
+          w.multiply(a.data(), m, got.data());
+          EXPECT_EQ(got, want) << tensor::gemm_kernel_name(kernel) << " k=" << k
+                               << " n=" << n << " m=" << m;
+        }
+        // On a VNNI host kSimd above ran vpdpbusd; the AVX2 kernel that
+        // kSimd runs elsewhere gets the same shapes here.
+        std::vector<std::int32_t> avx2(m * n, 0);
+        tensor::qgemm_nn_i32_simd(a.data(), w.matrix().data(), avx2.data(), m,
+                                  k, n);
+        EXPECT_EQ(avx2, want) << "avx2 k=" << k << " n=" << n << " m=" << m;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "serving/online_experiment.hpp"
 #include "serving_test_util.hpp"
 #include "util/math.hpp"
+#include "util/serialize.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pp::serving {
@@ -341,6 +342,51 @@ TEST(HiddenStore, Int8SanitizesNonFiniteState) {
   EXPECT_NEAR(decoded[5], 0.25f, tol);
   EXPECT_NEAR(decoded[6], -0.125f, tol);
   EXPECT_NEAR(decoded[7], 1.0f, tol);
+}
+
+TEST(HiddenStore, GetRejectsInvalidInt8Scale) {
+  // The codec never writes a scale outside (0, +Inf), but a record is
+  // only bytes: a NaN, infinite, zero or negative scale would decode to
+  // non-finite or silently wrong states and flow into the int8 gates.
+  data::MobileTabConfig config;
+  config.num_users = 2;
+  config.days = 2;
+  const data::Dataset dataset = data::generate_mobile_tab(config);
+  models::RnnModelConfig rnn_config;
+  rnn_config.hidden_size = 8;
+  rnn_config.mlp_hidden = 8;
+  models::RnnModel model(dataset, rnn_config);
+  model.enable_quantized_serving();
+
+  LocalKvStore kv;
+  HiddenStateStore store(kv, StateCodec::kInt8);
+  const auto record = [](float scale) {
+    BinaryWriter writer;
+    writer.write_i64(100);  // last_update_time
+    writer.write_u32(1);    // updates
+    writer.write_u32(1);    // layers
+    writer.write_u32(1);    // parts
+    writer.write_u32(1);    // rows
+    writer.write_u32(8);    // cols
+    writer.write_f32(scale);
+    const std::int8_t bytes[8] = {1, -2, 3, -4, 5, -6, 7, -127};
+    writer.write_bytes(bytes, sizeof(bytes));
+    return writer.take();
+  };
+  kv.put("h:1", record(0.01f));
+  ASSERT_TRUE(store.get(1, model.network()).has_value());
+  ASSERT_TRUE(store.get_q8(1, model.network()).has_value());
+
+  const float inf = std::numeric_limits<float>::infinity();
+  const float bad[] = {std::numeric_limits<float>::quiet_NaN(), inf, -inf,
+                       0.0f, -1.0f};
+  for (const float scale : bad) {
+    kv.put("h:2", record(scale));
+    EXPECT_THROW(store.get(2, model.network()), std::runtime_error)
+        << "scale " << scale;
+    EXPECT_THROW(store.get_q8(2, model.network()), std::runtime_error)
+        << "scale " << scale;
+  }
 }
 
 TEST(AggregationService, TwentyLookupsPerPredictionForMobileTab) {
