@@ -204,7 +204,7 @@ void BM_ShardedServing(benchmark::State& state) {
     }
     base += 3600;  // next batch starts after the previous windows close
     state.ResumeTiming();
-    benchmark::DoNotOptimize(service.on_session_starts(batch, pool));
+    benchmark::DoNotOptimize(service.on_session_starts(batch, &pool));
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * kBatch));

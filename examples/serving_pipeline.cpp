@@ -12,9 +12,16 @@
 // ServingStack. The final section pushes events through the streaming
 // ingest bus (wire codec → bounded lanes → watermark-merging consumer)
 // instead of calling the service directly.
+//
+// The example checks itself: it exits non-zero when checkpoint resume
+// diverges or the ingest joiner leaves a context unjoined, so ctest runs
+// it as a `serving` tier test.
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <numeric>
+#include <string>
 
 #include "data/generators.hpp"
 #include "ingest/consumer.hpp"
@@ -126,7 +133,7 @@ int main() {
       start.context = s.context;
       batch.push_back(start);
       if (batch.size() == 256) {
-        for (const bool d : sharded_service.on_session_starts(batch, pool)) {
+        for (const bool d : sharded_service.on_session_starts(batch, &pool)) {
           triggered += d ? 1 : 0;
         }
         scored += batch.size();
@@ -135,7 +142,7 @@ int main() {
     }
   }
   if (!batch.empty()) {
-    for (const bool d : sharded_service.on_session_starts(batch, pool)) {
+    for (const bool d : sharded_service.on_session_starts(batch, &pool)) {
       triggered += d ? 1 : 0;
     }
     scored += batch.size();
@@ -155,8 +162,11 @@ int main() {
   // replay buffer + serving stack whose joiner feed lands in its own
   // cohort's buffer; start_daemon=true brings up the background
   // OnlineUpdateDaemon before register_tenant returns.
+  //
+  // The pid keeps concurrent runs (ctest -j, sanitizer lanes) apart.
   const std::string checkpoint_path =
-      (std::filesystem::temp_directory_path() / "pp_tab_prefetch.ckpt")
+      (std::filesystem::temp_directory_path() /
+       ("pp_tab_prefetch_" + std::to_string(::getpid()) + ".ckpt"))
           .string();
   std::filesystem::remove(checkpoint_path);
 
@@ -240,9 +250,10 @@ int main() {
   pp::BinaryWriter before, after;
   tab_stack.cohort().learner().save_state(before);
   resumed.save_state(after);
+  const bool resume_identical = before.bytes() == after.bytes();
   std::printf("\ncheckpoint resume: %s, state bytes %s (%zu)\n",
               resumed_ok ? "loaded" : "no checkpoint",
-              before.bytes() == after.bytes() ? "bit-identical" : "DIVERGED",
+              resume_identical ? "bit-identical" : "DIVERGED",
               after.bytes().size());
   std::filesystem::remove(checkpoint_path);
 
@@ -297,5 +308,16 @@ int main() {
               "%zu clock rewinds\n",
               ingest_joiner.contexts, ingest_joiner.accesses,
               ingest_joiner.joined, ingest_joiner.clock_rewinds);
-  return 0;
+
+  int failures = 0;
+  if (!resume_identical) {
+    std::fprintf(stderr, "FAIL: checkpoint resume diverged\n");
+    ++failures;
+  }
+  if (ingest_joiner.joined != ingest_joiner.contexts) {
+    std::fprintf(stderr, "FAIL: ingest joined %zu of %zu contexts\n",
+                 ingest_joiner.joined, ingest_joiner.contexts);
+    ++failures;
+  }
+  return failures == 0 ? 0 : 1;
 }

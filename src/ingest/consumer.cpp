@@ -16,7 +16,6 @@ IngestConsumer::IngestConsumer(EventBus& bus,
     throw std::invalid_argument("IngestConsumer: batch_capacity must be > 0");
   }
   lanes_.resize(bus_.num_lanes());
-  batch_.reserve(config_.batch_capacity);
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   decision_hist_ = &reg.histogram("ingest_decision_latency_ns");
   events_counter_ = &reg.counter("ingest_events_total");
@@ -34,6 +33,7 @@ void IngestConsumer::start() {
 
 void IngestConsumer::join() {
   if (started_ && thread_.joinable()) thread_.join();
+  if (error_) std::rethrow_exception(error_);
 }
 
 bool IngestConsumer::pump_lane(std::size_t i) {
@@ -66,46 +66,53 @@ bool IngestConsumer::pump_lane(std::size_t i) {
   return progress;
 }
 
-void IngestConsumer::flush_batch() {
-  if (batch_.empty()) return;
-  Stopwatch watch;
-  std::vector<bool> decisions =
-      config_.pool != nullptr ? service_.on_session_starts(batch_, *config_.pool)
-                              : service_.on_session_starts(batch_);
-  (void)decisions;
-  const std::int64_t per_event =
-      watch.elapsed_ns() / static_cast<std::int64_t>(batch_.size());
-  // One record per context event: the wall time from batch-feed start to
-  // completion of its snapshot groups, attributed evenly. p50/p99 of this
-  // histogram are the bench's decision-latency numbers.
-  for (std::size_t i = 0; i < batch_.size(); ++i) {
-    decision_hist_->record(per_event);
-  }
-  ++stats_.batches;
-  batch_.clear();
-}
-
 void IngestConsumer::feed(const std::vector<Event>& merged) {
-  for (const Event& ev : merged) {
-    ++stats_.events;
-    events_counter_->inc();
-    if (ev.kind == EventKind::kContext) {
-      batch_.push_back(serving::SessionStart{ev.session_id, ev.user_id, ev.t,
-                                             ev.context});
-      ++stats_.contexts;
-      if (batch_.size() >= config_.batch_capacity) flush_batch();
-    } else {
-      // The access must observe exactly the state the sequential order
-      // implies: everything before it goes through the service first.
-      flush_batch();
-      service_.on_access(ev.session_id, ev.t);
-      ++stats_.accesses;
+  for (std::size_t begin = 0; begin < merged.size();
+       begin += config_.batch_capacity) {
+    const std::span<const Event> slice(
+        merged.data() + begin,
+        std::min(config_.batch_capacity, merged.size() - begin));
+    std::uint64_t contexts = 0;
+    for (const Event& ev : slice) {
+      contexts += ev.kind == EventKind::kContext ? 1 : 0;
+    }
+    Stopwatch watch;
+    service_.on_events(slice, config_.pool);
+    ++stats_.batches;
+    stats_.events += slice.size();
+    stats_.contexts += contexts;
+    stats_.accesses += slice.size() - contexts;
+    events_counter_->inc(slice.size());
+    if (contexts == 0) continue;
+    // One record per context event: the slice's wall time, attributed
+    // evenly. p50/p99 of this histogram are the bench's decision-latency
+    // numbers.
+    const std::int64_t per_event =
+        watch.elapsed_ns() / static_cast<std::int64_t>(contexts);
+    for (std::uint64_t i = 0; i < contexts; ++i) {
+      decision_hist_->record(per_event);
     }
   }
-  flush_batch();
 }
 
 void IngestConsumer::run() {
+  try {
+    consume();
+  } catch (...) {
+    error_ = std::current_exception();
+    // Producers blocked on a full lane under kBlock would otherwise wait
+    // for a consumer that is gone.
+    bus_.close_all();
+  }
+  for (const LaneState& lane : lanes_) {
+    stats_.wire.frames_decoded += lane.decoder.stats().frames_decoded;
+    stats_.wire.crc_rejects += lane.decoder.stats().crc_rejects;
+    stats_.wire.header_rejects += lane.decoder.stats().header_rejects;
+    stats_.wire.resync_bytes += lane.decoder.stats().resync_bytes;
+  }
+}
+
+void IngestConsumer::consume() {
   std::vector<Event> merged;
   for (;;) {
     const std::uint64_t seen = bus_.activity_epoch();
@@ -150,13 +157,6 @@ void IngestConsumer::run() {
 
     if (all_exhausted) break;
     if (!progress) bus_.wait_activity(seen);
-  }
-  flush_batch();
-  for (const LaneState& lane : lanes_) {
-    stats_.wire.frames_decoded += lane.decoder.stats().frames_decoded;
-    stats_.wire.crc_rejects += lane.decoder.stats().crc_rejects;
-    stats_.wire.header_rejects += lane.decoder.stats().header_rejects;
-    stats_.wire.resync_bytes += lane.decoder.stats().resync_bytes;
   }
 }
 

@@ -13,18 +13,25 @@
 // watermark wait for the next round; exhausted lanes (closed + drained +
 // decoder empty) hold a +inf watermark so the tail always flushes.
 //
-// Batching: runs of merged context events are fed through
-// on_session_starts() (optionally fanned out over a ThreadPool); the batch
-// is cut at every access event so the access observes exactly the joiner
-// state the sequential order implies. Where the merge rounds happen to cut
-// batches does not affect results — the service re-sorts and snapshots
-// groups internally, which is precisely the pinned batched == sequential
-// property.
+// Batching: each merge round's events are handed to
+// PrecomputeService::on_events() in slices of at most batch_capacity
+// events, contexts and accesses together (group fan-out optionally over a
+// ThreadPool). Where merge rounds and slices cut the stream does not
+// affect results: on_events gives every cut the effect of a one-at-a-time
+// replay, which is precisely the pinned batched == sequential property.
+//
+// Failure: an exception on the consumer thread (a policy that throws, a
+// stored state that fails to decode) stops consumption. The consumer
+// closes every bus lane, so producers blocked under kBlock return false
+// instead of waiting forever, and join() rethrows the exception. Every
+// snapshot group before the failing one has been applied to the service;
+// nothing after it has.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <vector>
 
 #include "ingest/event_bus.hpp"
@@ -37,7 +44,8 @@
 namespace pp::ingest {
 
 struct ConsumerConfig {
-  /// Max context events per on_session_starts() batch.
+  /// Max events (contexts and accesses) per on_events() call. It also
+  /// bounds how long one call holds the service mutex.
   std::size_t batch_capacity = 256;
   /// Optional pool for user-affine snapshot-group fan-out (policy must be
   /// concurrent_safe(); the service falls back to inline scoring if not).
@@ -48,7 +56,7 @@ struct ConsumerStats {
   std::uint64_t events = 0;
   std::uint64_t contexts = 0;
   std::uint64_t accesses = 0;
-  std::uint64_t batches = 0;        // on_session_starts() calls
+  std::uint64_t batches = 0;        // on_events() calls
   std::uint64_t merge_rounds = 0;   // drain→merge→feed passes
   std::size_t max_held = 0;         // high-water decoded-but-ineligible events
   WireDecoderStats wire;            // summed over lanes
@@ -63,9 +71,12 @@ class IngestConsumer {
   IngestConsumer& operator=(const IngestConsumer&) = delete;
 
   /// Spawns the consumer thread. The thread runs until every lane is
-  /// exhausted (producers must close their lanes), then returns.
+  /// exhausted (producers must close their lanes) or an exception stops
+  /// it, then returns.
   void start();
-  /// Joins the consumer thread (blocks until the bus is exhausted).
+  /// Joins the consumer thread (blocks until the bus is exhausted), then
+  /// rethrows the exception that stopped it, if any. The destructor joins
+  /// without throwing.
   void join();
 
   /// Valid after join(): the join gives the reader happens-before over the
@@ -83,12 +94,14 @@ class IngestConsumer {
     bool done_input = false;
   };
 
+  /// Thread body: consume() behind the failure handling described above.
   void run();
+  /// Drain → decode → merge → feed rounds until every lane is exhausted.
+  void consume();
   /// Drains + decodes one lane; returns true if anything new arrived.
   bool pump_lane(std::size_t i);
-  /// Feeds one (t, seq)-ordered slice of events into the service.
+  /// Feeds one (t, seq)-ordered merge round into the service.
   void feed(const std::vector<Event>& merged);
-  void flush_batch();
 
   EventBus& bus_;
   serving::PrecomputeService& service_;
@@ -97,9 +110,10 @@ class IngestConsumer {
   bool started_ = false;
 
   std::vector<LaneState> lanes_;
-  std::vector<serving::SessionStart> batch_;
   std::vector<std::vector<std::uint8_t>> chunks_;  // drain scratch
   ConsumerStats stats_;
+  /// What stopped the consumer thread; read by join() after the join.
+  std::exception_ptr error_;
 
   obs::LatencyHistogram* decision_hist_;  // per-event batch-feed latency
   obs::Counter* events_counter_;

@@ -19,33 +19,19 @@
 // its checksum.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "data/dataset.hpp"
+#include "serving/stream.hpp"
 
 namespace pp::ingest {
 
-enum class EventKind : std::uint8_t {
-  kContext = 1,
-  kAccess = 2,
-};
-
-/// One ingest event. `seq` is a producer-assigned globally unique sequence
-/// number used as the deterministic tie-break when merging lanes: sorting
-/// by (t, seq) yields the same total order regardless of thread timing.
-struct Event {
-  EventKind kind = EventKind::kContext;
-  std::uint64_t seq = 0;
-  std::uint64_t session_id = 0;
-  std::uint64_t user_id = 0;  // context events only
-  std::int64_t t = 0;
-  std::array<std::uint32_t, data::kMaxContextFields> context{};  // context
-
-  friend bool operator==(const Event&, const Event&) = default;
-};
+/// The wire carries the service's own stream events (serving/stream.hpp),
+/// so the consumer hands decoded events to PrecomputeService::on_events
+/// as they are.
+using EventKind = serving::EventKind;
+using Event = serving::StreamEvent;
 
 inline constexpr std::uint8_t kWireMagic = 0xE7;
 inline constexpr std::size_t kWireHeaderBytes = 4;   // magic+kind+len

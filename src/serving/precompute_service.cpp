@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 
 #include "eval/metrics.hpp"
 #include "obs/metrics.hpp"
@@ -358,49 +359,12 @@ PrecomputeService::PrecomputeService(PrecomputePolicy& policy,
 }
 
 void PrecomputeService::handle_joined(const JoinedSession& joined) {
-  const auto it = pending_.find(joined.session_id);
-  if (it != pending_.end()) {
-    metrics_.record(joined.session_start, it->second.score,
-                    it->second.prefetched, joined.access);
-    pending_.erase(it);
-  }
+  metrics_.record(joined.session_start, joined.score, joined.prefetched,
+                  joined.access);
   policy_->on_session_complete(joined);
   // Joiner→learner feed: the listener sees the session after the state
   // update, still under the service mutex.
   if (completion_listener_) completion_listener_(joined);
-}
-
-bool PrecomputeService::on_session_start(
-    std::uint64_t session_id, std::uint64_t user_id, std::int64_t t,
-    const std::array<std::uint32_t, data::kMaxContextFields>& context) {
-  MutexLock guard(mutex_);
-  // Hot-swap observation point: a single session start is its own
-  // snapshot group, so completions and scoring below share one version.
-  // The SerialSection claims the policy's begin-batch contract: this
-  // thread holds the service mutex, so nothing scores concurrently.
-  {
-    SerialSection serial(policy_->serial_token());
-    policy_->begin_batch();
-  }
-  // Fire due timers first: hidden updates become visible exactly delta
-  // after their session start, matching the offline lag-δ semantics.
-  joiner_.advance_to(t);
-  const double score = policy_->score_session(user_id, t, context);
-  const bool prefetch = score >= threshold_;
-  (prefetch ? obs_prefetches_ : obs_skips_)->inc();
-  pending_[session_id] = {score, prefetch};
-  joiner_.on_context(session_id, user_id, t, context);
-  return prefetch;
-}
-
-std::vector<bool> PrecomputeService::on_session_starts(
-    std::span<const SessionStart> sessions) {
-  return run_session_starts(sessions, nullptr);
-}
-
-std::vector<bool> PrecomputeService::on_session_starts(
-    std::span<const SessionStart> sessions, ThreadPool& pool) {
-  return run_session_starts(sessions, &pool);
 }
 
 namespace {
@@ -461,18 +425,14 @@ struct GroupFanout {
 }  // namespace
 
 std::vector<double> PrecomputeService::score_group(
-    std::span<const SessionStart> sessions,
-    std::span<const std::size_t> order, ThreadPool* pool) {
-  const std::size_t count = order.size();
+    std::span<const SessionStart> group, ThreadPool* pool) {
+  const std::size_t count = group.size();
   // Inline when fanning out cannot help: no pool, a tiny group, a policy
   // without concurrent support, or the caller already being one of the
   // pool's workers (its siblings are likely busy, and inline is the same
   // caller-runs degradation parallel_for uses).
   if (pool == nullptr || pool->size() < 2 || count < 2 ||
       pool->on_worker_thread() || !policy_->concurrent_safe()) {
-    std::vector<SessionStart> group;
-    group.reserve(count);
-    for (const std::size_t idx : order) group.push_back(sessions[idx]);
     return policy_->score_sessions(group);
   }
   // User-affine partition: user_id alone picks the partition, so two
@@ -484,10 +444,9 @@ std::vector<double> PrecomputeService::score_group(
   state->part_sessions.resize(parts);
   state->part_slots.resize(parts);
   for (std::size_t i = 0; i < count; ++i) {
-    const SessionStart& s = sessions[order[i]];
-    const std::size_t p = static_cast<std::size_t>(mix_user_id(s.user_id) %
-                                                   parts);
-    state->part_sessions[p].push_back(s);
+    const std::size_t p =
+        static_cast<std::size_t>(mix_user_id(group[i].user_id) % parts);
+    state->part_sessions[p].push_back(group[i]);
     state->part_slots[p].push_back(i);
   }
   state->scores.assign(count, 0.0);
@@ -516,77 +475,130 @@ std::vector<double> PrecomputeService::score_group(
   return std::move(state->scores);
 }
 
-std::vector<bool> PrecomputeService::run_session_starts(
-    std::span<const SessionStart> sessions, ThreadPool* pool) {
-  std::vector<bool> decisions(sessions.size());
-  if (sessions.empty()) return decisions;
+void PrecomputeService::on_events(std::span<const StreamEvent> events,
+                                  ThreadPool* pool,
+                                  std::span<bool> decisions) {
+  if (!decisions.empty() && decisions.size() != events.size()) {
+    throw std::invalid_argument(
+        "PrecomputeService::on_events: decisions must be empty or match "
+        "events in size");
+  }
   MutexLock guard(mutex_);
 
-  // Process in non-decreasing timestamp order (stable within a
-  // timestamp): advancing only to the earliest t would score sessions
-  // late in the batch against hidden states missing every update the
-  // sequential path would have fired mid-batch.
-  std::vector<std::size_t> order(sessions.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&sessions](std::size_t a, std::size_t b) {
-                     return sessions[a].t < sessions[b].t;
-                   });
+  // Non-decreasing t, stable within a timestamp: advancing only to the
+  // earliest t would score later contexts against hidden states missing
+  // every update a one-at-a-time replay fires in between. Sorted input
+  // (every one-event call, every merged ingest slice) skips the sort,
+  // which would take a heap buffer even for one element.
+  order_.resize(events.size());
+  std::iota(order_.begin(), order_.end(), std::size_t{0});
+  const auto by_time = [events](std::size_t a, std::size_t b) {
+    return events[a].t < events[b].t;
+  };
+  if (!std::is_sorted(order_.begin(), order_.end(), by_time)) {
+    std::stable_sort(order_.begin(), order_.end(), by_time);
+  }
 
-  std::size_t begin = 0;
-  while (begin < order.size()) {
-    const std::int64_t t = sessions[order[begin]].t;
-    // Model hot-swaps are observed between snapshot groups: the pin below
-    // covers this group's timer-driven completions and its scoring, so a
-    // concurrent publish can never mix versions inside one group.
+  for (std::size_t begin = 0; begin < order_.size();) {
+    const StreamEvent& first = events[order_[begin]];
+    if (first.kind != EventKind::kContext) {
+      // An access ahead of the call's first context: no group, no clock.
+      joiner_.on_access(first.session_id, first.t);
+      ++begin;
+      continue;
+    }
+    // Model hot-swaps are observed between snapshot groups: the pin covers
+    // this group's timer-driven completions and its scoring, so a
+    // concurrent publish can never mix versions inside one group. The
+    // SerialSection claims the policy's begin-batch contract: this thread
+    // holds the service mutex, so nothing scores concurrently.
     {
       SerialSection serial(policy_->serial_token());
       policy_->begin_batch();
     }
-    joiner_.advance_to(t);
-
-    // Extend the group while no timer can fire before the next session:
+    // Fire due timers first: hidden updates become visible exactly delta
+    // after their session start, matching the offline lag-δ semantics.
+    joiner_.advance_to(first.t);
+    // The group extends while no timer can fire before the next context:
     // neither a pending timer (all now strictly after t) nor the earliest
-    // timer this group itself registers (t + horizon). Every member then
-    // sees the exact snapshot the sequential replay would, and one
-    // snapshot means the whole group can be scored in parallel.
+    // one this group registers (t + horizon). Accesses ride along.
     std::int64_t bound = horizon_ > 0
-                             ? t + horizon_
+                             ? first.t + horizon_
                              : std::numeric_limits<std::int64_t>::min();
     if (const auto fire = joiner_.next_timer(); fire.has_value()) {
       bound = std::min(bound, *fire);
     }
-    std::size_t end = begin + 1;
-    while (end < order.size() && sessions[order[end]].t < bound) ++end;
+    group_.clear();
+    std::size_t end = begin;
+    for (; end < order_.size(); ++end) {
+      const StreamEvent& ev = events[order_[end]];
+      if (ev.kind != EventKind::kContext) continue;
+      if (!group_.empty() && ev.t >= bound) break;
+      group_.push_back(
+          SessionStart{ev.session_id, ev.user_id, ev.t, ev.context});
+    }
 
-    const std::span<const std::size_t> group(order.data() + begin,
-                                             end - begin);
-    const std::vector<double> scores = score_group(sessions, group, pool);
+    const std::vector<double> scores = score_group(group_, pool);
     std::size_t prefetched = 0;
     {
-      // decision_joiner stage: thresholding + pending bookkeeping + the
-      // joiner context feed for one snapshot group.
+      // decision_joiner stage: thresholding + the joiner feed of one
+      // snapshot group's events, in order.
       obs::ScopedTimer stage_timer(obs::sample_tick() ? obs_decision_ns_
                                                       : nullptr);
-      for (std::size_t i = 0; i < group.size(); ++i) {
-        const SessionStart& s = sessions[group[i]];
-        const bool prefetch = scores[i] >= threshold_;
+      std::size_t g = 0;
+      for (std::size_t i = begin; i < end; ++i) {
+        const StreamEvent& ev = events[order_[i]];
+        if (ev.kind != EventKind::kContext) {
+          joiner_.on_access(ev.session_id, ev.t);
+          continue;
+        }
+        const double score = scores[g++];
+        const bool prefetch = score >= threshold_;
         prefetched += prefetch ? 1 : 0;
-        decisions[group[i]] = prefetch;
-        pending_[s.session_id] = {scores[i], prefetch};
-        joiner_.on_context(s.session_id, s.user_id, s.t, s.context);
+        if (!decisions.empty()) decisions[order_[i]] = prefetch;
+        joiner_.on_context(ev.session_id, ev.user_id, ev.t, ev.context, score,
+                           prefetch);
       }
     }
     obs_prefetches_->inc(prefetched);
-    obs_skips_->inc(group.size() - prefetched);
+    obs_skips_->inc(group_.size() - prefetched);
     begin = end;
   }
-  return decisions;
+}
+
+bool PrecomputeService::on_session_start(
+    std::uint64_t session_id, std::uint64_t user_id, std::int64_t t,
+    const std::array<std::uint32_t, data::kMaxContextFields>& context) {
+  const StreamEvent ev{.kind = EventKind::kContext,
+                       .session_id = session_id,
+                       .user_id = user_id,
+                       .t = t,
+                       .context = context};
+  bool prefetch = false;
+  on_events({&ev, 1}, nullptr, {&prefetch, 1});
+  return prefetch;
+}
+
+std::vector<bool> PrecomputeService::on_session_starts(
+    std::span<const SessionStart> sessions, ThreadPool* pool) {
+  std::vector<StreamEvent> events;
+  events.reserve(sessions.size());
+  for (const SessionStart& s : sessions) {
+    events.push_back({.kind = EventKind::kContext,
+                      .session_id = s.session_id,
+                      .user_id = s.user_id,
+                      .t = s.t,
+                      .context = s.context});
+  }
+  const auto decisions = std::make_unique<bool[]>(sessions.size());
+  on_events(events, pool, {decisions.get(), sessions.size()});
+  return std::vector<bool>(decisions.get(), decisions.get() + sessions.size());
 }
 
 void PrecomputeService::on_access(std::uint64_t session_id, std::int64_t t) {
-  MutexLock guard(mutex_);
-  joiner_.on_access(session_id, t);
+  const StreamEvent ev{
+      .kind = EventKind::kAccess, .session_id = session_id, .t = t};
+  on_events({&ev, 1});
 }
 
 void PrecomputeService::advance_to(std::int64_t t) {

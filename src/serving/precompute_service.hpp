@@ -10,7 +10,6 @@
 #include <atomic>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -52,7 +51,7 @@ struct ServingCostSummary {
   }
 };
 
-/// One session-start event, the unit of the batched scoring entry point.
+/// One session start, the unit of batched scoring (score_sessions).
 struct SessionStart {
   std::uint64_t session_id = 0;
   std::uint64_t user_id = 0;
@@ -76,7 +75,7 @@ class PrecomputePolicy {
   virtual void on_session_complete(const JoinedSession& joined) = 0;
   /// Called by the service — under its mutex, never concurrently with
   /// scoring — at every point a model hot-swap may be observed: before
-  /// each single session start and before each batch snapshot group.
+  /// each snapshot group (a single session start is its own group).
   /// Registry-backed policies re-pin their model snapshot here, so one
   /// snapshot group is always scored (and its timer-driven completions
   /// applied) by exactly one model version. Default: no-op.
@@ -284,30 +283,48 @@ class PrecomputeService {
                     std::int64_t session_length, std::int64_t grace,
                     std::int64_t metrics_start);
 
-  /// Session start: scores, decides, and feeds the context event into the
-  /// joiner. Returns the decision.
+  /// The one event path: every context and access event enters here (the
+  /// methods below wrap it). Events are applied in non-decreasing t order,
+  /// stable within a timestamp, with exactly the effect of a one-at-a-time
+  /// replay of that order: a context advances the joiner to its t (firing
+  /// due timers, i.e. completed sessions' state updates), is scored,
+  /// thresholded and fed to the joiner with its score and decision; an
+  /// access is fed to the joiner and does not move the clock.
+  ///
+  /// Scoring runs per snapshot group. A group starts at a context (model
+  /// pin via begin_batch(), then advance_to(t)) and extends over the
+  /// following contexts while their t is below the smaller of t + window
+  /// + grace and the earliest pending timer; accesses never start or cut
+  /// a group. No timer can fire inside a group (an access registers at
+  /// most an orphan timer at its t + window + grace, never before the
+  /// bound) and a score reads only policy state, so the group's contexts
+  /// are scored against one snapshot, then the group's events — up to the
+  /// next group's first context — are applied in order. Results therefore
+  /// do not depend on how a stream is cut into calls.
+  ///
+  /// With a pool and a concurrent_safe() policy a group's scoring is
+  /// partitioned user-affinely (user_id picks the worker), so any user's
+  /// hidden state is touched by one worker and scores equal the inline
+  /// path's bit for bit. The joiner stays single-writer: timer fires and
+  /// event feeds run on the calling thread under the service mutex.
+  ///
+  /// `decisions` is empty or has events.size() entries; the decision of
+  /// context events[i] lands in decisions[i], access slots are left as
+  /// they are. If scoring throws, every group before the failing one has
+  /// been applied, and the failing group's timers have fired.
+  void on_events(std::span<const StreamEvent> events,
+                 ThreadPool* pool = nullptr, std::span<bool> decisions = {})
+      PP_EXCLUDES(mutex_);
+  /// One context event through on_events(). Returns the decision.
   bool on_session_start(std::uint64_t session_id, std::uint64_t user_id,
                         std::int64_t t,
                         const std::array<std::uint32_t,
                                          data::kMaxContextFields>& context);
-  /// Batched session starts. The batch is processed in non-decreasing
-  /// timestamp order (stable within a timestamp) and cut into groups at
-  /// every point a joiner timer could fire: a group extends while the
-  /// next session's t is strictly before both the earliest pending timer
-  /// and the earliest timer the group itself registers (first t + window
-  /// + grace). Within a group no state change can occur, so scoring it
-  /// against one snapshot equals the sequential replay of the time-sorted
-  /// batch — no mid-batch timer drift. Decisions return in input order.
-  std::vector<bool> on_session_starts(std::span<const SessionStart> sessions);
-  /// Multi-threaded variant: each group is partitioned across the pool's
-  /// workers user-affinely (user_id picks the worker), so any user's
-  /// hidden state is touched by exactly one worker and scores are
-  /// bit-identical to the sequential batched path. Requires a policy with
-  /// concurrent_safe() (otherwise scores inline). The joiner stays
-  /// single-writer: all timer fires and context feeds happen on the
-  /// calling thread under the service mutex.
+  /// Context events through one on_events() call; decisions return in
+  /// input order.
   std::vector<bool> on_session_starts(std::span<const SessionStart> sessions,
-                                      ThreadPool& pool);
+                                      ThreadPool* pool = nullptr);
+  /// One access event through on_events().
   void on_access(std::uint64_t session_id, std::int64_t t);
   void advance_to(std::int64_t t);
   void flush();
@@ -333,24 +350,15 @@ class PrecomputeService {
   double threshold() const { return threshold_; }
 
  private:
-  struct PendingScore {
-    double score = 0;
-    bool prefetched = false;
-  };
-
-  std::vector<bool> run_session_starts(std::span<const SessionStart> sessions,
-                                       ThreadPool* pool) PP_EXCLUDES(mutex_);
-  /// Scores sessions[order[begin..end)] (one timestamp group), returning
-  /// scores aligned with that order slice; fans out across `pool` when
-  /// given one. Runs under the service mutex (the caller's batch loop);
-  /// worker threads it fans out to touch only policy state, never the
-  /// mutex_-guarded event stream.
-  std::vector<double> score_group(std::span<const SessionStart> sessions,
-                                  std::span<const std::size_t> order,
+  /// Scores one snapshot group, fanning out across `pool` when given one.
+  /// Runs under the service mutex (on_events' group loop); worker threads
+  /// it fans out to touch only policy state, never the mutex_-guarded
+  /// event stream.
+  std::vector<double> score_group(std::span<const SessionStart> group,
                                   ThreadPool* pool) PP_REQUIRES(mutex_);
-  /// Joiner completion callback body: metrics/pending bookkeeping, the
-  /// policy state update, then the listener feed. Only reachable from
-  /// joiner_ calls, which all happen under mutex_.
+  /// Joiner completion callback body: the Figure 7 record, the policy
+  /// state update, then the listener feed. Only reachable from joiner_
+  /// calls, which all happen under mutex_.
   void handle_joined(const JoinedSession& joined) PP_REQUIRES(mutex_);
 
   PrecomputePolicy* policy_;
@@ -363,15 +371,18 @@ class PrecomputeService {
   /// window + grace: the minimum delay between a context event and its
   /// join timer, i.e. the scoring-snapshot horizon of one batch group.
   std::int64_t horizon_;
-  /// Single-writer guard for the joiner / pending-score / metrics state;
-  /// scoring itself fans out, but event-stream mutation never does.
+  /// Single-writer guard for the joiner / metrics state; scoring itself
+  /// fans out, but event-stream mutation never does.
   mutable Mutex mutex_;
   SessionJoiner joiner_ PP_GUARDED_BY(mutex_);
   OnlineMetrics metrics_ PP_GUARDED_BY(mutex_);
-  std::unordered_map<std::uint64_t, PendingScore> pending_
-      PP_GUARDED_BY(mutex_);
   std::function<void(const JoinedSession&)> completion_listener_
       PP_GUARDED_BY(mutex_);
+  // on_events scratch, reused across calls so that a one-event call
+  // allocates nothing for it: the time order of the call's events and the
+  // current snapshot group's session starts.
+  std::vector<std::size_t> order_ PP_GUARDED_BY(mutex_);
+  std::vector<SessionStart> group_ PP_GUARDED_BY(mutex_);
 };
 
 }  // namespace pp::serving

@@ -14,8 +14,13 @@ SessionJoiner::SessionJoiner(std::int64_t window, std::int64_t grace,
 void SessionJoiner::on_context(
     std::uint64_t session_id, std::uint64_t user_id,
     std::int64_t session_start,
-    const std::array<std::uint32_t, data::kMaxContextFields>& context) {
+    const std::array<std::uint32_t, data::kMaxContextFields>& context,
+    double score, bool prefetched) {
   ++stats_.contexts;
+  if (fired_.count(session_id) > 0) {
+    ++stats_.duplicate_contexts;  // redelivered after its session fired
+    return;
+  }
   auto [it, inserted] = pending_.try_emplace(session_id);
   if (it->second.has_context) {
     ++stats_.duplicate_contexts;
@@ -26,6 +31,8 @@ void SessionJoiner::on_context(
   it->second.session.user_id = user_id;
   it->second.session.session_start = session_start;
   it->second.session.context = context;
+  it->second.session.score = score;
+  it->second.session.prefetched = prefetched;
   timers_.emplace(session_start + window_ + grace_,
                   Timer{session_id, /*orphan=*/false});
 }

@@ -8,9 +8,11 @@
 // session's context with an optional access event; when the timer fires
 // the joined record is delivered to the consumer (which updates the RNN
 // hidden state or the aggregation counters). Failure tolerance: duplicate
-// events are ignored, accesses arriving before their context are held for
-// one window (then expired and counted — they cannot leak), accesses
-// arriving after the timer fired are dropped and counted.
+// events are ignored — a context redelivered after its session fired
+// included, as long as the session is still in the bounded fired-session
+// memory (see SessionJoiner) — accesses arriving before their context are
+// held for one window (then expired and counted — they cannot leak), and
+// accesses arriving after the timer fired are dropped and counted.
 #pragma once
 
 #include <array>
@@ -26,6 +28,27 @@
 
 namespace pp::serving {
 
+enum class EventKind : std::uint8_t {
+  kContext = 1,
+  kAccess = 2,
+};
+
+/// One event of the §9 stream: a context event at session start, or an
+/// access event inside the session window. `seq` is a producer-assigned
+/// globally unique sequence number, the deterministic tie-break when lanes
+/// are merged: sorting by (t, seq) yields one total order regardless of
+/// thread timing.
+struct StreamEvent {
+  EventKind kind = EventKind::kContext;
+  std::uint64_t seq = 0;
+  std::uint64_t session_id = 0;
+  std::uint64_t user_id = 0;  // context events only
+  std::int64_t t = 0;
+  std::array<std::uint32_t, data::kMaxContextFields> context{};  // context
+
+  friend bool operator==(const StreamEvent&, const StreamEvent&) = default;
+};
+
 struct JoinedSession {
   std::uint64_t session_id = 0;
   std::uint64_t user_id = 0;
@@ -34,6 +57,9 @@ struct JoinedSession {
   bool access = false;
   /// Event time at which the join completed (timer fire).
   std::int64_t completed_at = 0;
+  /// Score and decision given with the session's first context delivery.
+  double score = 0;
+  bool prefetched = false;
 };
 
 struct JoinerStats {
@@ -54,16 +80,24 @@ class SessionJoiner {
 
   /// `window` is the session length; the timer fires at session_start +
   /// window + grace (grace models pipeline latency ε). `fired_capacity`
-  /// bounds the fired-session memory used to classify late accesses:
-  /// the oldest fired sessions are evicted FIFO once it is exceeded.
+  /// bounds the fired-session memory that classifies redelivered contexts
+  /// (duplicate_contexts) and late accesses: the oldest fired sessions are
+  /// evicted FIFO once it is exceeded, so an event for a session more than
+  /// `fired_capacity` joins old is treated as new (a context opens a new
+  /// session, an access an orphan slot).
   SessionJoiner(std::int64_t window, std::int64_t grace, Callback on_joined,
                 std::size_t fired_capacity = 100000);
 
-  /// Context event at session start. Duplicate session IDs are dropped.
+  /// Context event at session start, with the score and decision it was
+  /// given (handed back in the JoinedSession). A session ID whose context
+  /// is already pending, or that is remembered as fired, is a duplicate:
+  /// counted in duplicate_contexts and dropped, so the first delivery's
+  /// record stands.
   void on_context(std::uint64_t session_id, std::uint64_t user_id,
                   std::int64_t session_start,
                   const std::array<std::uint32_t, data::kMaxContextFields>&
-                      context);
+                      context,
+                  double score = 0, bool prefetched = false);
   /// Access event within the session window.
   void on_access(std::uint64_t session_id, std::int64_t event_time);
 

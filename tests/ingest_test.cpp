@@ -11,10 +11,13 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -518,6 +521,50 @@ TEST(IngestConsumer, CorruptFramesAreCountedAndSkippedNotFatal) {
   EXPECT_EQ(joiner.joined, 2u);
 }
 
+/// A policy whose every score throws, as a stored state that fails to
+/// decode would.
+class ThrowingPolicy final : public serving::PrecomputePolicy {
+ public:
+  double score_session(std::uint64_t, std::int64_t,
+                       std::span<const std::uint32_t>) override {
+    throw std::runtime_error("stored state failed to decode");
+  }
+  void on_session_complete(const serving::JoinedSession&) override {}
+  serving::ServingCostSummary cost_summary() const override { return {}; }
+  const char* name() const override { return "throwing"; }
+};
+
+TEST(IngestConsumer, ExceptionClosesTheBusAndRethrowsFromJoin) {
+  ThrowingPolicy policy;
+  serving::PrecomputeService service(policy, 0.5, 600, 0, 0);
+  EventBusConfig config;
+  config.num_lanes = 1;
+  config.lane_capacity = 1;
+  config.backpressure = BackpressurePolicy::kBlock;
+  EventBus bus(config);
+  IngestConsumer consumer(bus, service);
+  consumer.start();
+
+  // The producer outpaces a one-chunk lane, so it blocks in publish()
+  // once the consumer has died: only the consumer's close can free it.
+  std::size_t accepted = 0;
+  std::thread producer([&] {
+    for (std::uint64_t i = 0; i < 100; ++i) {
+      std::vector<std::uint8_t> chunk;
+      encode_event(make_context(i, i + 1, 7, static_cast<std::int64_t>(i) * 10,
+                                1),
+                   &chunk);
+      if (bus.publish(0, std::move(chunk))) ++accepted;
+    }
+    bus.close(0);
+  });
+  producer.join();
+  EXPECT_THROW(consumer.join(), std::runtime_error);
+  EXPECT_LT(accepted, 100u);
+  EXPECT_GT(bus.lane_stats(0).closed_rejects, 0u);
+  EXPECT_EQ(service.joiner_stats().contexts, 0u);
+}
+
 // --- Load generator -----------------------------------------------------
 
 TEST(LoadGenerator, DeterministicLaneMonotoneAndZipfSkewed) {
@@ -790,6 +837,186 @@ TEST(RegisterTenant, DurableBackendRecoversStateAcrossRegistrations) {
   EXPECT_EQ(stack.policy().cost_summary().kv.hits, 1u);
   std::filesystem::remove_all(dir);
 }
+
+// --- One event path: cut invariance ------------------------------------
+
+/// A generated stream plus a hand-built tail of joiner edge cases, in
+/// (t, seq) order: three starts at one t (two by one user), an access
+/// ahead of its context, an in-window duplicate context, a late access,
+/// and a context redelivered after its window closed.
+std::vector<Event> edge_case_stream(std::int64_t horizon) {
+  LoadGenConfig lg;
+  lg.num_users = 48;  // few users: repeat visits score stored states
+  lg.num_producers = 4;
+  lg.sessions_per_producer = 150;
+  lg.zipf_theta = 0.9;
+  lg.start_time = 0;
+  lg.session_length = drift_meta().session_length;
+  lg.mean_gap = 300;  // the stream spans two metrics days
+  lg.access_fraction = 0.4;
+  lg.seed = 0xC07ull;
+  std::vector<Event> events = LoadGenerator(lg).generate_all();
+
+  std::uint64_t seq = 0, sid = 0;
+  for (const Event& ev : events) {
+    seq = std::max(seq, ev.seq);
+    sid = std::max(sid, ev.session_id);
+  }
+  const std::int64_t t = events.back().t + 1;
+  const std::uint64_t a = sid + 1, b = sid + 2, c = sid + 3, d = sid + 4;
+  const std::vector<Event> tail{
+      make_context(++seq, a, 3, t, 1),
+      make_context(++seq, b, 3, t, 2),
+      make_context(++seq, c, 5, t, 0),
+      make_access(++seq, d, t + 5),
+      make_context(++seq, d, 9, t + 20, 1),
+      make_context(++seq, a, 3, t + 30, 1),  // in-window duplicate of a
+      make_access(++seq, a, t + 40),
+      // Advances the clock past the timers of a, b, c and d.
+      make_context(++seq, sid + 5, 3, t + horizon + 50, 0),
+      make_access(++seq, c, t + horizon + 100),           // late
+      make_context(++seq, b, 3, t + horizon + 200, 2),    // redelivered
+      make_context(++seq, sid + 6, 3, t + horizon + 300, 1),
+  };
+  events.insert(events.end(), tail.begin(), tail.end());
+  return events;
+}
+
+struct CutReplay {
+  ReplayResult result;
+  std::vector<bool> decisions;  // per event; access slots stay false
+};
+
+class OnEventsCut
+    : public ::testing::TestWithParam<
+          std::tuple<serving::ScorePrecision, /*threaded=*/bool>> {};
+
+TEST_P(OnEventsCut, EveryCutMatchesTheOneEventReplay) {
+  const auto [precision, threaded] = GetParam();
+  constexpr std::int64_t kGrace = 60;
+  const std::vector<Event> events =
+      edge_case_stream(drift_meta().session_length + kGrace);
+  ASSERT_TRUE(std::is_sorted(events.begin(), events.end(),
+                             [](const Event& x, const Event& y) {
+                               return x.t != y.t ? x.t < y.t : x.seq < y.seq;
+                             }));
+  ThreadPool pool(4);
+  ThreadPool* const fanout = threaded ? &pool : nullptr;
+
+  online::CohortRegistryMap tenants;
+  std::size_t replays = 0;
+  const auto replay =
+      [&](const std::function<std::vector<bool>(serving::PrecomputeService&)>&
+              feed) {
+        online::TenantSpec spec = base_spec("cut" + std::to_string(replays++));
+        spec.backend = storage::KvBackendSpec::sharded(4);
+        spec.grace = kGrace;
+        spec.precision = precision;
+        if (precision == serving::ScorePrecision::kInt8) {
+          spec.codec = serving::StateCodec::kInt8;
+          spec.cohort.quantize_replicas = true;
+        }
+        online::ServingStack& stack = tenants.register_tenant(spec);
+        std::vector<serving::JoinedSession> joined;
+        stack.service().set_completion_listener(
+            [&](const serving::JoinedSession& j) { joined.push_back(j); });
+        CutReplay r;
+        r.decisions = feed(stack.service());
+        stack.service().flush();
+        stack.service().set_completion_listener(nullptr);
+        r.result = collect(stack);
+        r.result.joined = std::move(joined);
+        return r;
+      };
+  // Feeds one on_events call per slice; `cuts` are the slice boundaries.
+  const auto sliced = [&](std::vector<std::size_t> cuts) {
+    cuts.push_back(events.size());
+    return replay([&](serving::PrecomputeService& service) {
+      const auto out = std::make_unique<bool[]>(events.size());
+      std::size_t begin = 0;
+      for (const std::size_t end : cuts) {
+        service.on_events(std::span(events).subspan(begin, end - begin),
+                          fanout, {out.get() + begin, end - begin});
+        begin = end;
+      }
+      return std::vector<bool>(out.get(), out.get() + events.size());
+    });
+  };
+
+  // Reference: one event per call through the wrappers.
+  const CutReplay reference =
+      replay([&](serving::PrecomputeService& service) {
+        std::vector<bool> decisions(events.size(), false);
+        for (std::size_t i = 0; i < events.size(); ++i) {
+          const Event& ev = events[i];
+          if (ev.kind == EventKind::kContext) {
+            decisions[i] = service.on_session_start(ev.session_id, ev.user_id,
+                                                    ev.t, ev.context);
+          } else {
+            service.on_access(ev.session_id, ev.t);
+          }
+        }
+        return decisions;
+      });
+  // The stream exercises what it claims to.
+  const serving::JoinerStats& j = reference.result.joiner;
+  EXPECT_EQ(j.duplicate_contexts, 2u);
+  EXPECT_GE(j.late_accesses, 1u);
+  EXPECT_GE(j.orphan_accesses, 1u);
+  EXPECT_EQ(j.joined, j.contexts - j.duplicate_contexts);
+  const serving::OnlineMetrics& m = reference.result.metrics;
+  EXPECT_GT(m.prefetches(), 0u);
+  EXPECT_LT(m.prefetches(), m.predictions());
+  EXPECT_GE(m.days(), 2u);
+  EXPECT_GT(reference.result.cost.kv.hits, 0u);
+
+  std::vector<std::pair<std::string, std::vector<std::size_t>>> cuts{
+      {"whole stream", {}}};
+  for (const std::size_t width : {2, 7, 64}) {
+    std::vector<std::size_t> fixed;
+    for (std::size_t c = width; c < events.size(); c += width) {
+      fixed.push_back(c);
+    }
+    cuts.emplace_back("slices of " + std::to_string(width), fixed);
+  }
+  Rng rng(0xC075EEDull);
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::size_t> random;
+    for (int k = 0; k < 40; ++k) {
+      random.push_back(1 + rng.uniform_index(events.size() - 1));
+    }
+    std::sort(random.begin(), random.end());
+    random.erase(std::unique(random.begin(), random.end()), random.end());
+    cuts.emplace_back("random cuts " + std::to_string(round), random);
+  }
+
+  for (const auto& [name, points] : cuts) {
+    SCOPED_TRACE(name);
+    const CutReplay cut = sliced(points);
+    EXPECT_EQ(cut.decisions, reference.decisions);
+    expect_bit_identical(reference.result, cut.result);
+    ASSERT_EQ(cut.result.joined.size(), reference.result.joined.size());
+    for (std::size_t i = 0; i < cut.result.joined.size(); ++i) {
+      EXPECT_EQ(cut.result.joined[i].score, reference.result.joined[i].score)
+          << "i=" << i;
+      EXPECT_EQ(cut.result.joined[i].prefetched,
+                reference.result.joined[i].prefetched)
+          << "i=" << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Precisions, OnEventsCut,
+    ::testing::Combine(::testing::Values(serving::ScorePrecision::kFloat32,
+                                         serving::ScorePrecision::kInt8),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      const bool int8 =
+          std::get<0>(info.param) == serving::ScorePrecision::kInt8;
+      return std::string(int8 ? "int8" : "f32") +
+             (std::get<1>(info.param) ? "_pool4" : "_inline");
+    });
 
 }  // namespace
 }  // namespace pp::ingest

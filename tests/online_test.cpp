@@ -459,7 +459,7 @@ TEST(ModelHotSwap, ThreadedShardedReplayAcrossPublishMatchesSequential) {
     std::swap(batch[3], batch[11]);
 
     const std::vector<bool> par_decisions =
-        service_par.on_session_starts(batch, pool);
+        service_par.on_session_starts(batch, &pool);
     std::vector<bool> seq_decisions(batch.size());
     for (const std::size_t i : serving::time_order(batch)) {
       seq_decisions[i] = service_seq.on_session_start(
@@ -546,7 +546,7 @@ TEST(ModelHotSwap, ConcurrentPublisherNeverCrashesServing) {
       s.context = ctx(static_cast<std::uint32_t>(u % 3));
       batch.push_back(s);
     }
-    scored += service.on_session_starts(batch, pool).size();
+    scored += service.on_session_starts(batch, &pool).size();
     base += 400;
   }
   stop.store(true);

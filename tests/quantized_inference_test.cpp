@@ -398,7 +398,7 @@ TEST(QuantizedInference, ThreadedShardedReplayMatchesSequentialExactly) {
     std::swap(batch[3], batch[11]);
 
     const std::vector<bool> par_decisions =
-        service_par.on_session_starts(batch, pool);
+        service_par.on_session_starts(batch, &pool);
 
     std::vector<bool> seq_decisions(batch.size());
     for (const std::size_t i : time_order(batch)) {

@@ -113,7 +113,7 @@ TEST(PrecomputeService, ThreadedShardedReplayMatchesSequentialExactly) {
     std::swap(batch[3], batch[11]);
 
     const std::vector<bool> par_decisions =
-        service_par.on_session_starts(batch, pool);
+        service_par.on_session_starts(batch, &pool);
 
     std::vector<bool> seq_decisions(batch.size());
     for (const std::size_t i : time_order(batch)) {
@@ -197,14 +197,14 @@ TEST(PrecomputeService, SessionStartsFromPoolWorkerDoesNotDeadlock) {
   for (std::uint64_t d = 0; d < 2; ++d) {
     drivers.push_back(pool.submit([&service, &pool, &scored, make_batch, d] {
       const auto batch = make_batch(100 * (d + 1));
-      scored += service.on_session_starts(batch, pool).size();
+      scored += service.on_session_starts(batch, &pool).size();
     }));
   }
   // The main thread drives a batch at the same time: it may win the
   // service mutex while both workers sit blocked on it, so its fan-out
   // helpers can never be scheduled — the caller-drains design must still
   // complete the group on the calling thread.
-  scored += service.on_session_starts(make_batch(300), pool).size();
+  scored += service.on_session_starts(make_batch(300), &pool).size();
   for (auto& f : drivers) f.get();  // hangs forever without caller-runs
   EXPECT_EQ(scored.load(), 18u);
   EXPECT_EQ(service.metrics().predictions(), 0u);  // recorded at join

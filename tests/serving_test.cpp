@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -127,6 +128,67 @@ TEST(SessionJoiner, FailureModesAreCountedNotFatal) {
   EXPECT_EQ(stats.orphan_accesses, 1u);
   EXPECT_EQ(stats.late_accesses, 1u);
   EXPECT_EQ(stats.joined, 1u);
+}
+
+TEST(SessionJoiner, RedeliveredContextAfterFireIsADuplicate) {
+  std::vector<JoinedSession> joined;
+  SessionJoiner joiner(600, 0,
+                       [&](const JoinedSession& s) { joined.push_back(s); });
+  joiner.on_context(1, 7, 1000, {}, /*score=*/0.75, /*prefetched=*/true);
+  // An in-window duplicate does not replace the first delivery's record.
+  joiner.on_context(1, 7, 1000, {}, /*score=*/0.25, /*prefetched=*/false);
+  joiner.advance_to(1600);  // join timer at 1000 + 600 fires
+  ASSERT_EQ(joined.size(), 1u);
+  EXPECT_EQ(joined[0].score, 0.75);
+  EXPECT_TRUE(joined[0].prefetched);
+
+  // The bus redelivers the session's context and its access after the
+  // window closed: neither may open or complete a second session.
+  joiner.on_context(1, 7, 1000, {}, /*score=*/0.25, /*prefetched=*/false);
+  joiner.on_access(1, 1100);
+  joiner.advance_to(5000);
+  EXPECT_EQ(joined.size(), 1u);
+  EXPECT_EQ(joiner.buffered(), 0u);
+  const JoinerStats& stats = joiner.stats();
+  EXPECT_EQ(stats.contexts, 3u);
+  EXPECT_EQ(stats.joined, 1u);
+  EXPECT_EQ(stats.duplicate_contexts, 2u);
+  EXPECT_EQ(stats.late_accesses, 1u);
+  EXPECT_EQ(stats.orphan_accesses, 0u);
+}
+
+TEST(PrecomputeService, RedeliveredContextUpdatesStateOnce) {
+  data::MobileTabConfig config;
+  config.num_users = 4;
+  config.days = 2;
+  const data::Dataset dataset = data::generate_mobile_tab(config);
+  models::RnnModelConfig rnn_config;
+  rnn_config.hidden_size = 8;
+  rnn_config.mlp_hidden = 8;
+  const models::RnnModel model(dataset, rnn_config);
+  LocalKvStore kv;
+  HiddenStateStore store(kv);
+  RnnPolicy policy(model, store);
+  PrecomputeService service(policy, 0.5, 600, 0, 0);
+
+  const std::array<std::uint32_t, data::kMaxContextFields> context{1, 0, 0,
+                                                                   0};
+  service.on_session_start(1, 7, 1000, context);
+  service.on_access(1, 1100);
+  service.advance_to(1600);  // the session joins: one GRU update
+  // Redelivery of both events after the window closed.
+  service.on_session_start(1, 7, 1000, context);
+  service.on_access(1, 1100);
+  service.flush();
+
+  EXPECT_EQ(policy.cost_summary().state_updates, 1u);
+  const OnlineMetrics metrics = service.metrics();
+  EXPECT_EQ(metrics.predictions(), 1u);  // one Figure 7 record
+  EXPECT_EQ(metrics.accesses(), 1u);
+  const JoinerStats joiner = service.joiner_stats();
+  EXPECT_EQ(joiner.joined, 1u);
+  EXPECT_EQ(joiner.duplicate_contexts, 1u);
+  EXPECT_EQ(joiner.late_accesses, 1u);
 }
 
 TEST(SessionJoiner, FiresInEventTimeOrder) {
