@@ -17,7 +17,10 @@
 //           decoding (drops are workload-dependent, so only events/s
 //           gates).
 //
-// The gate fails (exit 1) when a case's events_per_sec drops below
+// Each case runs 3 times, each rep on a fresh tenant, and reports its
+// fastest rep (bench_serving_smoke likewise takes the best of 3): one
+// slow phase of a shared host must not fail the gate on its own. The gate
+// fails (exit 1) when a case's events_per_sec drops below
 // min_ratio x baseline. The band is wide on purpose: it catches a lock on
 // the decode path or an accidentally-serialized consumer across
 // differently-sized CI runners, not percent noise. Regenerate with
@@ -240,7 +243,7 @@ int main(int argc, char** argv) {
   }
 
   // Weight values don't affect ingest throughput; the model serves
-  // untrained. One tenant per case so each case's KV/joiner state is cold.
+  // untrained. One tenant per rep so each rep's KV/joiner state is cold.
   data::MobileTabConfig data_config;
   data_config.num_users = 32;
   data_config.days = 2;
@@ -265,13 +268,23 @@ int main(int argc, char** argv) {
   std::printf("ingest smoke (1M-user Zipf universe, 4 producers x %llu "
               "sessions):\n",
               static_cast<unsigned long long>(sessions));
+  const auto best_of_3 = [&](const std::string& name,
+                             ingest::BackpressurePolicy policy,
+                             std::size_t lane_capacity) {
+    Case best;
+    for (int rep = 0; rep < 3; ++rep) {
+      const Case c = run_case(
+          name, policy, lane_capacity, dataset,
+          make_stack("ingest_" + name + std::to_string(rep)), sessions, pool);
+      if (rep == 0 || c.events_per_sec > best.events_per_sec) best = c;
+    }
+    return best;
+  };
   std::vector<Case> cases;
-  cases.push_back(run_case("block", ingest::BackpressurePolicy::kBlock,
-                           /*lane_capacity=*/256, dataset,
-                           make_stack("ingest_block"), sessions, pool));
-  cases.push_back(run_case("drop", ingest::BackpressurePolicy::kDropNewest,
-                           /*lane_capacity=*/8, dataset,
-                           make_stack("ingest_drop"), sessions, pool));
+  cases.push_back(best_of_3("block", ingest::BackpressurePolicy::kBlock,
+                            /*lane_capacity=*/256));
+  cases.push_back(best_of_3("drop", ingest::BackpressurePolicy::kDropNewest,
+                            /*lane_capacity=*/8));
   for (const Case& c : cases) {
     std::printf("  %-5s : %12.1f events/s  decision p50 %8.2fus  "
                 "p99 %8.2fus  dropped %llu chunks  max depth %zu\n",

@@ -48,6 +48,22 @@ void encode_layer(const std::vector<tensor::Matrix>& layer, StateCodec codec,
   for (const auto& part : layer) encode_matrix(part, codec, writer);
 }
 
+/// Bytes encode_layer writes: the part count, then per part its shape,
+/// the int8 scale and the values.
+std::size_t layer_bytes(const std::vector<tensor::Matrix>& layer,
+                        StateCodec codec) {
+  std::size_t bytes = 4;
+  for (const auto& part : layer) {
+    bytes += codec == StateCodec::kInt8 ? 8 + 4 + part.size()
+                                        : 8 + part.size() * sizeof(float);
+  }
+  return bytes;
+}
+
+std::size_t layer_bytes(const tensor::QuantizedMatrix& layer, StateCodec) {
+  return 4 + 8 + 4 + layer.size();
+}
+
 void encode_layer(const tensor::QuantizedMatrix& layer, StateCodec,
                   BinaryWriter& writer) {
   if (!layer.per_tensor()) {
@@ -114,7 +130,14 @@ void HiddenStateStore::put(std::uint64_t user_id,
   if (kInt8View<State> && codec_ != StateCodec::kInt8) {
     throw std::logic_error("put_q8: store must use the kInt8 codec");
   }
+  // One allocation per record: the writer would otherwise grow 8 -> 16 ->
+  // 32 -> record size.
+  std::size_t bytes = 8 + 4 + 4;
+  for (const auto& layer : state.state.layers) {
+    bytes += layer_bytes(layer, codec_);
+  }
   BinaryWriter writer;
+  writer.reserve(bytes);
   writer.write_i64(state.last_update_time);
   writer.write_u32(state.updates);
   writer.write_u32(static_cast<std::uint32_t>(state.state.layers.size()));

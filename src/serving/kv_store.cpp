@@ -1,6 +1,7 @@
 #include "serving/kv_store.hpp"
 
 #include <functional>
+#include <span>
 
 namespace pp::serving {
 
@@ -10,11 +11,12 @@ std::optional<std::vector<std::uint8_t>> LocalKvStore::get(
     const std::string& key) {
   MutexLock lock(mutex_);
   ++stats_.lookups;
-  const auto it = map_.find(key);
-  if (it == map_.end()) return std::nullopt;
+  const ArenaMap::Entry e = map_.find(key);
+  if (e == ArenaMap::kNone) return std::nullopt;
+  const std::span<const std::uint8_t> value = map_.payload(e);
   ++stats_.hits;
-  stats_.bytes_read += it->second.size();
-  return it->second;
+  stats_.bytes_read += value.size();
+  return std::vector<std::uint8_t>(value.begin(), value.end());
 }
 
 void LocalKvStore::put(const std::string& key,
@@ -22,25 +24,21 @@ void LocalKvStore::put(const std::string& key,
   MutexLock lock(mutex_);
   ++stats_.writes;
   stats_.bytes_written += value.size();
-  auto [it, inserted] = map_.try_emplace(key);
-  if (!inserted) value_bytes_ -= it->second.size();
-  value_bytes_ += value.size();
-  it->second = std::move(value);
+  map_.put(key, value);
 }
 
 bool LocalKvStore::erase(const std::string& key) {
   MutexLock lock(mutex_);
-  const auto it = map_.find(key);
-  if (it == map_.end()) return false;
+  const ArenaMap::Entry e = map_.find(key);
+  if (e == ArenaMap::kNone) return false;
   ++stats_.deletes;
-  value_bytes_ -= it->second.size();
-  map_.erase(it);
+  map_.erase(e);
   return true;
 }
 
 bool LocalKvStore::contains(const std::string& key) const {
   MutexLock lock(mutex_);
-  return map_.count(key) > 0;
+  return map_.find(key) != ArenaMap::kNone;
 }
 
 std::size_t LocalKvStore::size() const {
@@ -50,7 +48,7 @@ std::size_t LocalKvStore::size() const {
 
 std::size_t LocalKvStore::value_bytes() const {
   MutexLock lock(mutex_);
-  return value_bytes_;
+  return map_.payload_bytes();
 }
 
 KvStats LocalKvStore::stats() const {

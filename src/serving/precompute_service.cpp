@@ -528,38 +528,60 @@ void PrecomputeService::on_events(std::span<const StreamEvent> events,
     if (const auto fire = joiner_.next_timer(); fire.has_value()) {
       bound = std::min(bound, *fire);
     }
+    // Only contexts that open a session are scored. Classifying them here,
+    // before any of the group's events is fed, sees what the joiner will:
+    // no timer fires inside the group, an access ahead of its context
+    // leaves a slot without one, and a session's earlier delivery in this
+    // group is found in group_.
     group_.clear();
+    picks_.clear();
     std::size_t end = begin;
     for (; end < order_.size(); ++end) {
       const StreamEvent& ev = events[order_[end]];
       if (ev.kind != EventKind::kContext) continue;
-      if (!group_.empty() && ev.t >= bound) break;
-      group_.push_back(
-          SessionStart{ev.session_id, ev.user_id, ev.t, ev.context});
+      if (end > begin && ev.t >= bound) break;
+      if (const auto known = joiner_.duplicate_decision(ev.session_id)) {
+        picks_.push_back({Pick::kKnown, *known});
+        continue;
+      }
+      const auto first =
+          std::find_if(group_.begin(), group_.end(),
+                       [&ev](const SessionStart& s) {
+                         return s.session_id == ev.session_id;
+                       });
+      picks_.push_back({static_cast<std::size_t>(first - group_.begin())});
+      if (first == group_.end()) {
+        group_.push_back(
+            SessionStart{ev.session_id, ev.user_id, ev.t, ev.context});
+      }
     }
 
-    const std::vector<double> scores = score_group(group_, pool);
-    std::size_t prefetched = 0;
+    const std::vector<double> scores =
+        group_.empty() ? std::vector<double>{} : score_group(group_, pool);
     {
       // decision_joiner stage: thresholding + the joiner feed of one
       // snapshot group's events, in order.
       obs::ScopedTimer stage_timer(obs::sample_tick() ? obs_decision_ns_
                                                       : nullptr);
-      std::size_t g = 0;
+      std::size_t c = 0;
       for (std::size_t i = begin; i < end; ++i) {
         const StreamEvent& ev = events[order_[i]];
         if (ev.kind != EventKind::kContext) {
           joiner_.on_access(ev.session_id, ev.t);
           continue;
         }
-        const double score = scores[g++];
-        const bool prefetch = score >= threshold_;
-        prefetched += prefetch ? 1 : 0;
+        const Pick& pick = picks_[c++];
+        const bool known = pick.start == Pick::kKnown;
+        const double score = known ? 0.0 : scores[pick.start];
+        const bool prefetch = known ? pick.decision : score >= threshold_;
         if (!decisions.empty()) decisions[order_[i]] = prefetch;
         joiner_.on_context(ev.session_id, ev.user_id, ev.t, ev.context, score,
                            prefetch);
       }
     }
+    const std::size_t prefetched = static_cast<std::size_t>(
+        std::count_if(scores.begin(), scores.end(),
+                      [this](double score) { return score >= threshold_; }));
     obs_prefetches_->inc(prefetched);
     obs_skips_->inc(group_.size() - prefetched);
     begin = end;

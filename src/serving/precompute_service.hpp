@@ -289,7 +289,10 @@ class PrecomputeService {
   /// replay of that order: a context advances the joiner to its t (firing
   /// due timers, i.e. completed sessions' state updates), is scored,
   /// thresholded and fed to the joiner with its score and decision; an
-  /// access is fed to the joiner and does not move the clock.
+  /// access is fed to the joiner and does not move the clock. A context the
+  /// joiner would drop as a duplicate (its session pending with a context,
+  /// or remembered as fired) is not scored: its decision is the one its
+  /// session got at first delivery while pending, false once joined.
   ///
   /// Scoring runs per snapshot group. A group starts at a context (model
   /// pin via begin_batch(), then advance_to(t)) and extends over the
@@ -299,8 +302,9 @@ class PrecomputeService {
   /// most an orphan timer at its t + window + grace, never before the
   /// bound) and a score reads only policy state, so the group's contexts
   /// are scored against one snapshot, then the group's events — up to the
-  /// next group's first context — are applied in order. Results therefore
-  /// do not depend on how a stream is cut into calls.
+  /// next group's first context — are applied in order. A session delivered
+  /// twice within a group is scored once, for its first delivery. Results
+  /// therefore do not depend on how a stream is cut into calls.
   ///
   /// With a pool and a concurrent_safe() policy a group's scoring is
   /// partitioned user-affinely (user_id picks the worker), so any user's
@@ -378,11 +382,23 @@ class PrecomputeService {
   OnlineMetrics metrics_ PP_GUARDED_BY(mutex_);
   std::function<void(const JoinedSession&)> completion_listener_
       PP_GUARDED_BY(mutex_);
+  /// How one context event of a snapshot group is decided: by the score of
+  /// group_[start] (its own, or its session's first delivery in the
+  /// group), or, for a session the joiner already holds (start == kKnown),
+  /// by `decision`.
+  struct Pick {
+    static constexpr std::size_t kKnown = ~std::size_t{0};
+    std::size_t start = kKnown;
+    bool decision = false;
+  };
+
   // on_events scratch, reused across calls so that a one-event call
-  // allocates nothing for it: the time order of the call's events and the
-  // current snapshot group's session starts.
+  // allocates nothing for it: the time order of the call's events, the
+  // current snapshot group's session starts to score and its contexts'
+  // picks.
   std::vector<std::size_t> order_ PP_GUARDED_BY(mutex_);
   std::vector<SessionStart> group_ PP_GUARDED_BY(mutex_);
+  std::vector<Pick> picks_ PP_GUARDED_BY(mutex_);
 };
 
 }  // namespace pp::serving

@@ -69,6 +69,14 @@ void SessionJoiner::on_access(std::uint64_t session_id,
   it->second.session.access = true;
 }
 
+std::optional<bool> SessionJoiner::duplicate_decision(
+    std::uint64_t session_id) const {
+  if (fired_.count(session_id) > 0) return false;
+  const auto it = pending_.find(session_id);
+  if (it == pending_.end() || !it->second.has_context) return std::nullopt;
+  return it->second.session.prefetched;
+}
+
 void SessionJoiner::fire(std::int64_t due) {
   while (!timers_.empty() && timers_.begin()->first <= due) {
     const auto [fire_time, timer] = *timers_.begin();

@@ -101,6 +101,12 @@ class SessionJoiner {
   /// Access event within the session window.
   void on_access(std::uint64_t session_id, std::int64_t event_time);
 
+  /// How on_context() would take a context for `session_id` now: nullopt
+  /// when it opens a session, else it is a duplicate and this is the
+  /// decision its session has — the first delivery's while the session is
+  /// pending, false once it has fired.
+  std::optional<bool> duplicate_decision(std::uint64_t session_id) const;
+
   /// Advances the event-time clock, firing every due timer in order. The
   /// clock is monotone: a `now` below the furthest point already reached
   /// (out-of-order bus delivery, a skewed producer) is counted in

@@ -1,5 +1,7 @@
 #include "storage/durable_kv_store.hpp"
 
+#include <array>
+#include <cstring>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -7,6 +9,29 @@
 namespace pp::storage {
 
 namespace {
+
+/// An index entry's payload: the record's segment id, value offset and
+/// value length. Its framed size is the segment log's header + key + value,
+/// so it is derived on read instead of stored.
+using PackedLocation = std::array<std::uint8_t, 20>;
+
+PackedLocation pack_location(const RecordLocation& loc) {
+  PackedLocation out{};
+  std::memcpy(out.data(), &loc.segment_id, 8);
+  std::memcpy(out.data() + 8, &loc.value_offset, 8);
+  std::memcpy(out.data() + 16, &loc.value_len, 4);
+  return out;
+}
+
+RecordLocation location_of(const ArenaMap& index, ArenaMap::Entry e) {
+  const std::span<const std::uint8_t> packed = index.payload(e);
+  RecordLocation loc;
+  std::memcpy(&loc.segment_id, packed.data(), 8);
+  std::memcpy(&loc.value_offset, packed.data() + 8, 8);
+  std::memcpy(&loc.value_len, packed.data() + 16, 4);
+  loc.record_bytes = kRecordHeaderBytes + index.key(e).size() + loc.value_len;
+  return loc;
+}
 
 /// Compaction duration + the live dead-byte ratio over the whole log
 /// (sealed + active dead bytes over disk bytes) — the signal the
@@ -33,20 +58,21 @@ DurableKvStore::DurableKvStore(DurableKvConfig config)
       log_(SegmentLogConfig{config_.dir, config_.segment_bytes,
                             config_.fsync_every_put}) {
   MutexLock lock(mutex_);
-  log_.open([this](std::string_view key, std::span<const std::uint8_t> value,
+  log_.open([this](std::string_view key, std::span<const std::uint8_t>,
                    std::uint32_t flags, const RecordLocation& loc) {
     // The scan callback runs synchronously inside log_.open() above, on
     // this thread, which holds mutex_ — invisible to the analysis across
     // the std::function boundary.
     mutex_.assert_held();
-    recover_record(key, value, flags, loc);
+    recover_record(key, flags, loc);
   });
   // Dead bytes = everything on disk not reachable from the rebuilt index,
   // split by whether it sits in the (never-compacted) active segment.
   // Derived after the scan rather than tracked during it: active_id() is
   // not final until every manifest segment has been replayed.
   std::size_t live_active = 0;
-  for (const auto& [key, loc] : index_) {
+  for (ArenaMap::Entry e = 0; e < index_.size(); ++e) {
+    const RecordLocation loc = location_of(index_, e);
     if (loc.segment_id == log_.active_id()) live_active += loc.record_bytes;
   }
   const std::size_t active_size =
@@ -71,27 +97,22 @@ DurableKvStore::~DurableKvStore() {
   }
 }
 
-void DurableKvStore::recover_record(std::string_view key,
-                                    std::span<const std::uint8_t> value,
-                                    std::uint32_t flags,
+void DurableKvStore::recover_record(std::string_view key, std::uint32_t flags,
                                     const RecordLocation& loc) {
-  (void)value;  // the index stores locations, not payloads
+  const ArenaMap::Entry e = index_.find(key);
+  if (e != ArenaMap::kNone) {
+    const RecordLocation old = location_of(index_, e);
+    live_value_bytes_ -= old.value_len;
+    live_record_bytes_ -= old.record_bytes;
+  }
   if ((flags & kFlagTombstone) != 0) {
-    auto it = index_.find(std::string(key));
-    if (it != index_.end()) {
-      live_value_bytes_ -= it->second.value_len;
-      live_record_bytes_ -= it->second.record_bytes;
-      index_.erase(it);
-    }
+    if (e != ArenaMap::kNone) index_.erase(e);
     return;
   }
-  auto it = index_.find(std::string(key));
-  if (it != index_.end()) {
-    live_value_bytes_ -= it->second.value_len;
-    live_record_bytes_ -= it->second.record_bytes;
-    it->second = loc;
+  if (e != ArenaMap::kNone) {
+    index_.assign(e, pack_location(loc));
   } else {
-    index_.emplace(std::string(key), loc);
+    index_.put(key, pack_location(loc));
   }
   live_value_bytes_ += loc.value_len;
   live_record_bytes_ += loc.record_bytes;
@@ -109,10 +130,10 @@ std::optional<std::vector<std::uint8_t>> DurableKvStore::get(
     const std::string& key) {
   MutexLock lock(mutex_);
   ++stats_.lookups;
-  const auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
+  const ArenaMap::Entry e = index_.find(key);
+  if (e == ArenaMap::kNone) return std::nullopt;
   ++stats_.hits;
-  std::vector<std::uint8_t> value = log_.read_value(it->second);
+  std::vector<std::uint8_t> value = log_.read_value(location_of(index_, e));
   stats_.bytes_read += value.size();
   return value;
 }
@@ -130,14 +151,15 @@ void DurableKvStore::put(const std::string& key,
     dead_bytes_sealed_ += dead_bytes_active_;
     dead_bytes_active_ = 0;
   }
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    account_overwrite(it->second);
-    live_value_bytes_ -= it->second.value_len;
-    live_record_bytes_ -= it->second.record_bytes;
-    it->second = loc;
+  const ArenaMap::Entry e = index_.find(key);
+  if (e != ArenaMap::kNone) {
+    const RecordLocation old = location_of(index_, e);
+    account_overwrite(old);
+    live_value_bytes_ -= old.value_len;
+    live_record_bytes_ -= old.record_bytes;
+    index_.assign(e, pack_location(loc));
   } else {
-    index_.emplace(key, loc);
+    index_.put(key, pack_location(loc));
   }
   live_value_bytes_ += loc.value_len;
   live_record_bytes_ += loc.record_bytes;
@@ -146,8 +168,8 @@ void DurableKvStore::put(const std::string& key,
 
 bool DurableKvStore::erase(const std::string& key) {
   MutexLock lock(mutex_);
-  auto it = index_.find(key);
-  if (it == index_.end()) return false;
+  const ArenaMap::Entry e = index_.find(key);
+  if (e == ArenaMap::kNone) return false;
   ++stats_.deletes;
   const std::uint64_t active_before = log_.active_id();
   const RecordLocation tomb = log_.append(key, {}, kFlagTombstone);
@@ -155,10 +177,11 @@ bool DurableKvStore::erase(const std::string& key) {
     dead_bytes_sealed_ += dead_bytes_active_;
     dead_bytes_active_ = 0;
   }
-  account_overwrite(it->second);
-  live_value_bytes_ -= it->second.value_len;
-  live_record_bytes_ -= it->second.record_bytes;
-  index_.erase(it);
+  const RecordLocation old = location_of(index_, e);
+  account_overwrite(old);
+  live_value_bytes_ -= old.value_len;
+  live_record_bytes_ -= old.record_bytes;
+  index_.erase(e);
   // The tombstone is dead on arrival — it only exists to shadow sealed
   // records until compaction drops both. It always lands in the active
   // segment (appends go nowhere else).
@@ -169,7 +192,7 @@ bool DurableKvStore::erase(const std::string& key) {
 
 bool DurableKvStore::contains(const std::string& key) const {
   MutexLock lock(mutex_);
-  return index_.find(key) != index_.end();
+  return index_.find(key) != ArenaMap::kNone;
 }
 
 std::size_t DurableKvStore::size() const {
@@ -209,18 +232,19 @@ void DurableKvStore::compact_locked() {
   // compacted output; records already in the active segment keep their
   // location. Index updates are staged and applied only after the commit
   // (the emitted locations are not valid before the manifest swap).
-  std::vector<std::pair<const std::string*, RecordLocation>> moved;
+  std::vector<std::pair<ArenaMap::Entry, RecordLocation>> moved;
   const std::uint64_t active = log_.active_id();
   const std::uint64_t reclaimed =
       log_.compact_sealed([&](const SegmentLog::EmitFn& emit) {
-        for (const auto& [key, loc] : index_) {
+        for (ArenaMap::Entry e = 0; e < index_.size(); ++e) {
+          const RecordLocation loc = location_of(index_, e);
           if (loc.segment_id == active) continue;
           const std::vector<std::uint8_t> value = log_.read_value(loc);
-          moved.emplace_back(&key, emit(key, value, 0));
+          moved.emplace_back(e, emit(index_.key(e), value, 0));
         }
       });
-  for (const auto& [key, loc] : moved) {
-    index_[*key] = loc;
+  for (const auto& [e, loc] : moved) {
+    index_.assign(e, pack_location(loc));
   }
   dead_bytes_sealed_ = 0;
   ++compactions_;

@@ -149,10 +149,6 @@ class RnnNetwork : public nn::Module {
   std::size_t update_flops() const;
 
  private:
-  /// Raw one-layer cell step used by infer_update.
-  void infer_cell_step(std::size_t layer, std::vector<Matrix>& state,
-                       const Matrix& x) const;
-
   RnnNetworkConfig config_;
   std::vector<std::unique_ptr<nn::RecurrentCell>> cells_;
   std::unique_ptr<nn::Linear> latent_;  // L of the latent cross

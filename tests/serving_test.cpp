@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "data/generators.hpp"
+#include "kv_reference.hpp"
 #include "serving/online_experiment.hpp"
 #include "serving_test_util.hpp"
 #include "util/math.hpp"
@@ -82,6 +83,25 @@ TEST(ShardedKvStore, PartitionsKeysAndMergesAggregates) {
   EXPECT_EQ(store.size(), 99u);
   store.reset_stats();
   EXPECT_EQ(store.stats().lookups, 0u);
+}
+
+TEST(LocalKvStore, MatchesUnorderedMapReferenceOpByOp) {
+  // kv_reference.hpp's seeded stream: new keys past several slot-table
+  // doublings, same-size / larger / smaller / empty rewrites, erases and
+  // re-puts, NUL-byte keys, values longer than an arena block, and enough
+  // relocations to reach reclamation (util_test checks that on the bare
+  // table).
+  LocalKvStore store;
+  kvtest::KvReference ref;
+  const std::vector<kvtest::KvOp> ops = kvtest::kv_op_stream(0x5EEDull, 12000);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    SCOPED_TRACE("op " + std::to_string(i));
+    kvtest::apply_both(store, ref, ops[i]);
+    kvtest::expect_matches(store, ref, ops[i].key);
+    if (i % 1000 == 999) kvtest::expect_same_contents(store, ref);
+    if (::testing::Test::HasFailure()) return;
+  }
+  kvtest::expect_same_contents(store, ref);
 }
 
 TEST(SessionJoiner, JoinsContextAndAccessAtTimerFire) {
@@ -189,6 +209,48 @@ TEST(PrecomputeService, RedeliveredContextUpdatesStateOnce) {
   EXPECT_EQ(joiner.joined, 1u);
   EXPECT_EQ(joiner.duplicate_contexts, 1u);
   EXPECT_EQ(joiner.late_accesses, 1u);
+}
+
+TEST(PrecomputeService, DuplicateContextsAreNeitherScoredNorCounted) {
+  // Two sessions, each delivered twice: session 1 again inside its own
+  // snapshot group, session 2 again after it joined. Only the first
+  // deliveries are scored (one KV lookup and one ledger prediction each);
+  // the updates at join add one lookup each.
+  data::MobileTabConfig config;
+  config.num_users = 4;
+  config.days = 2;
+  const data::Dataset dataset = data::generate_mobile_tab(config);
+  models::RnnModelConfig rnn_config;
+  rnn_config.hidden_size = 8;
+  rnn_config.mlp_hidden = 8;
+  const models::RnnModel model(dataset, rnn_config);
+  LocalKvStore kv;
+  HiddenStateStore store(kv);
+  RnnPolicy policy(model, store);
+  // Threshold 0: every scored session prefetches, so a duplicate's false
+  // can only come from its session having joined.
+  PrecomputeService service(policy, 0.0, 600, 0, 0);
+
+  const std::array<std::uint32_t, data::kMaxContextFields> context{1, 0, 0,
+                                                                   0};
+  // The in-group duplicate takes its session's first decision; the
+  // redelivery after the join is false.
+  const std::vector<SessionStart> starts{
+      {1, 7, 1000, context}, {2, 8, 1000, context}, {1, 7, 1000, context}};
+  EXPECT_EQ(service.on_session_starts(starts),
+            (std::vector<bool>{true, true, true}));
+  service.advance_to(1600);  // both sessions join
+  EXPECT_FALSE(service.on_session_start(2, 8, 1000, context));
+  service.flush();
+
+  const ServingCostSummary cost = policy.cost_summary();
+  EXPECT_EQ(cost.predictions, 2u);
+  EXPECT_EQ(cost.kv.lookups, 4u);
+  EXPECT_EQ(cost.state_updates, 2u);
+  const JoinerStats joiner = service.joiner_stats();
+  EXPECT_EQ(joiner.contexts, 4u);
+  EXPECT_EQ(joiner.duplicate_contexts, 2u);
+  EXPECT_EQ(joiner.joined, 2u);
 }
 
 TEST(SessionJoiner, FiresInEventTimeOrder) {

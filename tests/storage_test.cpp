@@ -16,12 +16,15 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "kv_reference.hpp"
 #include "online/replay_buffer.hpp"
 #include "online_test_util.hpp"
 #include "serving/hidden_store.hpp"
@@ -374,6 +377,76 @@ TEST(DurableKv, OrphanSegmentsRemovedAndBareSegmentsRejected) {
   // Segment files with no MANIFEST at all are not ours to guess about.
   std::filesystem::remove(config.dir + "/MANIFEST");
   EXPECT_THROW(DurableKvStore{config}, std::runtime_error);
+}
+
+/// The active segment: the last file the MANIFEST lists.
+std::string active_segment(const std::string& dir) {
+  std::ifstream in(dir + "/MANIFEST");
+  std::string line, last;
+  while (std::getline(in, line)) {
+    if (!line.empty()) last = line;
+  }
+  return dir + "/" + last;
+}
+
+TEST(DurableKv, MatchesUnorderedMapReferenceThroughReopenCompactAndTornTail) {
+  // kv_reference.hpp's seeded stream (the LocalKvStore differential's),
+  // checked op by op; inside the loop the store is reopened, compacted,
+  // and has the record of its latest op torn off the log's tail, after
+  // which that op must be gone and the key back as it was.
+  TempDir dir("differential");
+  DurableKvConfig config;
+  config.dir = dir.sub("kv");
+  config.segment_bytes = 64u << 10;  // many sealed segments to compact
+  auto store = std::make_unique<DurableKvStore>(config);
+  kvtest::KvReference ref;
+  const auto reopen = [&] {
+    store.reset();
+    store = std::make_unique<DurableKvStore>(config);
+    ref.reset_stats();  // KvStats count this instance's traffic
+  };
+  std::size_t tears = 0, reopens = 0, compactions = 0;
+  const std::vector<kvtest::KvOp> ops = kvtest::kv_op_stream(0xD0C5ull, 12000);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    SCOPED_TRACE("op " + std::to_string(i));
+    const kvtest::KvOp& op = ops[i];
+    const std::optional<std::vector<std::uint8_t>> before = ref.peek(op.key);
+    // Every put appends a record; an erase only when the key is live.
+    const bool appends = !op.erase || before.has_value();
+    kvtest::apply_both(*store, ref, op);
+    if (i % 2500 == 1249 && appends) {
+      store.reset();
+      const std::string segment = active_segment(config.dir);
+      std::filesystem::resize_file(segment,
+                                   std::filesystem::file_size(segment) - 1);
+      reopen();
+      ref.restore(op.key, before);
+      EXPECT_EQ(store->durable_stats().torn_bytes_dropped,
+                kRecordHeaderBytes + op.key.size() + op.value.size() - 1);
+      ++tears;
+    } else if (i % 1500 == 749) {
+      reopen();
+      ++reopens;
+    } else if (i % 2000 == 999) {
+      const std::size_t done = store->durable_stats().compactions;
+      store->compact();
+      compactions += store->durable_stats().compactions - done;
+    }
+    kvtest::expect_matches(*store, ref, op.key);
+    const DurableKvStats ds = store->durable_stats();
+    EXPECT_EQ(ds.live_record_bytes + ds.dead_bytes_sealed +
+                  ds.dead_bytes_active,
+              ds.disk_bytes);
+    if (i % 500 == 499) kvtest::expect_same_contents(*store, ref);
+    if (::testing::Test::HasFailure()) return;
+  }
+  reopen();
+  kvtest::expect_same_contents(*store, ref);
+  EXPECT_EQ(store->value_bytes(), ref.value_bytes());
+  EXPECT_GE(tears, 4u);
+  EXPECT_GE(reopens, 6u);
+  EXPECT_EQ(compactions, 6u);
+  EXPECT_GE(store->durable_stats().segments, 2u);
 }
 
 // ------------------------------------------- recovery sweeps (satellite 3)

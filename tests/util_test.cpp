@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -7,6 +8,8 @@
 #include <set>
 #include <thread>
 
+#include "kv_reference.hpp"
+#include "util/arena_map.hpp"
 #include "util/logging.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
@@ -238,6 +241,78 @@ TEST(ThreadPool, PropagatesExceptions) {
   EXPECT_THROW(f.get(), std::runtime_error);
 }
 
+
+TEST(ArenaMap, GrowingRewritesOfOneKeyStayWithinTwiceLivePlusOneBlock) {
+  // Every larger rewrite relocates the payload and strands the old bytes;
+  // reclamation must keep the arena within 2 x live + one block, past the
+  // point where the value outgrows a block too.
+  ArenaMap map;
+  const std::string key = "user:7";
+  std::size_t previous = 0;
+  std::size_t shrinks = 0;
+  for (std::size_t len = 1; len <= 3 * ArenaMap::kBlockBytes; len += 97) {
+    const std::vector<std::uint8_t> value(len, static_cast<std::uint8_t>(len));
+    map.put(key, value);
+    ASSERT_EQ(map.size(), 1u);
+    ASSERT_EQ(map.payload_bytes(), len);
+    const auto stored = map.payload(map.find(key));
+    ASSERT_TRUE(std::equal(stored.begin(), stored.end(), value.begin(),
+                           value.end()));
+    ASSERT_LE(map.arena_bytes(), 2 * (key.size() + len) + ArenaMap::kBlockBytes)
+        << "len=" << len;
+    shrinks += map.arena_bytes() < previous ? 1 : 0;
+    previous = map.arena_bytes();
+  }
+  EXPECT_GT(shrinks, 10u);
+  // Erasing the last key leaves nothing live, so every block goes.
+  map.erase(map.find(key));
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_EQ(map.arena_bytes(), 0u);
+  EXPECT_EQ(map.find(key), ArenaMap::kNone);
+}
+
+TEST(ArenaMap, OpStreamMatchesReferenceAndReachesReclamation) {
+  // The stream the LocalKvStore and DurableKvStore differential tests
+  // replay, on the bare table: it must reach reclamation (the arena only
+  // ever shrinks there), and the dense entries must hold exactly the
+  // reference's keys.
+  ArenaMap map;
+  kvtest::KvReference ref;
+  std::size_t reclaims = 0;
+  std::size_t previous = 0;
+  for (const kvtest::KvOp& op : kvtest::kv_op_stream(0xA7E4Aull, 12000)) {
+    if (op.erase) {
+      const ArenaMap::Entry e = map.find(op.key);
+      ASSERT_EQ(e != ArenaMap::kNone, ref.erase(op.key));
+      if (e != ArenaMap::kNone) map.erase(e);
+    } else {
+      map.put(op.key, op.value);
+      ref.put(op.key, op.value);
+    }
+    const ArenaMap::Entry e = map.find(op.key);
+    const auto want = ref.peek(op.key);
+    ASSERT_EQ(e != ArenaMap::kNone, want.has_value());
+    if (want.has_value()) {
+      const auto got = map.payload(e);
+      ASSERT_EQ(std::vector<std::uint8_t>(got.begin(), got.end()), *want);
+      ASSERT_EQ(map.key(e), op.key);
+    }
+    ASSERT_EQ(map.size(), ref.size());
+    ASSERT_EQ(map.payload_bytes(), ref.value_bytes());
+    reclaims += map.arena_bytes() < previous ? 1 : 0;
+    previous = map.arena_bytes();
+  }
+  EXPECT_GE(reclaims, 2u);
+  std::set<std::string> seen;
+  for (ArenaMap::Entry e = 0; e < map.size(); ++e) {
+    const auto want = ref.peek(std::string(map.key(e)));
+    ASSERT_TRUE(want.has_value());
+    const auto got = map.payload(e);
+    EXPECT_EQ(std::vector<std::uint8_t>(got.begin(), got.end()), *want);
+    seen.insert(std::string(map.key(e)));
+  }
+  EXPECT_EQ(seen.size(), ref.size());
+}
 
 TEST(Logging, SuppressedLevelEvaluatesNoArguments) {
   // The PP_LOG_* macros must be lazy: when the level is suppressed, the
