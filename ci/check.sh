@@ -21,8 +21,8 @@
 # tier is selected with an explicit -L '^stress$' — the tier partition
 # being total (every test exactly one tier label) is itself asserted by
 # the tier_labels_check test in the unit tier. The TSan lane additionally
-# runs the stress tier: that is where the threaded serving replays and
-# the online-update daemon races live.
+# runs the stress tier: that is where the threaded serving replays, the
+# online-update daemon races and the concurrent metrics scrape live.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -41,7 +41,7 @@ while [[ $# -gt 0 ]]; do
     --lint)
       MODE="lint"; shift ;;
     -h|--help)
-      sed -n '2,16p' "${BASH_SOURCE[0]}"; exit 0 ;;
+      sed -n '2,/^[^#]/{/^#/p;}' "${BASH_SOURCE[0]}"; exit 0 ;;
     -*)
       # Reject unknown flags loudly: silently treating a typoed --sanitize
       # as the build dir would run the wrong lane and report green.

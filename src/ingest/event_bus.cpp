@@ -13,16 +13,25 @@ EventBus::EventBus(const EventBusConfig& config) : config_(config) {
   if (config_.lane_capacity == 0) {
     throw std::invalid_argument("EventBus: lane_capacity must be > 0");
   }
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  published_total_ = &reg.counter("ingest_chunks_published_total");
-  dropped_total_ = &reg.counter("ingest_chunks_dropped_total");
-  blocked_total_ = &reg.counter("ingest_publish_blocked_total");
   lanes_.reserve(config_.num_lanes);
   for (std::size_t i = 0; i < config_.num_lanes; ++i) {
-    auto lane = std::make_unique<Lane>();
-    lane->depth_gauge =
-        &reg.gauge("ingest_queue_depth", {{"lane", std::to_string(i)}});
-    lanes_.push_back(std::move(lane));
+    Lane& lane = *lanes_.emplace_back(std::make_unique<Lane>());
+    lane.collector = obs::MetricsRegistry::global().collect(
+        {{"lane", std::to_string(i)}}, [&lane](const obs::Emit& emit) {
+          LaneStats s;
+          std::size_t depth = 0;
+          {
+            MutexLock lock(lane.mu);
+            s = lane.stats;
+            depth = lane.q.size();
+          }
+          emit("pp_ingest_published", s.published);
+          emit("pp_ingest_dropped", s.dropped);
+          emit("pp_ingest_blocked", s.blocked);
+          emit("pp_ingest_closed_rejects", s.closed_rejects);
+          emit("pp_ingest_max_depth", s.max_depth);
+          emit("pp_ingest_queue_depth", depth);
+        });
   }
 }
 
@@ -38,25 +47,19 @@ bool EventBus::publish(std::size_t lane_index,
         waited = true;
         lane.not_full.wait(lane.mu);
       }
-      if (waited) {
-        ++lane.stats.blocked;
-        blocked_total_->inc();
-      }
+      if (waited) ++lane.stats.blocked;
     }
     if (lane.closed) {
       ++lane.stats.closed_rejects;
     } else if (lane.q.size() >= config_.lane_capacity) {
       // kDropNewest: the queue is full, the newest chunk loses.
       ++lane.stats.dropped;
-      dropped_total_->inc();
     } else {
       lane.q.push_back(std::move(chunk));
       ++lane.stats.published;
       if (lane.q.size() > lane.stats.max_depth) {
         lane.stats.max_depth = lane.q.size();
       }
-      lane.depth_gauge->set(static_cast<double>(lane.q.size()));
-      published_total_->inc();
       accepted = true;
     }
   }
@@ -91,7 +94,6 @@ bool EventBus::drain(std::size_t lane_index,
       lane.q.pop_front();
       freed = true;
     }
-    lane.depth_gauge->set(0.0);
     open = !lane.closed;
   }
   if (freed) lane.not_full.notify_all();

@@ -13,8 +13,8 @@
 //
 // Locking: one pp::Mutex per lane (publishers on different lanes never
 // contend), plus a bus-wide activity epoch the consumer sleeps on instead of
-// polling. Queue depth / published / dropped are exported through the obs
-// layer as ingest_* instruments.
+// polling. Each lane reports its LaneStats and queue depth to the global
+// metrics registry as pp_ingest_<field>{lane}, summed across live buses.
 #pragma once
 
 #include <cstddef>
@@ -89,7 +89,7 @@ class EventBus {
     std::deque<std::vector<std::uint8_t>> q PP_GUARDED_BY(mu);
     bool closed PP_GUARDED_BY(mu) = false;
     LaneStats stats PP_GUARDED_BY(mu);
-    obs::Gauge* depth_gauge = nullptr;  // set once at construction
+    obs::Collector collector;
   };
 
   void bump_activity() PP_EXCLUDES(activity_mutex_);
@@ -100,10 +100,6 @@ class EventBus {
   mutable Mutex activity_mutex_;
   CondVar activity_cv_;
   std::uint64_t activity_ PP_GUARDED_BY(activity_mutex_) = 0;
-
-  obs::Counter* published_total_;  // process-global instruments, cached
-  obs::Counter* dropped_total_;
-  obs::Counter* blocked_total_;
 };
 
 }  // namespace pp::ingest

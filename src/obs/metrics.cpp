@@ -182,15 +182,15 @@ const char* kind_name(MetricKind kind) {
   return "?";
 }
 
-}  // namespace
-
-MetricsRegistry::Entry& MetricsRegistry::get_or_create(std::string_view name,
-                                                       Labels labels,
-                                                       MetricKind kind) {
+void check_name(std::string_view name) {
   if (!valid_metric_name(name)) {
     throw std::invalid_argument("obs: invalid metric name: " +
                                 std::string(name));
   }
+}
+
+/// Sorts by key and validates: the one canonical form of a label set.
+MetricsRegistry::Labels canonical(MetricsRegistry::Labels labels) {
   std::sort(labels.begin(), labels.end());
   for (std::size_t i = 0; i < labels.size(); ++i) {
     if (!valid_label_key(labels[i].first)) {
@@ -202,6 +202,16 @@ MetricsRegistry::Entry& MetricsRegistry::get_or_create(std::string_view name,
                                   labels[i].first);
     }
   }
+  return labels;
+}
+
+}  // namespace
+
+MetricsRegistry::Entry& MetricsRegistry::get_or_create(std::string_view name,
+                                                       Labels labels,
+                                                       MetricKind kind) {
+  check_name(name);
+  labels = canonical(std::move(labels));
 
   // Canonical key: name \x1f k \x1e v \x1f k \x1e v ... (separators cannot
   // appear in valid names/keys, and make distinct label sets distinct keys).
@@ -257,6 +267,16 @@ LatencyHistogram& MetricsRegistry::histogram(std::string_view name,
               .histogram;
 }
 
+struct Collector::Slot {
+  Slot(MetricsRegistry::Labels l, CollectFn f)
+      : labels(std::move(l)), fn(std::move(f)) {}
+
+  const MetricsRegistry::Labels labels;
+  /// Held while fn runs; unregistration empties fn under it.
+  Mutex mutex;
+  CollectFn fn PP_GUARDED_BY(mutex);
+};
+
 std::vector<MetricSnapshot> MetricsRegistry::snapshot() const {
   std::vector<MetricSnapshot> out;
   {
@@ -281,12 +301,88 @@ std::vector<MetricSnapshot> MetricsRegistry::snapshot() const {
       out.push_back(std::move(snap));
     }
   }
+  std::vector<std::shared_ptr<Collector::Slot>> slots;
+  {
+    MutexLock lock(collectors_mutex_);
+    slots = collectors_;
+  }
+  for (const auto& slot : slots) {
+    MutexLock lock(slot->mutex);
+    if (!slot->fn) continue;  // unregistered since the copy
+    slot->fn([&](std::string_view name, double value) {
+      check_name(name);
+      MetricSnapshot& snap = out.emplace_back();
+      snap.name = std::string(name);
+      snap.labels = slot->labels;
+      snap.kind = MetricKind::kGauge;
+      snap.value = value;
+    });
+  }
   std::sort(out.begin(), out.end(),
             [](const MetricSnapshot& a, const MetricSnapshot& b) {
               if (a.name != b.name) return a.name < b.name;
               return a.labels < b.labels;
             });
+  // Fold equal (name, labels) series into one sum. Only gauges can repeat:
+  // instruments are unique per key, and collected series are gauges.
+  std::size_t kept = 0;
+  for (MetricSnapshot& snap : out) {
+    if (kept > 0 && out[kept - 1].name == snap.name) {
+      MetricSnapshot& prev = out[kept - 1];
+      if (prev.kind != snap.kind) {
+        throw std::logic_error("obs: metric family '" + snap.name +
+                               "' is both " + kind_name(prev.kind) +
+                               " and " + kind_name(snap.kind));
+      }
+      if (prev.labels == snap.labels) {
+        prev.value += snap.value;
+        continue;
+      }
+    }
+    if (&out[kept] != &snap) out[kept] = std::move(snap);
+    ++kept;
+  }
+  out.resize(kept);
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// Collectors.
+
+Collector MetricsRegistry::collect(Labels labels, CollectFn fn) {
+  auto slot =
+      std::make_shared<Collector::Slot>(canonical(std::move(labels)),
+                                        std::move(fn));
+  MutexLock lock(collectors_mutex_);
+  collectors_.push_back(slot);
+  return Collector(this, std::move(slot));
+}
+
+void MetricsRegistry::unregister(
+    const std::shared_ptr<Collector::Slot>& slot) {
+  {
+    MutexLock lock(collectors_mutex_);
+    std::erase(collectors_, slot);
+  }
+  // A snapshot that copied the slot before the erase may be running it:
+  // wait for that call, and leave nothing for a later one to run.
+  MutexLock lock(slot->mutex);
+  slot->fn = nullptr;
+}
+
+Collector& Collector::operator=(Collector&& other) noexcept {
+  if (this != &other) {
+    reset();
+    registry_ = other.registry_;
+    slot_ = std::move(other.slot_);
+  }
+  return *this;
+}
+
+void Collector::reset() {
+  if (slot_ == nullptr) return;
+  registry_->unregister(slot_);
+  slot_.reset();
 }
 
 std::size_t MetricsRegistry::size() const {
@@ -295,8 +391,8 @@ std::size_t MetricsRegistry::size() const {
 }
 
 MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
+  static MetricsRegistry* const registry = new MetricsRegistry();
+  return *registry;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 // Process-wide metrics layer: typed instruments (Counter / Gauge /
 // LatencyHistogram) addressed by name + static label set through a
-// MetricsRegistry, plus the timing helpers (ScopedTimer / TraceSpan /
+// MetricsRegistry, collectors that read a live component's *Stats at
+// snapshot time, plus the timing helpers (ScopedTimer / TraceSpan /
 // SampledSection) that instrument the serving hot path as named stages.
 //
 // Observe-only contract:
 //   * Recording NEVER blocks the recorded path: Counter::inc, Gauge::set and
 //     LatencyHistogram::record are lock-free (relaxed atomics). The registry
 //     mutex is taken only on instrument *creation* (once per name+labels,
-//     cached by callers) and on snapshot/export.
+//     cached by callers) and on snapshot/export. A collector reads its
+//     owner's counters under the owner's own short lock, only at snapshot.
 //   * Instruments never feed back into decisions — nothing in src/ reads a
 //     metric to choose a code path, so the bit-identical replay tests pass
 //     unchanged with instrumentation enabled.
@@ -19,6 +21,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <string>
@@ -88,7 +91,7 @@ class Counter {
   Shard shards_[kShards];
 };
 
-/// Last-write-wins double value (occupancy, ratios, bridged *Stats fields).
+/// Last-write-wins double value.
 class Gauge {
  public:
   Gauge() = default;
@@ -180,6 +183,36 @@ struct MetricSnapshot {
   HistogramSnapshot hist;   // histogram
 };
 
+/// Sink of one collector call: emit(name, value) reports one gauge series
+/// under the collector's labels.
+using Emit = std::function<void(std::string_view name, double value)>;
+using CollectFn = std::function<void(const Emit& emit)>;
+
+class MetricsRegistry;
+
+/// Handle of one MetricsRegistry::collect() registration. Move-only;
+/// destroying or overwriting it unregisters the collector, waiting only for
+/// an in-flight call of this same collector. Owners keep it as their last
+/// member, so it is destroyed first and the collector never reads a
+/// half-destroyed owner. It must not outlive its registry.
+class Collector {
+ public:
+  Collector() = default;
+  Collector(Collector&& other) noexcept = default;
+  Collector& operator=(Collector&& other) noexcept;
+  ~Collector() { reset(); }
+
+ private:
+  friend class MetricsRegistry;
+  struct Slot;
+  Collector(MetricsRegistry* registry, std::shared_ptr<Slot> slot)
+      : registry_(registry), slot_(std::move(slot)) {}
+  void reset();
+
+  MetricsRegistry* registry_ = nullptr;
+  std::shared_ptr<Slot> slot_;
+};
+
 /// Name + label-set → instrument. Lookup takes the registry mutex, so
 /// callers on hot paths resolve their instruments ONCE (constructor or
 /// function-local static) and keep the reference; the reference stays valid
@@ -203,15 +236,24 @@ class MetricsRegistry {
   Gauge& gauge(std::string_view name, Labels labels = {});
   LatencyHistogram& histogram(std::string_view name, Labels labels = {});
 
-  /// Point-in-time copy of every instrument, sorted by (name, labels) so
-  /// exporters emit families contiguously.
-  std::vector<MetricSnapshot> snapshot() const PP_EXCLUDES(mutex_);
+  /// Runs `fn` at every snapshot() while the returned handle lives; each
+  /// emit(name, value) is one gauge series under `labels`. Series of equal
+  /// name and labels (several live components, or a gauge instrument) are
+  /// summed. `fn` runs under no registry lock, so it may take its owner's
+  /// short lock; it must not destroy its own handle.
+  [[nodiscard]] Collector collect(Labels labels, CollectFn fn)
+      PP_EXCLUDES(collectors_mutex_);
+
+  /// Point-in-time copy of every instrument and collected series, sorted by
+  /// (name, labels) so exporters emit families contiguously.
+  std::vector<MetricSnapshot> snapshot() const
+      PP_EXCLUDES(mutex_, collectors_mutex_);
 
   std::size_t size() const PP_EXCLUDES(mutex_);
 
   /// The process-wide registry every instrumented subsystem uses.
-  /// Function-local static: constructed on first use, destroyed after the
-  /// (later-constructed) objects that cached references into it.
+  /// Constructed on first use and never destroyed, so a component in
+  /// static storage (e.g. a cached GEMM pool) may unregister at exit.
   static MetricsRegistry& global();
 
  private:
@@ -224,13 +266,23 @@ class MetricsRegistry {
     std::unique_ptr<LatencyHistogram> histogram;
   };
 
+  friend class Collector;
+
   Entry& get_or_create(std::string_view name, Labels labels, MetricKind kind)
       PP_EXCLUDES(mutex_);
+  void unregister(const std::shared_ptr<Collector::Slot>& slot)
+      PP_EXCLUDES(collectors_mutex_);
 
   mutable Mutex mutex_;
   std::unordered_map<std::string, Entry> entries_ PP_GUARDED_BY(mutex_);
   std::unordered_map<std::string, MetricKind> family_kind_
       PP_GUARDED_BY(mutex_);
+  /// Never held while a collector runs (nor is mutex_): a collector may
+  /// take its owner's lock, under which the owner may create instruments,
+  /// and registering or unregistering must not wait for other collectors.
+  mutable Mutex collectors_mutex_;
+  std::vector<std::shared_ptr<Collector::Slot>> collectors_
+      PP_GUARDED_BY(collectors_mutex_);
 };
 
 // ---------------------------------------------------------------------------

@@ -60,16 +60,21 @@ OnlineLearner::OnlineLearner(ModelRegistry& registry,
   auto& obs_registry = obs::MetricsRegistry::global();
   const obs::MetricsRegistry::Labels cohort{{"cohort", config_.cohort}};
   obs_round_ns_ = &obs_registry.histogram("pp_online_round_ns", cohort);
-  obs_gate_publish_ = &obs_registry.counter(
-      "pp_online_gate_total", {{"cohort", config_.cohort},
-                               {"result", "publish"}});
-  obs_gate_reject_ = &obs_registry.counter(
-      "pp_online_gate_total",
-      {{"cohort", config_.cohort}, {"result", "reject"}});
-  obs_gate_skip_ = &obs_registry.counter(
-      "pp_online_gate_total", {{"cohort", config_.cohort}, {"result", "skip"}});
-  obs_buffer_sessions_ =
-      &obs_registry.gauge("pp_online_buffer_sessions", cohort);
+  collector_ = obs_registry.collect(cohort, [this](const obs::Emit& emit) {
+    const OnlineLearnerStats s = stats();
+    emit("pp_online_observed_sessions", s.observed_sessions);
+    emit("pp_online_rounds", s.rounds);
+    emit("pp_online_skipped", s.skipped);
+    emit("pp_online_publishes", s.publishes);
+    emit("pp_online_rejects", s.rejects);
+    emit("pp_online_rollbacks", s.rollbacks);
+    const ReplayBufferStats b = buffer_.stats();
+    emit("pp_replay_observed", b.observed);
+    emit("pp_replay_evicted_user_cap", b.evicted_user_cap);
+    emit("pp_replay_evicted_capacity", b.evicted_capacity);
+    emit("pp_replay_evicted_reservoir", b.evicted_reservoir);
+    emit("pp_replay_rejected_reservoir", b.rejected_reservoir);
+  });
 }
 
 OnlineLearner::~OnlineLearner() = default;
@@ -81,8 +86,11 @@ void OnlineLearner::observe(const serving::JoinedSession& joined) {
   // observations; stats() reads the count from there.
   buffer_.add(joined.user_id, joined.session_start, joined.context,
               joined.access);
-  // Occupancy gauge: one relaxed store after the buffer's own short lock.
-  obs_buffer_sessions_->set(static_cast<double>(buffer_.size()));
+}
+
+void OnlineLearner::count(std::size_t OnlineLearnerStats::*field) {
+  MutexLock lock(stats_mutex_);
+  ++(stats_.*field);
 }
 
 double OnlineLearner::gate_pr_auc(const models::RnnModel& model,
@@ -110,7 +118,7 @@ OnlineUpdateReport OnlineLearner::run_update_round() {
   // clock reads per round are noise next to an epoch of training).
   obs::ScopedTimer round_timer(obs_round_ns_);
   OnlineUpdateReport report;
-  ++stats_.rounds;
+  count(&OnlineLearnerStats::rounds);
   report.version = registry_->current_version();
 
   const std::int64_t latest = buffer_.latest_time();
@@ -120,8 +128,7 @@ OnlineUpdateReport OnlineLearner::run_update_round() {
   // "emit all" sentinels of snapshot() and score_users, silently training
   // on the holdout. No gateable round exists either way.
   if (holdout_start <= 0) {
-    ++stats_.skipped;
-    obs_gate_skip_->inc();
+    count(&OnlineLearnerStats::skipped);
     return report;
   }
   // Both datasets come from snapshot() so there is exactly one
@@ -132,8 +139,7 @@ OnlineUpdateReport OnlineLearner::run_update_round() {
   const data::Dataset eval_ds = buffer_.snapshot(meta_);
   report.train_sessions = train_ds.total_sessions();
   if (report.train_sessions < config_.min_train_sessions) {
-    ++stats_.skipped;
-    obs_gate_skip_->inc();
+    count(&OnlineLearnerStats::skipped);
     return report;
   }
 
@@ -161,8 +167,8 @@ OnlineUpdateReport OnlineLearner::run_update_round() {
   report.holdout_predictions = candidate_preds;
   if (candidate_preds < config_.min_holdout_predictions ||
       std::isnan(candidate_pr) || std::isnan(published_pr)) {
-    ++stats_.skipped;  // trained, but no gate decision was possible
-    obs_gate_skip_->inc();
+    // Trained, but no gate decision was possible.
+    count(&OnlineLearnerStats::skipped);
     return report;
   }
 
@@ -170,13 +176,11 @@ OnlineUpdateReport OnlineLearner::run_update_round() {
     report.version = registry_->publish(
         std::shared_ptr<models::RnnModel>(shadow_->clone()));
     report.published = true;
-    ++stats_.publishes;
-    obs_gate_publish_->inc();
+    count(&OnlineLearnerStats::publishes);
     return report;
   }
 
-  ++stats_.rejects;
-  obs_gate_reject_->inc();
+  count(&OnlineLearnerStats::rejects);
   if (config_.rollback_on_regression) {
     if (const auto prev = registry_->previous(); prev != nullptr) {
       std::size_t prev_preds = 0;
@@ -186,7 +190,7 @@ OnlineUpdateReport OnlineLearner::run_update_round() {
           published_pr < prev_pr - config_.max_pr_auc_regression &&
           registry_->rollback()) {
         report.rolled_back = true;
-        ++stats_.rollbacks;
+        count(&OnlineLearnerStats::rollbacks);
       }
     }
   }
@@ -195,7 +199,7 @@ OnlineUpdateReport OnlineLearner::run_update_round() {
 }
 
 OnlineLearnerStats OnlineLearner::stats() const {
-  MutexLock lock(mutex_);
+  MutexLock lock(stats_mutex_);
   OnlineLearnerStats out = stats_;
   out.observed_sessions = buffer_.stats().observed;
   return out;

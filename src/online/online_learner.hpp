@@ -20,26 +20,21 @@
 #include <memory>
 #include <string>
 
+#include "obs/metrics.hpp"
 #include "online/model_registry.hpp"
 #include "online/replay_buffer.hpp"
 #include "serving/stream.hpp"
 #include "train/rnn_trainer.hpp"
 #include "util/mutex.hpp"
 
-namespace pp::obs {
-class Counter;
-class Gauge;
-class LatencyHistogram;
-}  // namespace pp::obs
-
 namespace pp::online {
 
 struct OnlineLearnerConfig {
   ReplayBufferConfig buffer;
 
-  /// Cohort label on this learner's metrics (round latency, gate counters,
-  /// buffer occupancy). Observability only — no training behavior depends
-  /// on it.
+  /// Cohort label on this learner's metrics (round latency, its stats and
+  /// its buffer's). Observability only — no training behavior depends on
+  /// it.
   std::string cohort = "default";
 
   // ---- incremental fit schedule (one round) ----
@@ -113,8 +108,10 @@ class OnlineLearner {
   OnlineUpdateReport run_update_round();
 
   const SessionReplayBuffer& buffer() const { return buffer_; }
+  /// Never waits for a round in flight.
   OnlineLearnerStats stats() const;
   const ModelRegistry& registry() const { return *registry_; }
+  const std::string& cohort() const { return config_.cohort; }
 
   /// Persists / restores the learner's training state (shadow weights +
   /// Adam moments + step count) so incremental training survives a
@@ -136,25 +133,28 @@ class OnlineLearner {
                      const data::Dataset& eval_ds,
                      std::span<const std::size_t> users,
                      std::int64_t emit_from, std::size_t* predictions) const;
+  void count(std::size_t OnlineLearnerStats::*field)
+      PP_EXCLUDES(stats_mutex_);
 
   OnlineLearnerConfig config_;
   ModelRegistry* registry_;
   data::Dataset meta_;  // schema + timing constants only, users empty
   SessionReplayBuffer buffer_;
-  // Observe-only instruments (process-global registry, resolved once in
-  // the constructor, labeled cohort=config.cohort).
+  // Round latency (process-global registry, labeled cohort=config.cohort).
   obs::LatencyHistogram* obs_round_ns_ = nullptr;
-  obs::Counter* obs_gate_publish_ = nullptr;
-  obs::Counter* obs_gate_reject_ = nullptr;
-  obs::Counter* obs_gate_skip_ = nullptr;
-  obs::Gauge* obs_buffer_sessions_ = nullptr;
 
-  mutable Mutex mutex_;
+  /// Held by run_update_round for a whole round.
+  mutable Mutex mutex_ PP_ACQUIRED_BEFORE(stats_mutex_);
   /// Private trainable copy of the published model; never served.
   std::unique_ptr<models::RnnModel> shadow_ PP_GUARDED_BY(mutex_);
   /// Persistent trainer: Adam moments and step count survive rounds.
   std::unique_ptr<train::RnnTrainer> trainer_ PP_GUARDED_BY(mutex_);
-  OnlineLearnerStats stats_ PP_GUARDED_BY(mutex_);
+  /// Round counters under their own short lock, so stats() readers (the
+  /// daemon's trigger, a scrape) never wait behind a fit.
+  mutable Mutex stats_mutex_;
+  OnlineLearnerStats stats_ PP_GUARDED_BY(stats_mutex_);
+  /// pp_online_<field> and pp_replay_<field>, labeled cohort.
+  obs::Collector collector_;
 };
 
 }  // namespace pp::online

@@ -19,6 +19,20 @@ OnlineUpdateDaemon::OnlineUpdateDaemon(OnlineLearner& learner,
     throw std::invalid_argument("OnlineUpdateDaemon: checkpoint cadence set "
                                 "without a checkpoint_path");
   }
+  collector_ = obs::MetricsRegistry::global().collect(
+      {{"cohort", learner.cohort()}}, [this](const obs::Emit& emit) {
+        const OnlineUpdateDaemonStats s = stats();
+        emit("pp_daemon_wakeups", s.wakeups);
+        emit("pp_daemon_rounds_driven", s.rounds_driven);
+        emit("pp_daemon_rounds_ran", s.rounds_ran);
+        emit("pp_daemon_round_errors", s.round_errors);
+        emit("pp_daemon_publishes", s.publishes);
+        emit("pp_daemon_rollbacks", s.rollbacks);
+        emit("pp_daemon_deferred_interval", s.deferred_interval);
+        emit("pp_daemon_deferred_sessions", s.deferred_sessions);
+        emit("pp_daemon_checkpoints", s.checkpoints);
+        emit("pp_daemon_checkpoint_failures", s.checkpoint_failures);
+      });
 }
 
 OnlineUpdateDaemon::~OnlineUpdateDaemon() { stop(); }
@@ -108,12 +122,8 @@ void OnlineUpdateDaemon::note_round_start() {
   last_round_start_ = std::chrono::steady_clock::now();
   any_round_ = true;
   // The observed count is sampled at round start: sessions that arrive
-  // while the round trains count toward the *next* trigger window. Read
-  // from the buffer directly — its own short lock — never through
-  // learner_->stats(), whose mutex an in-flight round holds for the whole
-  // fit (we hold the daemon mutex here, so that wait would stall every
-  // daemon API for the round's duration).
-  observed_at_last_round_ = learner_->buffer().stats().observed;
+  // while the round trains count toward the *next* trigger window.
+  observed_at_last_round_ = learner_->stats().observed_sessions;
   ++stats_.rounds_driven;
 }
 
@@ -194,13 +204,11 @@ void OnlineUpdateDaemon::thread_main() {
     }
 
     // Auto trigger: both the wall-clock floor and the new-session floor
-    // must hold. The observed counter is read straight off the buffer
-    // (one short buffer lock) — learner_->stats() would block on the
-    // learner's round mutex whenever another thread holds it.
+    // must hold.
     const auto now = std::chrono::steady_clock::now();
     const bool interval_ok =
         !any_round_ || now - last_round_start_ >= config_.min_round_interval;
-    const std::size_t observed = learner_->buffer().stats().observed;
+    const std::size_t observed = learner_->stats().observed_sessions;
     const bool sessions_ok =
         observed - observed_at_last_round_ >= config_.min_new_sessions;
     if (interval_ok && sessions_ok) {

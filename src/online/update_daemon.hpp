@@ -172,6 +172,7 @@ class OnlineUpdateDaemon {
   std::size_t rounds_since_checkpoint_ = 0;
 
   OnlineUpdateDaemonStats stats_ PP_GUARDED_BY(mutex_);
+  obs::Collector collector_;  // pp_daemon_<field>, labeled cohort
 };
 
 }  // namespace pp::online

@@ -5,7 +5,22 @@
 
 namespace pp::serving {
 
+void emit_kv_stats(const KvStats& stats, const obs::Emit& emit) {
+  emit("pp_kv_lookups", stats.lookups);
+  emit("pp_kv_hits", stats.hits);
+  emit("pp_kv_writes", stats.writes);
+  emit("pp_kv_deletes", stats.deletes);
+  emit("pp_kv_bytes_read", stats.bytes_read);
+  emit("pp_kv_bytes_written", stats.bytes_written);
+}
+
 // ------------------------------------------------------------ LocalKvStore
+
+LocalKvStore::LocalKvStore()
+    : collector_(obs::MetricsRegistry::global().collect(
+          {}, [this](const obs::Emit& emit) {
+            emit_kv_stats(stats(), emit);
+          })) {}
 
 std::optional<std::vector<std::uint8_t>> LocalKvStore::get(
     const std::string& key) {

@@ -14,6 +14,10 @@
 // LocalKvStore shards (per-shard mutex + stats) so many serving workers
 // can hit the store concurrently without serializing on one lock;
 // size / value_bytes / stats merge across shards.
+//
+// Every live LocalKvStore (so every shard) and DurableKvStore reports its
+// KvStats to obs::MetricsRegistry::global() as unlabeled pp_kv_<field>
+// gauges, summed across live stores.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/arena_map.hpp"
 #include "util/mutex.hpp"
 
@@ -45,6 +50,9 @@ struct KvStats {
     return *this;
   }
 };
+
+/// Emits every field as a pp_kv_<field> series (a store's collector).
+void emit_kv_stats(const KvStats& stats, const obs::Emit& emit);
 
 class KvStore {
  public:
@@ -70,6 +78,8 @@ class KvStore {
 /// ShardedKvStore.
 class LocalKvStore final : public KvStore {
  public:
+  LocalKvStore();
+
   std::optional<std::vector<std::uint8_t>> get(const std::string& key)
       override;
   void put(const std::string& key, std::vector<std::uint8_t> value) override;
@@ -86,6 +96,7 @@ class LocalKvStore final : public KvStore {
   mutable Mutex mutex_;
   ArenaMap map_ PP_GUARDED_BY(mutex_);
   KvStats stats_ PP_GUARDED_BY(mutex_);
+  obs::Collector collector_;
 };
 
 /// N-way hash-partitioned store: each key lives in exactly one shard, so

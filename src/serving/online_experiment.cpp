@@ -4,10 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "obs/export.hpp"
-#include "obs/stats_bridge.hpp"
 #include "online/tenant.hpp"
-#include "storage/durable_kv_store.hpp"
 #include "storage/durable_io.hpp"
 
 namespace pp::serving {
@@ -194,44 +191,6 @@ OnlineExperimentResult run_online_experiment(
         online_stack->cohort().registry().current_version();
     online_stack->flush_durable();
   }
-
-  // End-of-run export: bridge every arm's *Stats into the registry under
-  // arm= labels, then render one snapshot both ways. The hot-path
-  // histograms (stage latencies, gate counters) are already in the
-  // registry — this only adds the gauge view of the legacy counters.
-  auto& obs_registry = obs::MetricsRegistry::global();
-  const obs::BridgeLabels rnn_labels{{"arm", "rnn"}};
-  obs::bridge_kv_stats(obs_registry, rnn_stack.kv().stats(), rnn_labels);
-  obs::bridge_joiner_stats(obs_registry, result.rnn.joiner, rnn_labels);
-  obs::bridge_cost_summary(obs_registry, result.rnn.costs, rnn_labels);
-  const obs::BridgeLabels gbdt_labels{{"arm", "gbdt"}};
-  obs::bridge_kv_stats(obs_registry, gbdt_kv.stats(), gbdt_labels);
-  obs::bridge_joiner_stats(obs_registry, result.gbdt.joiner, gbdt_labels);
-  obs::bridge_cost_summary(obs_registry, result.gbdt.costs, gbdt_labels);
-  if (online_stack != nullptr) {
-    const obs::BridgeLabels online_labels{{"arm", "rnn_online"}};
-    obs::bridge_kv_stats(obs_registry, online_stack->kv().stats(),
-                         online_labels);
-    obs::bridge_joiner_stats(obs_registry, result.rnn_online.joiner,
-                             online_labels);
-    obs::bridge_cost_summary(obs_registry, result.rnn_online.costs,
-                             online_labels);
-    obs::bridge_learner_stats(obs_registry, result.learner, online_labels);
-    obs::bridge_replay_buffer_stats(obs_registry, learner->buffer().stats(),
-                                    online_labels);
-    if (config.use_update_daemon) {
-      obs::bridge_daemon_stats(obs_registry, result.daemon, online_labels);
-    }
-    if (auto* durable =
-            dynamic_cast<storage::DurableKvStore*>(&online_stack->kv());
-        durable != nullptr) {
-      obs::bridge_durable_kv_stats(obs_registry, durable->durable_stats(),
-                                   online_labels);
-    }
-  }
-  const auto metrics = obs_registry.snapshot();
-  result.metrics_json = obs::render_json(metrics);
-  result.metrics_prometheus = obs::render_prometheus(metrics);
   return result;
 }
 

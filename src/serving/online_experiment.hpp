@@ -47,12 +47,6 @@ struct OnlineExperimentResult {
   /// Final published version of the online arm (1 = never republished).
   std::uint64_t online_versions = 0;
   std::size_t sessions = 0;
-  /// End-of-run snapshot of the process metrics registry (per-stage
-  /// latency histograms, gate counters, bridged *Stats gauges labeled
-  /// arm=rnn|gbdt|rnn_online), rendered both ways. The same snapshot
-  /// feeds both renders, so the two documents always agree.
-  std::string metrics_json;
-  std::string metrics_prometheus;
 };
 
 struct OnlineExperimentConfig {

@@ -25,6 +25,23 @@ std::vector<double> PrecomputePolicy::score_sessions(
   return scores;
 }
 
+namespace {
+
+/// The collector of a policy's three ledger counters, labeled policy.
+obs::Collector collect_ledger(const char* policy,
+                              const std::atomic<std::size_t>& predictions,
+                              const std::atomic<std::size_t>& state_updates,
+                              const std::atomic<std::size_t>& model_flops) {
+  return obs::MetricsRegistry::global().collect(
+      {{"policy", policy}}, [&](const obs::Emit& emit) {
+        emit("pp_cost_predictions", predictions.load());
+        emit("pp_cost_state_updates", state_updates.load());
+        emit("pp_cost_model_flops", model_flops.load());
+      });
+}
+
+}  // namespace
+
 // --------------------------------------------------------------- RnnPolicy
 
 RnnPolicy::RnnPolicy(const models::RnnModel& model, HiddenStateStore& store,
@@ -86,6 +103,8 @@ void RnnPolicy::init_obs() {
       &registry.histogram("pp_serving_batch_ns", {{"precision", prec}});
   obs_batch_sessions_ =
       &registry.histogram("pp_serving_batch_sessions", {{"precision", prec}});
+  collector_ =
+      collect_ledger(name(), predictions_, state_updates_, model_flops_);
 }
 
 void RnnPolicy::begin_batch() {
@@ -243,7 +262,9 @@ GbdtPolicy::GbdtPolicy(const models::GbdtModel& model,
     : model_(&model),
       pipeline_(&pipeline),
       aggregation_(&aggregation),
-      dense_(pipeline.dimension(), 0.0f) {}
+      dense_(pipeline.dimension(), 0.0f),
+      collector_(collect_ledger(name(), predictions_, state_updates_,
+                                model_flops_)) {}
 
 double GbdtPolicy::score_session(std::uint64_t user_id, std::int64_t t,
                                  std::span<const std::uint32_t> context) {
@@ -251,11 +272,13 @@ double GbdtPolicy::score_session(std::uint64_t user_id, std::int64_t t,
   std::fill(dense_.begin(), dense_.end(), 0.0f);
   for (const auto& [col, value] : row_) dense_[col] = value;
   const double p = model_->predict_row(dense_);
-  ++costs_.predictions;
+  predictions_.fetch_add(1, std::memory_order_relaxed);
   // Tree-walk cost: one comparison per level per tree.
-  costs_.model_flops += static_cast<std::size_t>(
-      model_->booster().mean_tree_depth() *
-      static_cast<double>(model_->booster().num_trees()));
+  model_flops_.fetch_add(
+      static_cast<std::size_t>(
+          model_->booster().mean_tree_depth() *
+          static_cast<double>(model_->booster().num_trees())),
+      std::memory_order_relaxed);
   return p;
 }
 
@@ -265,11 +288,14 @@ void GbdtPolicy::on_session_complete(const JoinedSession& joined) {
   session.context = joined.context;
   session.access = joined.access ? 1 : 0;
   aggregation_->apply_session(joined.user_id, session);
-  ++costs_.state_updates;
+  state_updates_.fetch_add(1, std::memory_order_relaxed);
 }
 
 ServingCostSummary GbdtPolicy::cost_summary() const {
-  ServingCostSummary summary = costs_;
+  ServingCostSummary summary;
+  summary.predictions = predictions_.load(std::memory_order_relaxed);
+  summary.state_updates = state_updates_.load(std::memory_order_relaxed);
+  summary.model_flops = model_flops_.load(std::memory_order_relaxed);
   summary.kv = aggregation_->kv_stats();
   summary.storage_bytes = aggregation_->storage_bytes();
   summary.live_keys = aggregation_->total_live_keys();
@@ -356,6 +382,33 @@ PrecomputeService::PrecomputeService(PrecomputePolicy& policy,
       {{"policy", policy.name()}, {"decision", "prefetch"}});
   obs_skips_ = &registry.counter(
       "pp_serving_decisions", {{"policy", policy.name()}, {"decision", "skip"}});
+  collector_ = registry.collect(
+      {{"policy", policy.name()}}, [this](const obs::Emit& emit) {
+        JoinerStats j;
+        std::size_t predictions = 0, prefetches = 0, successful = 0,
+                    accesses = 0;
+        {
+          MutexLock guard(mutex_);
+          j = joiner_.stats();
+          predictions = metrics_.predictions();
+          prefetches = metrics_.prefetches();
+          successful = metrics_.successful_prefetches();
+          accesses = metrics_.accesses();
+        }
+        emit("pp_joiner_contexts", j.contexts);
+        emit("pp_joiner_accesses", j.accesses);
+        emit("pp_joiner_joined", j.joined);
+        emit("pp_joiner_duplicate_contexts", j.duplicate_contexts);
+        emit("pp_joiner_duplicate_accesses", j.duplicate_accesses);
+        emit("pp_joiner_orphan_accesses", j.orphan_accesses);
+        emit("pp_joiner_orphan_drops", j.orphan_drops);
+        emit("pp_joiner_late_accesses", j.late_accesses);
+        emit("pp_joiner_clock_rewinds", j.clock_rewinds);
+        emit("pp_service_predictions", predictions);
+        emit("pp_service_prefetches", prefetches);
+        emit("pp_service_successful_prefetches", successful);
+        emit("pp_service_accesses", accesses);
+      });
 }
 
 void PrecomputeService::handle_joined(const JoinedSession& joined) {

@@ -15,6 +15,7 @@
 
 #include "models/gbdt_model.hpp"
 #include "models/rnn_model.hpp"
+#include "obs/metrics.hpp"
 #include "online/model_registry.hpp"
 #include "serving/aggregation_service.hpp"
 #include "serving/hidden_store.hpp"
@@ -22,11 +23,6 @@
 #include "train/scorer.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_pool.hpp"
-
-namespace pp::obs {
-class Counter;
-class LatencyHistogram;
-}  // namespace pp::obs
 
 namespace pp::serving {
 
@@ -219,6 +215,7 @@ class RnnPolicy final : public PrecomputePolicy {
   obs::LatencyHistogram* obs_gru_ = nullptr;
   obs::LatencyHistogram* obs_batch_wall_ = nullptr;
   obs::LatencyHistogram* obs_batch_sessions_ = nullptr;
+  obs::Collector collector_;  // the three ledger atomics, labeled policy
 };
 
 /// GBDT serving (§9): aggregation features from the stream-maintained
@@ -241,7 +238,11 @@ class GbdtPolicy final : public PrecomputePolicy {
   AggregationService* aggregation_;
   features::SparseRow row_;
   std::vector<float> dense_;
-  ServingCostSummary costs_;
+  /// Atomics like RnnPolicy's: the collector reads them from a scrape.
+  std::atomic<std::size_t> predictions_{0};
+  std::atomic<std::size_t> state_updates_{0};
+  std::atomic<std::size_t> model_flops_{0};
+  obs::Collector collector_;
 };
 
 /// Per-day online quality series (Figure 7) plus prefetch accounting.
@@ -399,6 +400,9 @@ class PrecomputeService {
   std::vector<std::size_t> order_ PP_GUARDED_BY(mutex_);
   std::vector<SessionStart> group_ PP_GUARDED_BY(mutex_);
   std::vector<Pick> picks_ PP_GUARDED_BY(mutex_);
+  /// pp_joiner_<field> and the pp_service_* totals of metrics_, labeled
+  /// policy, read under mutex_ (never through metrics(), a full copy).
+  obs::Collector collector_;
 };
 
 }  // namespace pp::serving

@@ -33,22 +33,10 @@ RecordLocation location_of(const ArenaMap& index, ArenaMap::Entry e) {
   return loc;
 }
 
-/// Compaction duration + the live dead-byte ratio over the whole log
-/// (sealed + active dead bytes over disk bytes) — the signal the
-/// compact_dead_ratio policy keys off, exported so an operator can see
-/// how close the store runs to its trigger.
-struct CompactionObs {
-  obs::LatencyHistogram* duration;
-  obs::Gauge* dead_ratio;
-};
-
-const CompactionObs& compaction_obs() {
-  static const CompactionObs instruments = [] {
-    auto& registry = obs::MetricsRegistry::global();
-    return CompactionObs{&registry.histogram("pp_storage_compaction_ns"),
-                         &registry.gauge("pp_storage_dead_byte_ratio")};
-  }();
-  return instruments;
+obs::LatencyHistogram& compaction_hist() {
+  static obs::LatencyHistogram& hist =
+      obs::MetricsRegistry::global().histogram("pp_storage_compaction_ns");
+  return hist;
 }
 
 }  // namespace
@@ -84,6 +72,32 @@ DurableKvStore::DurableKvStore(DurableKvConfig config)
   if (config_.background_compaction) {
     compaction_thread_ = Thread([this] { compaction_thread_main(); });
   }
+  collector_ = obs::MetricsRegistry::global().collect(
+      {}, [this](const obs::Emit& emit) {
+        serving::emit_kv_stats(stats(), emit);
+        const DurableKvStats d = durable_stats();
+        emit("pp_durable_segments", d.segments);
+        emit("pp_durable_disk_bytes", d.disk_bytes);
+        emit("pp_durable_live_record_bytes", d.live_record_bytes);
+        emit("pp_durable_dead_bytes_sealed", d.dead_bytes_sealed);
+        emit("pp_durable_dead_bytes_active", d.dead_bytes_active);
+        emit("pp_durable_compactions", d.compactions);
+        emit("pp_durable_compacted_bytes_reclaimed",
+             d.compacted_bytes_reclaimed);
+        emit("pp_durable_recovered_records", d.recovered_records);
+        emit("pp_durable_torn_bytes_dropped", d.torn_bytes_dropped);
+        emit("pp_durable_crc_rejects", d.crc_rejects);
+        emit("pp_durable_orphans_removed", d.orphans_removed);
+        emit("pp_durable_rotations", d.rotations);
+        const SegmentLogStats l = log_stats();
+        emit("pp_storage_segments", l.segments);
+        emit("pp_storage_appended_records", l.appended_records);
+        emit("pp_storage_recovered_records", l.recovered_records);
+        emit("pp_storage_torn_bytes_dropped", l.torn_bytes_dropped);
+        emit("pp_storage_crc_rejects", l.crc_rejects);
+        emit("pp_storage_rotations", l.rotations);
+        emit("pp_storage_orphans_removed", l.orphans_removed);
+      });
 }
 
 DurableKvStore::~DurableKvStore() {
@@ -227,7 +241,7 @@ void DurableKvStore::compact() {
 
 void DurableKvStore::compact_locked() {
   if (log_.segment_count() <= 1) return;
-  obs::ScopedTimer compaction_timer(compaction_obs().duration);
+  obs::ScopedTimer compaction_timer(&compaction_hist());
   // Stream every live record that sits in a sealed segment into the
   // compacted output; records already in the active segment keep their
   // location. Index updates are staged and applied only after the commit
@@ -261,13 +275,6 @@ bool DurableKvStore::compaction_due() const {
 }
 
 void DurableKvStore::maybe_trigger_compaction() {
-  // Refresh the exported ratio on every mutation that can move it (one
-  // relaxed store; the division is noise next to the append just done).
-  const std::uint64_t disk = log_.disk_bytes();
-  compaction_obs().dead_ratio->set(
-      disk == 0 ? 0.0
-                : static_cast<double>(dead_bytes_sealed_ + dead_bytes_active_) /
-                      static_cast<double>(disk));
   if (!compaction_due()) return;
   if (config_.background_compaction) {
     compaction_requested_ = true;
@@ -287,6 +294,11 @@ void DurableKvStore::compaction_thread_main() {
     compaction_requested_ = false;
     compact_locked();
   }
+}
+
+SegmentLogStats DurableKvStore::log_stats() const {
+  MutexLock lock(mutex_);
+  return log_.stats();
 }
 
 DurableKvStats DurableKvStore::durable_stats() const {

@@ -26,7 +26,9 @@
 // exactly the in-memory codec payloads (int8 state records move between
 // the in-memory and durable tiers byte-identically). KvStats accounting
 // mirrors LocalKvStore field for field so serving-cost ledgers stay
-// comparable across backends.
+// comparable across backends. A live store reports its KvStats,
+// DurableKvStats and its log's SegmentLogStats to the global metrics
+// registry (pp_kv_*, pp_durable_*, pp_storage_*), summed across stores.
 #pragma once
 
 #include <optional>
@@ -104,6 +106,7 @@ class DurableKvStore final : public serving::KvStore {
   /// manifest. Blocks writers for the duration (same mutex).
   void compact();
   DurableKvStats durable_stats() const;
+  SegmentLogStats log_stats() const;
 
  private:
   void recover_record(std::string_view key, std::uint32_t flags,
@@ -136,6 +139,7 @@ class DurableKvStore final : public serving::KvStore {
   bool stop_ PP_GUARDED_BY(mutex_) = false;
   bool compaction_requested_ PP_GUARDED_BY(mutex_) = false;
   Thread compaction_thread_;
+  obs::Collector collector_;
 };
 
 }  // namespace pp::storage

@@ -53,6 +53,15 @@ ReplayJournal::ReplayJournal(ReplayJournalConfig config,
     ++replayed_;
     on_session(user_id, session_start, context, access);
   });
+  collector_ = obs::MetricsRegistry::global().collect(
+      {}, [this](const obs::Emit& emit) {
+        const ReplayJournalStats s = stats();
+        emit("pp_journal_appended", s.appended);
+        emit("pp_journal_replayed", s.replayed);
+        emit("pp_journal_decode_rejects", s.decode_rejects);
+        emit("pp_journal_torn_bytes_dropped", s.torn_bytes_dropped);
+        emit("pp_journal_crc_rejects", s.crc_rejects);
+      });
 }
 
 void ReplayJournal::append(

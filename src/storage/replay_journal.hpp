@@ -26,6 +26,7 @@
 #include <string>
 
 #include "data/dataset.hpp"
+#include "obs/metrics.hpp"
 #include "storage/segment_log.hpp"
 #include "util/mutex.hpp"
 
@@ -78,6 +79,7 @@ class ReplayJournal {
   std::size_t appended_ PP_GUARDED_BY(mutex_) = 0;
   std::size_t replayed_ PP_GUARDED_BY(mutex_) = 0;
   std::size_t decode_rejects_ PP_GUARDED_BY(mutex_) = 0;
+  obs::Collector collector_;  // pp_journal_<field>
 };
 
 }  // namespace pp::storage

@@ -422,13 +422,15 @@ namespace {
 /// deterministic (user-order) series merge. `Scorer` (scorer.hpp) supplies
 /// the numerics serving runs, so the f32 and int8 replays cannot drift
 /// apart in emission semantics (the prequential gate compares their series
-/// 1:1).
+/// 1:1). Every session is replayed, as serving replays it: the history cap
+/// bounds training cost only.
 template <typename Scorer>
 ScoredSeries replay_users(const Scorer& scorer, const data::Dataset& dataset,
                           std::span<const std::size_t> user_indices,
-                          const SequenceConfig& sequence_config,
-                          bool timeshift, std::int64_t emit_from,
-                          std::int64_t emit_to, std::size_t num_threads) {
+                          SequenceConfig sequence_config, bool timeshift,
+                          std::int64_t emit_from, std::int64_t emit_to,
+                          std::size_t num_threads) {
+  sequence_config.truncate_history = 0;
   std::vector<ScoredSeries> partial(user_indices.size());
   auto score_one = [&](std::size_t i) {
     const UserSequence seq =

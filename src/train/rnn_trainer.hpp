@@ -102,7 +102,9 @@ struct ScoredSeries {
 
 /// Tape-free scoring of every prediction of the given users; emits only
 /// predictions with timestamp in [emit_from, emit_to) (emit_to = 0 keeps
-/// all). Replays the lag-δ semantics exactly as in training.
+/// all). Replays the lag-δ semantics exactly as in training, over every
+/// session: sequence_config.truncate_history is ignored, as serving never
+/// truncates.
 ScoredSeries score_users(const RnnNetwork& network,
                          const data::Dataset& dataset,
                          std::span<const std::size_t> user_indices,

@@ -31,7 +31,8 @@ std::size_t feature_width(const data::ContextSchema& schema,
 struct SequenceConfig {
   std::size_t time_buckets = 50;
   FeatureMode feature_mode = FeatureMode::kFull;
-  /// Keep only the most recent N sessions (paper: 10000 for MPU).
+  /// Keep only the most recent N sessions (paper: 10000 for MPU; 0 keeps
+  /// all). Bounds training; the scoring replay (score_users) keeps all.
   std::size_t truncate_history = 10000;
   /// Predictions at/after this timestamp carry loss weight 1, others 0.
   std::int64_t loss_from = 0;

@@ -10,12 +10,18 @@ namespace pp {
 thread_local const ThreadPool* ThreadPool::current_pool_ = nullptr;
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  // Resolve instruments before spawning workers: the registry (a function-
-  // local static) is then constructed before this pool and destroyed after
-  // it, and no worker ever does a registry lookup.
+  // Resolve instruments before spawning workers: no worker ever does a
+  // registry lookup.
   auto& registry = obs::MetricsRegistry::global();
-  obs_queue_depth_ = &registry.gauge("pp_threadpool_queue_depth");
   obs_task_wait_ = &registry.histogram("pp_threadpool_task_wait_ns");
+  collector_ = registry.collect({}, [this](const obs::Emit& emit) {
+    std::size_t depth = 0;
+    {
+      MutexLock lock(mutex_);
+      depth = tasks_.size();
+    }
+    emit("pp_threadpool_queue_depth", depth);
+  });
   if (num_threads == 0) {
     num_threads = std::max<std::size_t>(1, Thread::hardware_concurrency());
   }
@@ -44,7 +50,6 @@ void ThreadPool::push_task(std::function<void()> fn) {
   {
     MutexLock lock(mutex_);
     tasks_.push(std::move(task));
-    obs_queue_depth_->set(static_cast<double>(tasks_.size()));
   }
   cv_.notify_one();
 }
@@ -59,7 +64,6 @@ void ThreadPool::worker_loop() {
       if (stop_ && tasks_.empty()) return;
       task = std::move(tasks_.front());
       tasks_.pop();
-      obs_queue_depth_->set(static_cast<double>(tasks_.size()));
     }
     if (task.timed) obs_task_wait_->record(task.waited.elapsed_ns());
     task.fn();

@@ -9,14 +9,10 @@
 #include <queue>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/mutex.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread.hpp"
-
-namespace pp::obs {
-class Gauge;
-class LatencyHistogram;
-}  // namespace pp::obs
 
 namespace pp {
 
@@ -72,8 +68,8 @@ class ThreadPool {
     bool timed = false;
   };
 
-  /// Non-template enqueue path (defined in the .cpp so the header needs no
-  /// obs dependency): queue push under the mutex + depth/wait bookkeeping.
+  /// Non-template enqueue path: queue push under the mutex + wait-time
+  /// bookkeeping.
   void push_task(std::function<void()> fn);
 
   void worker_loop();
@@ -85,10 +81,10 @@ class ThreadPool {
   Mutex mutex_;
   CondVar cv_;
   bool stop_ PP_GUARDED_BY(mutex_) = false;
-  // Process-global instruments (shared by all pools), resolved once in the
-  // constructor. Observe-only: queue depth + how long tasks sat queued.
-  obs::Gauge* obs_queue_depth_ = nullptr;
+  // Process-global histogram (shared by all pools), resolved once in the
+  // constructor. Observe-only: how long tasks sat queued.
   obs::LatencyHistogram* obs_task_wait_ = nullptr;
+  obs::Collector collector_;  // pp_threadpool_queue_depth, summed
 };
 
 }  // namespace pp

@@ -1,14 +1,17 @@
 // Serving-side contract of the obs layer, in the `obs` ctest tier:
 // per-stage histograms actually populate from a scored batch, the stage
-// sums tile the batch wall, and — the observe-only guarantee — scores are
-// bit-identical with instrumentation on and off.
+// sums tile the batch wall, collected series sum over live components
+// only, and — the observe-only guarantee — scores are bit-identical with
+// instrumentation on and off.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <future>
 #include <string>
 #include <vector>
 
 #include "data/generators.hpp"
+#include "ingest/event_bus.hpp"
 #include "obs/metrics.hpp"
 #include "serving/hidden_store.hpp"
 #include "serving/precompute_service.hpp"
@@ -224,19 +227,88 @@ TEST_F(ObsServingTest, ThreadPoolReportsQueueDepthAndTaskWait) {
       futures.push_back(pool.submit([] {}));
     }
     ThreadPool::wait_all(futures);
+    // The depth series exists while the pool lives (its instantaneous
+    // value is racy by nature — only presence and kind are contractual).
+    bool saw_depth = false;
+    for (const auto& m : obs::MetricsRegistry::global().snapshot()) {
+      if (m.name == "pp_threadpool_queue_depth") {
+        saw_depth = true;
+        EXPECT_EQ(m.kind, obs::MetricKind::kGauge);
+      }
+    }
+    EXPECT_TRUE(saw_depth);
   }
   const HistDelta after = hist_totals("pp_threadpool_task_wait_ns", {});
   EXPECT_EQ(after.count, before.count + 16);
-  // The depth gauge exists (its instantaneous value is racy by nature —
-  // only the series' presence and kind are contractual).
-  bool saw_depth = false;
+}
+
+/// Global-registry value of one (name, labels) series, 0 when absent.
+double gauge_value(const std::string& name,
+                   const obs::MetricsRegistry::Labels& labels) {
   for (const auto& m : obs::MetricsRegistry::global().snapshot()) {
-    if (m.name == "pp_threadpool_queue_depth") {
-      saw_depth = true;
-      EXPECT_EQ(m.kind, obs::MetricKind::kGauge);
-    }
+    if (m.name == name && m.labels == labels) return m.value;
   }
-  EXPECT_TRUE(saw_depth);
+  return 0;
+}
+
+TEST_F(ObsServingTest, ShardedKvStoreSeriesAreTheSumOfItsShards) {
+  const double writes_base = gauge_value("pp_kv_writes", {});
+  const double hits_base = gauge_value("pp_kv_hits", {});
+  {
+    ShardedKvStore store(4);
+    store.put("alpha", {1, 2, 3});
+    store.put("beta", {4});
+    store.get("alpha");
+    // Every write lands in exactly one shard; the shards' series add up.
+    EXPECT_EQ(gauge_value("pp_kv_writes", {}) - writes_base,
+              static_cast<double>(store.stats().writes));
+    EXPECT_EQ(gauge_value("pp_kv_hits", {}) - hits_base, 1.0);
+  }
+  EXPECT_EQ(gauge_value("pp_kv_writes", {}), writes_base);
+}
+
+/// A one-worker pool whose worker stays parked in a task until the
+/// destructor, so `depth` further submissions stay queued.
+struct ParkedPool {
+  explicit ParkedPool(int depth) {
+    std::promise<void> started;
+    futures.push_back(pool.submit([&started, gate = gate] {
+      started.set_value();
+      gate.wait();
+    }));
+    started.get_future().wait();
+    for (int i = 0; i < depth; ++i) futures.push_back(pool.submit([] {}));
+  }
+  ~ParkedPool() {
+    release.set_value();
+    ThreadPool::wait_all(futures);
+  }
+
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  ThreadPool pool{1};
+  std::vector<std::future<void>> futures;
+};
+
+TEST_F(ObsServingTest, QueueDepthsSumOverLiveInstancesOnly) {
+  const obs::MetricsRegistry::Labels lane0{{"lane", "0"}};
+  const double bus_base = gauge_value("pp_ingest_queue_depth", lane0);
+  const double pool_base = gauge_value("pp_threadpool_queue_depth", {});
+
+  ingest::EventBusConfig config;
+  config.num_lanes = 1;
+  ingest::EventBus survivor_bus(config);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(survivor_bus.publish(0, {1}));
+  ParkedPool survivor_pool(2);
+  {
+    ingest::EventBus bus(config);
+    for (int i = 0; i < 5; ++i) ASSERT_TRUE(bus.publish(0, {1}));
+    ParkedPool pool(4);
+    EXPECT_EQ(gauge_value("pp_ingest_queue_depth", lane0), bus_base + 8);
+    EXPECT_EQ(gauge_value("pp_threadpool_queue_depth", {}), pool_base + 6);
+  }
+  EXPECT_EQ(gauge_value("pp_ingest_queue_depth", lane0), bus_base + 3);
+  EXPECT_EQ(gauge_value("pp_threadpool_queue_depth", {}), pool_base + 2);
 }
 
 }  // namespace

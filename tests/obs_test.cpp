@@ -1,12 +1,16 @@
 // Correctness suite for the metrics layer (src/obs/): histogram bucket
 // math and percentile error bounds, lock-free recording under threads,
-// registry addressing/canonicalization/kind rules, and the two exposition
-// formats. Runs in the `obs` ctest tier.
+// registry addressing/canonicalization/kind rules, collector summing and
+// lock rules, and the two exposition formats. Runs in the `obs` ctest
+// tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <future>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -14,8 +18,6 @@
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "obs/stats_bridge.hpp"
-#include "serving/kv_store.hpp"
 
 namespace pp::obs {
 namespace {
@@ -229,6 +231,98 @@ TEST(MetricsRegistry, SnapshotIsSortedAndComplete) {
   EXPECT_EQ(snap[3].labels[0].second, "x");
 }
 
+// ------------------------------------------------------------ collectors
+
+/// Value of the (name, labels) series in `snap`, or -1 when absent.
+double series(const std::vector<MetricSnapshot>& snap, const std::string& name,
+              const MetricsRegistry::Labels& labels) {
+  for (const auto& m : snap) {
+    if (m.name == name && m.labels == labels) return m.value;
+  }
+  return -1;
+}
+
+TEST(Collectors, EqualSeriesSumWhileTheirHandlesLive) {
+  MetricsRegistry registry;
+  registry.gauge("pp_depth", {{"lane", "0"}}).set(1);
+  Collector a = registry.collect({{"lane", "0"}}, [](const Emit& emit) {
+    emit("pp_depth", 2);
+  });
+  auto b = std::make_unique<Collector>(
+      registry.collect({}, [](const Emit& emit) { emit("pp_depth", 7); }));
+  Collector c = registry.collect({{"lane", "0"}}, [](const Emit& emit) {
+    emit("pp_depth", 3);
+  });
+  auto snap = registry.snapshot();
+  EXPECT_EQ(series(snap, "pp_depth", {{"lane", "0"}}), 6.0);
+  EXPECT_EQ(series(snap, "pp_depth", {}), 7.0);
+  EXPECT_EQ(snap.size(), 2u);  // one series per (name, labels)
+
+  b.reset();
+  Collector moved = std::move(c);  // still registered, once
+  snap = registry.snapshot();
+  EXPECT_EQ(series(snap, "pp_depth", {{"lane", "0"}}), 6.0);
+  EXPECT_EQ(series(snap, "pp_depth", {}), -1.0);
+
+  a = Collector();  // overwriting a handle unregisters it
+  moved = Collector();
+  snap = registry.snapshot();
+  EXPECT_EQ(series(snap, "pp_depth", {{"lane", "0"}}), 1.0);
+  EXPECT_EQ(snap.size(), 1u);
+}
+
+TEST(Collectors, ValidateLabelsNamesAndFamilyKind) {
+  MetricsRegistry registry;
+  EXPECT_THROW(
+      (void)registry.collect({{"bad-key", "v"}}, [](const Emit&) {}),
+      std::invalid_argument);
+  {
+    Collector bad_name = registry.collect(
+        {}, [](const Emit& emit) { emit("has space", 1); });
+    EXPECT_THROW(registry.snapshot(), std::invalid_argument);
+  }
+  registry.counter("pp_requests_total").inc();
+  Collector clash = registry.collect(
+      {{"code", "200"}}, [](const Emit& emit) { emit("pp_requests_total", 1); });
+  EXPECT_THROW(registry.snapshot(), std::logic_error);
+}
+
+TEST(Collectors, RunUnderNoRegistryLockAndUnregisterWaitsOnlyForItsOwnCall) {
+  using namespace std::chrono_literals;
+  MetricsRegistry registry;
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  auto blocking = std::make_unique<Collector>(
+      registry.collect({}, [&, released](const Emit& emit) {
+        entered.set_value();
+        released.wait();
+        emit("pp_blocked", 1);
+      }));
+  auto scrape = std::async(std::launch::async,
+                           [&registry] { return registry.snapshot(); });
+  entered.get_future().wait();
+
+  // The collector is mid-call: instruments and other collectors can still
+  // be created and destroyed.
+  auto others = std::async(std::launch::async, [&registry] {
+    registry.counter("pp_created_total").inc();
+    Collector other =
+        registry.collect({}, [](const Emit& emit) { emit("pp_other", 1); });
+  });
+  EXPECT_EQ(others.wait_for(30s), std::future_status::ready);
+
+  // Its own handle waits for the call in flight.
+  auto destroy =
+      std::async(std::launch::async, [&blocking] { blocking.reset(); });
+  EXPECT_EQ(destroy.wait_for(50ms), std::future_status::timeout);
+  release.set_value();
+  EXPECT_EQ(destroy.wait_for(30s), std::future_status::ready);
+  const auto snap = scrape.get();
+  EXPECT_EQ(series(snap, "pp_blocked", {}), 1.0);
+  EXPECT_EQ(series(registry.snapshot(), "pp_blocked", {}), -1.0);
+}
+
 // ------------------------------------------------------ timing switches
 
 TEST(Sampling, PeriodOneSamplesEveryTick) {
@@ -376,37 +470,6 @@ TEST(Exporters, PrometheusEscapesLabelValues) {
   registry.counter("pp_esc_total", {{"path", "a\\b\"c\nd"}}).inc(1);
   const std::string text = render_prometheus(registry);
   EXPECT_NE(text.find("path=\"a\\\\b\\\"c\\nd\""), std::string::npos);
-}
-
-// ------------------------------------------------------------ stats bridge
-
-TEST(StatsBridge, ShardedKvBridgesAggregateAndPerShard) {
-  serving::ShardedKvStore store(4);
-  store.put("alpha", {1, 2, 3});
-  store.put("beta", {4});
-  store.get("alpha");
-  MetricsRegistry registry;
-  bridge_sharded_kv_stats(registry, store, {{"arm", "test"}});
-  const auto snap = registry.snapshot();
-  double aggregate_writes = -1;
-  double shard_writes = 0;
-  std::size_t shard_series = 0;
-  for (const auto& m : snap) {
-    if (m.name != "pp_kv_writes") continue;
-    bool per_shard = false;
-    for (const auto& [k, v] : m.labels) {
-      if (k == "shard") per_shard = true;
-    }
-    if (per_shard) {
-      ++shard_series;
-      shard_writes += m.value;
-    } else {
-      aggregate_writes = m.value;
-    }
-  }
-  EXPECT_EQ(aggregate_writes, 2.0);
-  EXPECT_EQ(shard_series, store.num_shards());
-  EXPECT_EQ(shard_writes, 2.0);  // every write in exactly one shard
 }
 
 }  // namespace

@@ -690,20 +690,24 @@ TEST(RnnPolicy, ServedScoresEqualOfflineReplayInBothPrecisions) {
   // score_q8, so those must be exactly what serving scores: replaying the
   // cohort through PrecomputeService with the dataset's update lag
   // (window = session_length, grace = update_latency) reproduces the
-  // offline replay bit for bit, in each precision.
+  // offline replay bit for bit, in each precision — also for a model whose
+  // history cap is below the longest user's session count (the cap bounds
+  // training; serving never truncates).
   data::MobileTabConfig config;
   config.num_users = 40;
   config.days = 6;
   const data::Dataset dataset = data::generate_mobile_tab(config);
   std::vector<std::size_t> users(dataset.users.size());
   std::iota(users.begin(), users.end(), 0);
+  std::size_t longest = 0;
+  for (const data::UserLog& user : dataset.users) {
+    longest = std::max(longest, user.sessions.size());
+  }
+  ASSERT_GT(longest, 2u);
   models::RnnModelConfig rnn_config;
   rnn_config.hidden_size = 12;
   rnn_config.mlp_hidden = 12;
   rnn_config.num_threads = 2;
-  models::RnnModel model(dataset, rnn_config);
-  model.fit(dataset, users);
-  model.enable_quantized_serving();
 
   struct Item {
     std::int64_t t;
@@ -719,40 +723,50 @@ TEST(RnnPolicy, ServedScoresEqualOfflineReplayInBothPrecisions) {
   std::stable_sort(stream.begin(), stream.end(),
                    [](const Item& a, const Item& b) { return a.t < b.t; });
 
-  for (const ScorePrecision precision :
-       {ScorePrecision::kFloat32, ScorePrecision::kInt8}) {
-    const bool int8 = precision == ScorePrecision::kInt8;
-    LocalKvStore kv;
-    HiddenStateStore store(kv,
-                           int8 ? StateCodec::kInt8 : StateCodec::kFloat32);
-    RnnPolicy policy(model, store, precision);
-    ScoreRecordingPolicy recorder(policy);
-    PrecomputeService service(recorder, 0.5, dataset.session_length,
-                              dataset.update_latency, dataset.start_time);
-    std::uint64_t session_id = 1;
-    for (const Item& item : stream) {
-      service.on_session_start(session_id, item.user, item.t,
-                               item.session->context);
-      if (item.session->access) {
-        service.on_access(session_id, item.t + dataset.session_length / 2);
+  for (const std::size_t truncate :
+       {rnn_config.truncate_history, longest / 2}) {
+    rnn_config.truncate_history = truncate;
+    models::RnnModel model(dataset, rnn_config);
+    model.fit(dataset, users);
+    model.enable_quantized_serving();
+    for (const ScorePrecision precision :
+         {ScorePrecision::kFloat32, ScorePrecision::kInt8}) {
+      const bool int8 = precision == ScorePrecision::kInt8;
+      LocalKvStore kv;
+      HiddenStateStore store(kv,
+                             int8 ? StateCodec::kInt8 : StateCodec::kFloat32);
+      RnnPolicy policy(model, store, precision);
+      ScoreRecordingPolicy recorder(policy);
+      PrecomputeService service(recorder, 0.5, dataset.session_length,
+                                dataset.update_latency, dataset.start_time);
+      std::uint64_t session_id = 1;
+      for (const Item& item : stream) {
+        service.on_session_start(session_id, item.user, item.t,
+                                 item.session->context);
+        if (item.session->access) {
+          service.on_access(session_id, item.t + dataset.session_length / 2);
+        }
+        ++session_id;
       }
-      ++session_id;
-    }
-    service.flush();
+      service.flush();
 
-    const train::ScoredSeries offline =
-        int8 ? model.score_q8(dataset, users) : model.score(dataset, users);
-    std::size_t i = 0;
-    for (const std::size_t u : users) {
-      for (const double served : recorder.served[u]) {
-        ASSERT_LT(i, offline.scores.size()) << policy.name();
-        EXPECT_EQ(served, offline.scores[i])
-            << policy.name() << " user " << u << " prediction " << i;
-        ++i;
+      const train::ScoredSeries offline =
+          int8 ? model.score_q8(dataset, users) : model.score(dataset, users);
+      std::size_t i = 0;
+      for (const std::size_t u : users) {
+        for (const double served : recorder.served[u]) {
+          ASSERT_LT(i, offline.scores.size())
+              << policy.name() << " truncate " << truncate;
+          EXPECT_EQ(served, offline.scores[i])
+              << policy.name() << " truncate " << truncate << " user " << u
+              << " prediction " << i;
+          ++i;
+        }
       }
+      EXPECT_EQ(i, offline.scores.size())
+          << policy.name() << " truncate " << truncate;
+      EXPECT_GT(i, 100u) << policy.name();
     }
-    EXPECT_EQ(i, offline.scores.size()) << policy.name();
-    EXPECT_GT(i, 100u) << policy.name();
   }
 }
 
