@@ -2,28 +2,34 @@
 # Project-specific lints, registered as ctest tests in the `lint` tier.
 #
 # Usage:
-#   ci/lint.sh --binary [build-dir]   # AVX2/AVX-512 containment in objects
+#   ci/lint.sh --binary [build-dir]   # AVX2/AVX-512/SSE4.2 containment
 #   ci/lint.sh --source               # raw sync primitives outside src/util/
 #
 # --binary  Machine-checks the TU-isolation rule behind the runtime-
 #           dispatched kernels (CMakeLists.txt): only the *_avx2.cpp TUs
-#           are compiled with -mavx2 -mfma and only the *_avx512.cpp TUs
-#           with -mavx512*, so no other object may contain a VEX-encoded
-#           AVX/FMA instruction and no object outside *_avx512 may contain
-#           AVX-512 code. If one does (an inlined std:: template
-#           instantiated in an ISA TU and picked from its COMDAT, a stray
-#           flag), the binary faults with SIGILL on older hosts before the
-#           runtime dispatcher ever runs. Disassembles every object:
-#           baseline objects fail on ymm/zmm registers, v-prefixed FMA /
-#           madd mnemonics or any AVX-512 mark; *_avx2 objects fail on an
-#           AVX-512 mark — zmm, a mask register k0-k7, xmm/ymm16-31 (an
-#           AVX-512VL encoding that needs no zmm) or vpdpbus*. The ISA
-#           objects double as control groups: *_avx2 must show the AVX2
-#           pattern and *_avx512 must show zmm or vpdpbusd, or the lint is
-#           vacuous. The *_avx512 control applies only when CMakeCache.txt
-#           records PP_AVX512_KERNELS_COMPILED=ON; a compiler without
-#           -mavx512vnni builds those TUs as abort stubs. Exits 77 (ctest
-#           SKIP) when no disassembler is on PATH.
+#           are compiled with -mavx2 -mfma, only the *_avx512.cpp TUs
+#           with -mavx512* and only the *_sse42.cpp TUs with -msse4.2, so
+#           no other object may contain a VEX-encoded AVX/FMA instruction,
+#           no object outside *_avx512 may contain AVX-512 code and no
+#           baseline object may contain the SSE4.2 crc32 instruction. If
+#           one does (an inlined std:: template instantiated in an ISA TU
+#           and picked from its COMDAT, a stray flag), the binary faults
+#           with SIGILL on older hosts before the runtime dispatcher ever
+#           runs. Disassembles every object: baseline objects fail on
+#           ymm/zmm registers, v-prefixed FMA / madd mnemonics, any
+#           AVX-512 mark or a crc32 mnemonic (the instruction, not the
+#           crc32c in symbol names); *_sse42 objects fail on the AVX2
+#           and AVX-512 patterns; *_avx2 objects fail on an AVX-512 mark —
+#           zmm, a mask register k0-k7, xmm/ymm16-31 (an AVX-512VL
+#           encoding that needs no zmm) or vpdpbus*. The ISA objects
+#           double as control groups: *_avx2 must show the AVX2 pattern,
+#           *_avx512 must show zmm or vpdpbusd and *_sse42 must show
+#           crc32, or the lint is vacuous. Each control applies only
+#           when CMakeCache.txt records its TUs as compiled with their
+#           ISA (PP_SIMD_KERNELS_COMPILED, PP_AVX512_KERNELS_COMPILED,
+#           PP_SSE42_KERNELS_COMPILED =ON); -DPP_SIMD_KERNELS=OFF or a
+#           compiler without the flag builds those TUs as stubs.
+#           Exits 77 (ctest SKIP) when no disassembler is on PATH.
 #
 # --source  Enforces the layering contract behind the Clang Thread Safety
 #           retrofit: outside src/util/, concurrency must go through the
@@ -63,12 +69,17 @@ binary_lint() {
   local avx2_pattern='%[yz]mm|\bvfn?m(add|sub)|\bvpmadd'
   local avx512_pattern='%zmm|%k[0-7]\b|%[xy]mm(1[6-9]|2[0-9]|3[01])\b|\bvpdpbus'
   local avx512_control='zmm|\bvpdpbusd'
+  # The mnemonic column: objdump prints a bare `crc32` for register
+  # operands and crc32b/w/l/q for memory ones; the leading blank keeps the
+  # crc32c in symbol names (pp::storage::crc32c) out.
+  local sse42_pattern='[[:space:]]crc32[bwlq]?[[:space:]]'
 
-  local baseline=() avx2=() avx512=()
+  local baseline=() avx2=() avx512=() sse42=()
   while IFS= read -r -d '' obj; do
     case "$(basename "${obj}")" in
       *_avx512*) avx512+=("${obj}") ;;
       *_avx2*) avx2+=("${obj}") ;;
+      *_sse42*) sse42+=("${obj}") ;;
       *) baseline+=("${obj}") ;;
     esac
   done < <(find "${build_dir}" -name '*.o' -path '*CMakeFiles*' \
@@ -94,13 +105,15 @@ binary_lint() {
       fi
     done
   }
+  check_clean "${avx2_pattern}|${avx512_pattern}|${sse42_pattern}" \
+    "AVX2/FMA/AVX-512/SSE4.2 crc32" "${baseline[@]}"
   check_clean "${avx2_pattern}|${avx512_pattern}" "AVX2/FMA/AVX-512" \
-    "${baseline[@]}"
+    ${sse42[@]+"${sse42[@]}"}
   check_clean "${avx512_pattern}" "AVX-512" ${avx2[@]+"${avx2[@]}"}
   if [[ "${bad}" -gt 0 ]]; then
     echo "binary lint: FAIL — ${bad} objects contain code beyond their ISA;" \
-         "only the *_avx2 TUs may use AVX2/FMA and only the *_avx512 TUs" \
-         "AVX-512 (see CMakeLists.txt)" >&2
+         "only the *_avx2 TUs may use AVX2/FMA, only the *_avx512 TUs" \
+         "AVX-512 and only the *_sse42 TUs crc32 (see CMakeLists.txt)" >&2
     exit 1
   fi
 
@@ -120,22 +133,30 @@ binary_lint() {
       fi
     done
   }
-  check_control "${avx2_pattern}" "AVX2/FMA" ${avx2[@]+"${avx2[@]}"}
-  local avx512_note
-  if grep -qx 'PP_AVX512_KERNELS_COMPILED:INTERNAL=ON' \
-       "${build_dir}/CMakeCache.txt" 2>/dev/null; then
-    check_control "${avx512_control}" "zmm/vpdpbusd" \
-      ${avx512[@]+"${avx512[@]}"}
-    avx512_note="${#avx512[@]} AVX-512 control objects show zmm/vpdpbusd"
-  else
-    avx512_note="${#avx512[@]} AVX-512 objects built as stubs (no"
-    avx512_note+=" PP_AVX512_KERNELS_COMPILED=ON in CMakeCache.txt), their"
-    avx512_note+=" control skipped"
-  fi
+  # Each control runs only when CMakeCache.txt records its TUs as built
+  # with their ISA; otherwise they are stubs and the control is skipped.
+  local notes=""
+  control_if_compiled() {
+    local cache_var="$1" pattern="$2" what="$3" class="$4"
+    shift 4
+    if grep -qx "${cache_var}:INTERNAL=ON" "${build_dir}/CMakeCache.txt" \
+         2>/dev/null; then
+      check_control "${pattern}" "${what}" "$@"
+      notes+=", $# ${class} control objects show ${what}"
+    else
+      notes+=", $# ${class} objects built as stubs (no ${cache_var}=ON in"
+      notes+=" CMakeCache.txt), their control skipped"
+    fi
+  }
+  control_if_compiled PP_SIMD_KERNELS_COMPILED "${avx2_pattern}" \
+    "AVX2/FMA" AVX2 ${avx2[@]+"${avx2[@]}"}
+  control_if_compiled PP_AVX512_KERNELS_COMPILED "${avx512_control}" \
+    "zmm/vpdpbusd" AVX-512 ${avx512[@]+"${avx512[@]}"}
+  control_if_compiled PP_SSE42_KERNELS_COMPILED "${sse42_pattern}" \
+    "crc32" SSE4.2 ${sse42[@]+"${sse42[@]}"}
 
-  echo "binary lint: OK — ${#baseline[@]} baseline objects clean," \
-       "${#avx2[@]} AVX2 control objects trip the pattern and show no" \
-       "AVX-512, ${avx512_note} (${objdump})"
+  echo "binary lint: OK — ${#baseline[@]} baseline objects clean${notes}" \
+       "(${objdump})"
 }
 
 source_lint() {

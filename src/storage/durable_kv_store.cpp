@@ -75,8 +75,9 @@ DurableKvStore::DurableKvStore(DurableKvConfig config)
   collector_ = obs::MetricsRegistry::global().collect(
       {}, [this](const obs::Emit& emit) {
         serving::emit_kv_stats(stats(), emit);
+        // The DurableKvStats fields copied from the log (segments,
+        // recovered_records, ...) are exported once, as its pp_storage_*.
         const DurableKvStats d = durable_stats();
-        emit("pp_durable_segments", d.segments);
         emit("pp_durable_disk_bytes", d.disk_bytes);
         emit("pp_durable_live_record_bytes", d.live_record_bytes);
         emit("pp_durable_dead_bytes_sealed", d.dead_bytes_sealed);
@@ -84,11 +85,6 @@ DurableKvStore::DurableKvStore(DurableKvConfig config)
         emit("pp_durable_compactions", d.compactions);
         emit("pp_durable_compacted_bytes_reclaimed",
              d.compacted_bytes_reclaimed);
-        emit("pp_durable_recovered_records", d.recovered_records);
-        emit("pp_durable_torn_bytes_dropped", d.torn_bytes_dropped);
-        emit("pp_durable_crc_rejects", d.crc_rejects);
-        emit("pp_durable_orphans_removed", d.orphans_removed);
-        emit("pp_durable_rotations", d.rotations);
         const SegmentLogStats l = log_stats();
         emit("pp_storage_segments", l.segments);
         emit("pp_storage_appended_records", l.appended_records);

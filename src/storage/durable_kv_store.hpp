@@ -28,7 +28,9 @@
 // mirrors LocalKvStore field for field so serving-cost ledgers stay
 // comparable across backends. A live store reports its KvStats,
 // DurableKvStats and its log's SegmentLogStats to the global metrics
-// registry (pp_kv_*, pp_durable_*, pp_storage_*), summed across stores.
+// registry (pp_kv_*, pp_durable_*, pp_storage_*), summed across stores;
+// the DurableKvStats fields copied from the log go out once, as
+// pp_storage_*.
 #pragma once
 
 #include <optional>
@@ -72,6 +74,8 @@ struct DurableKvStats {
   std::size_t dead_bytes_active = 0;
   std::size_t compactions = 0;
   std::size_t compacted_bytes_reclaimed = 0;
+  // Copies of the log's SegmentLogStats (segments too), for callers that
+  // read one struct; the metrics registry sees them only as pp_storage_*.
   std::size_t recovered_records = 0;
   std::size_t torn_bytes_dropped = 0;
   std::size_t crc_rejects = 0;

@@ -1,5 +1,6 @@
 #include "storage/replay_journal.hpp"
 
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -68,14 +69,19 @@ void ReplayJournal::append(
     std::uint64_t user_id, std::int64_t session_start,
     const std::array<std::uint32_t, data::kMaxContextFields>& context,
     bool access) {
-  BinaryWriter writer;
-  writer.reserve(kRecordValueBytes);
-  writer.write_u64(user_id);
-  writer.write_i64(session_start);
-  for (const std::uint32_t c : context) writer.write_u32(c);
-  writer.write_pod<std::uint8_t>(access ? 1 : 0);
+  // The fixed-size record is encoded on the stack, field by field in the
+  // byte order BinaryReader decodes at replay.
+  std::array<std::uint8_t, kRecordValueBytes> record{};
+  std::uint8_t* p = record.data();
+  std::memcpy(p, &user_id, sizeof(user_id));
+  p += sizeof(user_id);
+  std::memcpy(p, &session_start, sizeof(session_start));
+  p += sizeof(session_start);
+  std::memcpy(p, context.data(),
+              data::kMaxContextFields * sizeof(std::uint32_t));
+  record.back() = access ? 1 : 0;
   MutexLock lock(mutex_);
-  log_.append({}, writer.bytes(), 0);
+  log_.append({}, record, 0);
   ++appended_;
 }
 

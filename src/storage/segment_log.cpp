@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -278,35 +279,46 @@ void SegmentLog::append_to(Segment& seg, std::string_view key,
     throw std::invalid_argument("SegmentLog: record exceeds framing bounds");
   }
   const std::size_t total = kRecordHeaderBytes + key.size() + value.size();
-  std::vector<std::uint8_t> rec(total);
-  store_u32(rec.data(), kRecordMagic);
-  store_u32(rec.data() + 4, flags);
-  store_u32(rec.data() + 8, static_cast<std::uint32_t>(key.size()));
-  store_u32(rec.data() + 12, static_cast<std::uint32_t>(value.size()));
-  // Empty keys (journal records) and empty values are legal; their spans
-  // carry a null data() that memcpy must not see even for n == 0.
-  if (!key.empty()) {
-    std::memcpy(rec.data() + kRecordHeaderBytes, key.data(), key.size());
-  }
-  if (!value.empty()) {
-    std::memcpy(rec.data() + kRecordHeaderBytes + key.size(), value.data(),
-                value.size());
-  }
-  const std::uint32_t crc =
-      crc32c(rec.data() + kRecordHeaderBytes, key.size() + value.size(),
-             crc32c(rec.data() + 4, 12));
-  store_u32(rec.data() + 16, crc);
+  // The record goes out as three parts straight from the caller's spans,
+  // header on the stack, so an append allocates nothing. Empty keys
+  // (journal records) and empty values are legal; their null data() is
+  // never read for n == 0.
+  std::uint8_t header[kRecordHeaderBytes] = {};
+  store_u32(header, kRecordMagic);
+  store_u32(header + 4, flags);
+  store_u32(header + 8, static_cast<std::uint32_t>(key.size()));
+  store_u32(header + 12, static_cast<std::uint32_t>(value.size()));
+  std::uint32_t crc = crc32c(header + 4, 12);
+  crc = crc32c(key.data(), key.size(), crc);
+  crc = crc32c(value.data(), value.size(), crc);
+  store_u32(header + 16, crc);
 
+  iovec iov[3] = {
+      {header, kRecordHeaderBytes},
+      {const_cast<char*>(key.data()), key.size()},
+      {const_cast<std::uint8_t*>(value.data()), value.size()}};
+  iovec* next = iov;
+  std::size_t parts = 3;
   std::size_t done = 0;
   while (done < total) {
-    const ssize_t n =
-        ::pwrite(seg.fd, rec.data() + done, total - done,
-                 static_cast<off_t>(seg.size + done));
+    const ssize_t n = ::pwritev(seg.fd, next, static_cast<int>(parts),
+                                static_cast<off_t>(seg.size + done));
     if (n < 0) {
       if (errno == EINTR) continue;
-      fail("pwrite", "seg-" + std::to_string(seg.id), errno);
+      fail("pwritev", "seg-" + std::to_string(seg.id), errno);
     }
     done += static_cast<std::size_t>(n);
+    // Short write: skip the parts written in full, resume inside the next.
+    auto left = static_cast<std::size_t>(n);
+    while (parts > 0 && left >= next->iov_len) {
+      left -= next->iov_len;
+      ++next;
+      --parts;
+    }
+    if (parts > 0) {
+      next->iov_base = static_cast<char*>(next->iov_base) + left;
+      next->iov_len -= left;
+    }
   }
   if (loc != nullptr) {
     loc->segment_id = seg.id;

@@ -109,6 +109,8 @@ class SegmentLog {
   /// exactly once, before any append/read.
   void open(const ScanCallback& on_record);
 
+  /// Frames and writes one record with a single pwritev straight from
+  /// `key` and `value` (header on the stack): allocates nothing.
   RecordLocation append(std::string_view key,
                         std::span<const std::uint8_t> value,
                         std::uint32_t flags = 0);

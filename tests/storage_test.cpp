@@ -13,6 +13,8 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -36,6 +38,7 @@
 #include "storage/segment_log.hpp"
 #include "tensor/matrix.hpp"
 #include "util/rng.hpp"
+#include "util/serialize.hpp"
 
 namespace pp::storage {
 namespace {
@@ -87,10 +90,13 @@ std::vector<std::uint8_t> value_of(std::size_t i) {
 
 TEST(Crc32c, KnownAnswer) {
   // The Castagnoli check value every CRC-32C implementation must produce
-  // (RFC 3720 appendix-level constant).
+  // (RFC 3720 appendix-level constant), from the dispatched entry point
+  // and from the table lane every host runs.
   const char data[] = "123456789";
   EXPECT_EQ(crc32c(data, 9), 0xE3069283u);
   EXPECT_EQ(crc32c(data, 0), 0x00000000u);
+  EXPECT_EQ(detail::crc32c_table(data, 9, 0), 0xE3069283u);
+  EXPECT_EQ(detail::crc32c_table(data, 0, 0), 0x00000000u);
 }
 
 TEST(Crc32c, SeedChainsAcrossSplits) {
@@ -101,6 +107,77 @@ TEST(Crc32c, SeedChainsAcrossSplits) {
   for (std::size_t split = 0; split <= text.size(); ++split) {
     const std::uint32_t left = crc32c(text.data(), split);
     EXPECT_EQ(crc32c(text.data() + split, text.size() - split, left), whole);
+  }
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+TEST(Crc32cSse42, MatchesTableLaneOnEveryLengthOffsetAndChain) {
+  // The hardware lane must be bit-identical to the table lane: on-disk
+  // records and wire frames written on one host are read on another.
+  if (!detail::crc32c_sse42_available()) {
+    GTEST_SKIP() << "host lacks SSE4.2 (or crc32c_sse42.cpp was built "
+                    "without -msse4.2): the hardware lane cannot run here";
+  }
+  const char check[] = "123456789";
+  EXPECT_EQ(detail::crc32c_sse42(check, 9, 0), 0xE3069283u);
+  EXPECT_EQ(detail::crc32c_sse42(check, 0, 0), 0x00000000u);
+
+  // Every length 0..1024 plus 4 KiB and 1 MiB, at every start offset
+  // modulo the 8-byte word, from several data and CRC seeds.
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  Rng seeds(2020);
+  for (const std::uint64_t data_seed : {1u, 2u}) {
+    const std::vector<std::uint8_t> bytes = random_bytes(kMiB + 8, data_seed);
+    for (const std::uint32_t seed :
+         {0u, 0xFFFFFFFFu, static_cast<std::uint32_t>(seeds())}) {
+      for (std::size_t offset = 0; offset < 8; ++offset) {
+        const std::uint8_t* p = bytes.data() + offset;
+        std::vector<std::size_t> lengths;
+        for (std::size_t n = 0; n <= 1024; ++n) lengths.push_back(n);
+        lengths.push_back(4096);
+        lengths.push_back(kMiB);
+        for (const std::size_t n : lengths) {
+          ASSERT_EQ(detail::crc32c_sse42(p, n, seed),
+                    detail::crc32c_table(p, n, seed))
+              << "data seed " << data_seed << ", crc seed " << seed
+              << ", offset " << offset << ", length " << n;
+        }
+      }
+    }
+  }
+
+  // Chained calls over random cuts (zero-length parts included) equal
+  // one pass, on each lane and with the lanes alternating part by part;
+  // the dispatched entry point runs the hardware lane here.
+  const std::vector<std::uint8_t> bytes = random_bytes(8192, 3);
+  Rng rng(21);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::uint8_t* p = bytes.data() + rng() % 8;
+    const std::size_t n = rng() % 8000;
+    const std::uint32_t whole = detail::crc32c_table(p, n, 0);
+    std::uint32_t hw = 0;
+    std::uint32_t table = 0;
+    std::uint32_t mixed = 0;
+    bool hw_part = (rng() & 1u) != 0;
+    for (std::size_t pos = 0; pos < n;) {
+      const std::size_t len = std::min<std::size_t>(n - pos, rng() % 300);
+      hw = detail::crc32c_sse42(p + pos, len, hw);
+      table = detail::crc32c_table(p + pos, len, table);
+      mixed = hw_part ? detail::crc32c_sse42(p + pos, len, mixed)
+                      : detail::crc32c_table(p + pos, len, mixed);
+      hw_part = !hw_part;
+      pos += len;
+    }
+    ASSERT_EQ(hw, whole) << "trial " << trial;
+    ASSERT_EQ(table, whole) << "trial " << trial;
+    ASSERT_EQ(mixed, whole) << "trial " << trial;
+    ASSERT_EQ(crc32c(p, n), whole) << "trial " << trial;
   }
 }
 
@@ -784,6 +861,114 @@ TEST(ReplayJournal, TornTailDroppedAndDecodeRejectsCounted) {
                         });
   EXPECT_EQ(replayed, 10u);  // the chopped record was the garbage one
   EXPECT_GT(journal.stats().torn_bytes_dropped, 0u);
+}
+
+// ------------------------------------------------------ on-disk format pin
+
+/// The segment files and MANIFEST a log must hold, framed here from the
+/// layout in segment_log.hpp with the table CRC lane, whatever lane the
+/// log itself ran.
+struct LogImage {
+  std::size_t segment_bytes = 0;
+  std::vector<std::vector<std::uint8_t>> segments{{}};
+
+  void append(std::string_view key, std::span<const std::uint8_t> value,
+              std::uint32_t flags) {
+    std::vector<std::uint8_t> rec(kRecordHeaderBytes);
+    const auto put_u32 = [&rec](std::size_t at, std::size_t v) {
+      const auto u = static_cast<std::uint32_t>(v);
+      std::memcpy(rec.data() + at, &u, sizeof(u));
+    };
+    put_u32(0, kRecordMagic);
+    put_u32(4, flags);
+    put_u32(8, key.size());
+    put_u32(12, value.size());
+    rec.insert(rec.end(), key.begin(), key.end());
+    rec.insert(rec.end(), value.begin(), value.end());
+    put_u32(16, detail::crc32c_table(
+                    rec.data() + kRecordHeaderBytes,
+                    rec.size() - kRecordHeaderBytes,
+                    detail::crc32c_table(rec.data() + 4, 12, 0)));
+    // Rotation: a record that would overflow a non-empty segment opens
+    // the next one.
+    if (!segments.back().empty() &&
+        segments.back().size() + rec.size() > segment_bytes) {
+      segments.emplace_back();
+    }
+    segments.back().insert(segments.back().end(), rec.begin(), rec.end());
+  }
+
+  void expect_on_disk(const std::string& dir) const {
+    std::string manifest = "PPMANIFEST 1\n";
+    for (std::size_t i = 0; i < segments.size(); ++i) {
+      char name[32];
+      std::snprintf(name, sizeof(name), "seg-%06zu.log", i + 1);
+      manifest += std::string(name) + "\n";
+      EXPECT_EQ(slurp(dir + "/" + name), segments[i]) << name;
+    }
+    EXPECT_EQ(slurp(dir + "/MANIFEST"),
+              std::vector<std::uint8_t>(manifest.begin(), manifest.end()));
+    std::size_t segment_files = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().filename().string().rfind("seg-", 0) == 0) {
+        ++segment_files;
+      }
+    }
+    EXPECT_EQ(segment_files, segments.size());
+  }
+};
+
+TEST(SegmentLogFormat, SeededLogsEqualTheirTableLaneFraming) {
+  // Pins the bytes: a seeded run of puts, overwrites, empty values,
+  // tombstones and rotations through DurableKvStore, and journaled
+  // sessions through ReplayJournal (value encoded by BinaryWriter, the
+  // layout BinaryReader decodes at replay), equal the reference framing.
+  TempDir dir("format");
+  DurableKvConfig kv_config;
+  kv_config.dir = dir.sub("kv");
+  kv_config.segment_bytes = 1024;
+  kv_config.compact_dead_ratio = 0;  // no compaction: appends only
+  LogImage kv_image{kv_config.segment_bytes};
+  {
+    DurableKvStore kv(kv_config);
+    Rng rng(20);
+    for (int op = 0; op < 400; ++op) {
+      const std::string key = "user" + std::to_string(rng() % 24);
+      if (rng() % 5 == 0 && kv.contains(key)) {
+        kv.erase(key);
+        kv_image.append(key, {}, kFlagTombstone);
+        continue;
+      }
+      const std::size_t len = rng() % 200;  // 0 included: empty values
+      std::vector<std::uint8_t> value = random_bytes(len, rng());
+      kv_image.append(key, value, 0);
+      kv.put(key, std::move(value));
+    }
+  }
+  EXPECT_GT(kv_image.segments.size(), 20u);  // rotated throughout
+  kv_image.expect_on_disk(kv_config.dir);
+
+  ReplayJournalConfig journal_config;
+  journal_config.dir = dir.sub("replay");
+  // Nine 33-byte sessions fill a segment exactly: the rotation boundary.
+  journal_config.segment_bytes = 9 * (kRecordHeaderBytes + 33);
+  LogImage journal_image{journal_config.segment_bytes};
+  {
+    ReplayJournal journal(journal_config, [](auto...) {});
+    feed_stream(40, 0,
+                [&](std::uint64_t user, std::int64_t t, const auto& context,
+                    bool access) {
+                  journal.append(user, t, context, access);
+                  BinaryWriter value;
+                  value.write_u64(user);
+                  value.write_i64(t);
+                  for (const std::uint32_t c : context) value.write_u32(c);
+                  value.write_pod<std::uint8_t>(access ? 1 : 0);
+                  journal_image.append({}, value.bytes(), 0);
+                });
+  }
+  EXPECT_GT(journal_image.segments.size(), 3u);
+  journal_image.expect_on_disk(journal_config.dir);
 }
 
 }  // namespace
