@@ -105,68 +105,13 @@ void BM_RnnHiddenUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_RnnHiddenUpdate);
 
-/// Batched session-start scoring through the [B x d] RNNpredict path: one
-/// GEMM amortized across the cohort instead of B gemv calls. Throughput is
-/// per session (items/s), directly comparable with BM_RnnPredict.
-void BM_RnnPredictBatched(benchmark::State& state) {
-  Fixture& f = Fixture::get();
-  const auto& net = f.rnn->network();
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  Rng rng(5);
-  const tensor::Matrix hidden_block =
-      tensor::Matrix::randn(batch, net.config().hidden_size, rng, 0, 0.3f);
-  const tensor::Matrix x_block = tensor::Matrix::rand_uniform(
-      batch, net.config().predict_input_size(), rng, 0, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net.infer_logits(hidden_block, x_block));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * batch));
-  state.counters["batch"] = static_cast<double>(batch);
-}
-BENCHMARK(BM_RnnPredictBatched)->Arg(1)->Arg(8)->Arg(64)->Arg(256);
-
-/// End-to-end batched policy scoring (KV lookups included): the serving
-/// entry the §9 cost ledger meters.
-void BM_RnnPolicyScoreSessions(benchmark::State& state) {
-  Fixture& f = Fixture::get();
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  serving::LocalKvStore kv;
-  serving::HiddenStateStore store(kv);
-  serving::RnnPolicy policy(*f.rnn, store);
-  std::vector<serving::SessionStart> starts;
-  for (std::size_t b = 0; b < batch; ++b) {
-    serving::SessionStart s;
-    s.session_id = b;
-    s.user_id = b % 100;
-    s.t = f.dataset.end_time + static_cast<std::int64_t>(b);
-    s.context = {static_cast<std::uint32_t>(b % 4), 0, 0, 0};
-    starts.push_back(s);
-  }
-  // Warm half of the cohort so lookups mix hits and cold misses.
-  for (std::size_t u = 0; u < 50; ++u) {
-    serving::JoinedSession joined;
-    joined.session_id = 10000 + u;
-    joined.user_id = u;
-    joined.session_start = f.dataset.end_time - 3600;
-    joined.access = u % 2 == 0;
-    policy.on_session_complete(joined);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(policy.score_sessions(starts));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * batch));
-}
-BENCHMARK(BM_RnnPolicyScoreSessions)->Arg(1)->Arg(64)->Arg(256);
-
 /// The sharded, multi-threaded serving driver: one PrecomputeService over
 /// a ShardedKvStore, batches of session starts partitioned user-affinely
 /// across a ThreadPool (threads x shards sweep). Throughput is sessions/s
 /// end to end — scoring, joiner feed, and (via the advance) the hidden
 /// updates of the previous batch. threads=1 with shards=1 is the
 /// single-threaded batched baseline the >1.5x-at-4-threads target is
-/// measured against.
+/// measured against. The only measurement of the service's pool fan-out.
 void BM_ShardedServing(benchmark::State& state) {
   Fixture& f = Fixture::get();
   const auto threads = static_cast<std::size_t>(state.range(0));
@@ -227,7 +172,8 @@ BENCHMARK(BM_ShardedServing)
 /// per-user state record bytes and the state-vector bytes per dimension
 /// (4 in f32, 1 + amortized scale in int8 — the §9 "single bytes instead
 /// of floating-point numbers" claim); throughput is sessions/s, directly
-/// comparable across the two precisions.
+/// comparable across the two precisions. The only batched (64, 256)
+/// scoring measurement in either precision.
 void BM_QuantizedScoring(benchmark::State& state) {
   Fixture& f = Fixture::get();
   const bool q8 = state.range(0) != 0;

@@ -238,16 +238,10 @@ MetricsRegistry::Entry& MetricsRegistry::get_or_create(std::string_view name,
     entry.kind = kind;
     entry.name = std::string(name);
     entry.labels = std::move(labels);
-    switch (kind) {
-      case MetricKind::kCounter:
-        entry.counter = std::make_unique<Counter>();
-        break;
-      case MetricKind::kGauge:
-        entry.gauge = std::make_unique<Gauge>();
-        break;
-      case MetricKind::kHistogram:
-        entry.histogram = std::make_unique<LatencyHistogram>();
-        break;
+    if (kind == MetricKind::kCounter) {
+      entry.counter = std::make_unique<Counter>();
+    } else {
+      entry.histogram = std::make_unique<LatencyHistogram>();
     }
   }
   return entry;
@@ -255,10 +249,6 @@ MetricsRegistry::Entry& MetricsRegistry::get_or_create(std::string_view name,
 
 Counter& MetricsRegistry::counter(std::string_view name, Labels labels) {
   return *get_or_create(name, std::move(labels), MetricKind::kCounter).counter;
-}
-
-Gauge& MetricsRegistry::gauge(std::string_view name, Labels labels) {
-  return *get_or_create(name, std::move(labels), MetricKind::kGauge).gauge;
 }
 
 LatencyHistogram& MetricsRegistry::histogram(std::string_view name,
@@ -287,16 +277,10 @@ std::vector<MetricSnapshot> MetricsRegistry::snapshot() const {
       snap.name = entry.name;
       snap.labels = entry.labels;
       snap.kind = entry.kind;
-      switch (entry.kind) {
-        case MetricKind::kCounter:
-          snap.value = static_cast<double>(entry.counter->value());
-          break;
-        case MetricKind::kGauge:
-          snap.value = entry.gauge->value();
-          break;
-        case MetricKind::kHistogram:
-          snap.hist = entry.histogram->snapshot();
-          break;
+      if (entry.kind == MetricKind::kCounter) {
+        snap.value = static_cast<double>(entry.counter->value());
+      } else {
+        snap.hist = entry.histogram->snapshot();
       }
       out.push_back(std::move(snap));
     }
@@ -398,7 +382,7 @@ MetricsRegistry& MetricsRegistry::global() {
 // ---------------------------------------------------------------------------
 // Timing helpers.
 
-thread_local bool SampledSection::active_ = false;
+constinit thread_local bool SampledSection::active_ = false;
 
 TraceSpan::TraceSpan(std::initializer_list<LatencyHistogram*> stages,
                      LatencyHistogram* total)

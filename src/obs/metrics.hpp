@@ -1,11 +1,11 @@
-// Process-wide metrics layer: typed instruments (Counter / Gauge /
-// LatencyHistogram) addressed by name + static label set through a
-// MetricsRegistry, collectors that read a live component's *Stats at
+// Process-wide metrics layer: typed instruments (Counter / LatencyHistogram)
+// addressed by name + static label set through a MetricsRegistry,
+// collectors that read a live component's *Stats as gauge series at
 // snapshot time, plus the timing helpers (ScopedTimer / TraceSpan /
 // SampledSection) that instrument the serving hot path as named stages.
 //
 // Observe-only contract:
-//   * Recording NEVER blocks the recorded path: Counter::inc, Gauge::set and
+//   * Recording NEVER blocks the recorded path: Counter::inc and
 //     LatencyHistogram::record are lock-free (relaxed atomics). The registry
 //     mutex is taken only on instrument *creation* (once per name+labels,
 //     cached by callers) and on snapshot/export. A collector reads its
@@ -40,7 +40,7 @@ namespace pp::obs {
 // tests/benches).
 
 /// False when PP_OBS_DISABLED=1: every ScopedTimer/TraceSpan disarms and
-/// sample_tick() always returns false. Counters/gauges stay live — they are
+/// sample_tick() always returns false. Counters stay live — they are
 /// O(1 relaxed add) and the bench overhead budget is about clock reads.
 bool timing_enabled();
 void set_timing_enabled(bool enabled);
@@ -89,21 +89,6 @@ class Counter {
   static std::size_t shard_index();
 
   Shard shards_[kShards];
-};
-
-/// Last-write-wins double value.
-class Gauge {
- public:
-  Gauge() = default;
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
-  void set(double v) { v_.store(v, std::memory_order_relaxed); }
-  void add(double d) { v_.fetch_add(d, std::memory_order_relaxed); }
-  double value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> v_{0.0};
 };
 
 /// Merged view of one histogram at one instant. Buckets are non-cumulative
@@ -173,6 +158,7 @@ class LatencyHistogram {
 // ---------------------------------------------------------------------------
 // Registry.
 
+/// kGauge is every collected series (see MetricsRegistry::collect).
 enum class MetricKind { kCounter, kGauge, kHistogram };
 
 struct MetricSnapshot {
@@ -233,14 +219,13 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   Counter& counter(std::string_view name, Labels labels = {});
-  Gauge& gauge(std::string_view name, Labels labels = {});
   LatencyHistogram& histogram(std::string_view name, Labels labels = {});
 
   /// Runs `fn` at every snapshot() while the returned handle lives; each
   /// emit(name, value) is one gauge series under `labels`. Series of equal
-  /// name and labels (several live components, or a gauge instrument) are
-  /// summed. `fn` runs under no registry lock, so it may take its owner's
-  /// short lock; it must not destroy its own handle.
+  /// name and labels (several live components) are summed. `fn` runs under
+  /// no registry lock, so it may take its owner's short lock; it must not
+  /// destroy its own handle.
   [[nodiscard]] Collector collect(Labels labels, CollectFn fn)
       PP_EXCLUDES(collectors_mutex_);
 
@@ -262,7 +247,6 @@ class MetricsRegistry {
     std::string name;
     std::vector<std::pair<std::string, std::string>> labels;
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<LatencyHistogram> histogram;
   };
 
@@ -301,7 +285,8 @@ class SampledSection {
   static bool active() { return active_; }
 
  private:
-  static thread_local bool active_;
+  // constinit: reads skip the TLS init check UBSan flags at -O2 (null load).
+  static constinit thread_local bool active_;
   bool prev_;
 };
 

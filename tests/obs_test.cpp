@@ -142,7 +142,7 @@ TEST(LatencyHistogram, ThreadedRecordPreservesEveryCount) {
   EXPECT_EQ(bucket_total, s.count);
 }
 
-// ------------------------------------------------------- counter / gauge
+// ---------------------------------------------------------------- counter
 
 TEST(Counter, ThreadedIncrementsAreExact) {
   Counter c;
@@ -159,17 +159,6 @@ TEST(Counter, ThreadedIncrementsAreExact) {
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kPerThread);
   c.inc(42);
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kPerThread + 42);
-}
-
-TEST(Gauge, SetAndAdd) {
-  Gauge g;
-  EXPECT_EQ(g.value(), 0.0);
-  g.set(3.5);
-  EXPECT_EQ(g.value(), 3.5);
-  g.add(1.5);
-  EXPECT_EQ(g.value(), 5.0);
-  g.set(-1.0);
-  EXPECT_EQ(g.value(), -1.0);
 }
 
 // --------------------------------------------------------------- registry
@@ -189,7 +178,7 @@ TEST(MetricsRegistry, KindConflictThrows) {
   MetricsRegistry registry;
   registry.counter("pp_conflict", {{"a", "1"}});
   // Same family, different kind — even under different labels.
-  EXPECT_THROW(registry.gauge("pp_conflict", {{"a", "2"}}),
+  EXPECT_THROW(registry.histogram("pp_conflict", {{"a", "2"}}),
                std::invalid_argument);
   EXPECT_THROW(registry.histogram("pp_conflict"), std::invalid_argument);
   // Same (name, labels), same kind: fine, returns the same instrument.
@@ -214,7 +203,8 @@ TEST(MetricsRegistry, ValidatesNamesAndLabelKeys) {
 TEST(MetricsRegistry, SnapshotIsSortedAndComplete) {
   MetricsRegistry registry;
   registry.counter("pp_b_total").inc(2);
-  registry.gauge("pp_a_gauge").set(1.5);
+  Collector gauge =
+      registry.collect({}, [](const Emit& emit) { emit("pp_a_gauge", 1.5); });
   registry.histogram("pp_c_ns", {{"stage", "x"}}).record(100);
   registry.histogram("pp_c_ns", {{"stage", "a"}}).record(200);
   const auto snap = registry.snapshot();
@@ -244,7 +234,9 @@ double series(const std::vector<MetricSnapshot>& snap, const std::string& name,
 
 TEST(Collectors, EqualSeriesSumWhileTheirHandlesLive) {
   MetricsRegistry registry;
-  registry.gauge("pp_depth", {{"lane", "0"}}).set(1);
+  Collector base = registry.collect({{"lane", "0"}}, [](const Emit& emit) {
+    emit("pp_depth", 1);
+  });
   Collector a = registry.collect({{"lane", "0"}}, [](const Emit& emit) {
     emit("pp_depth", 2);
   });
@@ -393,7 +385,8 @@ TEST(TraceSpanTest, StagesTileTheWall) {
 TEST(Exporters, JsonIsWellFormedAndComplete) {
   MetricsRegistry registry;
   registry.counter("pp_requests_total", {{"code", "200"}}).inc(7);
-  registry.gauge("pp_depth").set(2.5);
+  Collector depth =
+      registry.collect({}, [](const Emit& emit) { emit("pp_depth", 2.5); });
   auto& h = registry.histogram("pp_lat_ns", {{"stage", "a\"b\\c\n"}});
   h.record(100);
   h.record(200);
@@ -407,6 +400,8 @@ TEST(Exporters, JsonIsWellFormedAndComplete) {
   EXPECT_NE(json.find("\"pp_requests_total\""), std::string::npos);
   EXPECT_NE(json.find("\"value\": 7"), std::string::npos);
   EXPECT_NE(json.find("\"pp_depth\""), std::string::npos);
+  EXPECT_NE(json.find("\"type\": \"gauge\", \"value\": 2.5"),
+            std::string::npos);
   EXPECT_NE(json.find("\"count\": 2"), std::string::npos);
   // The quote, backslash and newline in the label value must be escaped —
   // a raw one would break the document.
@@ -417,7 +412,8 @@ TEST(Exporters, PrometheusExpositionFormatIsValid) {
   MetricsRegistry registry;
   registry.counter("pp_requests_total", {{"code", "200"}}).inc(3);
   registry.counter("pp_requests_total", {{"code", "500"}}).inc(1);
-  registry.gauge("pp_depth").set(4.0);
+  Collector depth =
+      registry.collect({}, [](const Emit& emit) { emit("pp_depth", 4.0); });
   auto& h = registry.histogram("pp_lat_ns");
   h.record(5);
   h.record(5000);
@@ -433,7 +429,8 @@ TEST(Exporters, PrometheusExpositionFormatIsValid) {
   }
   EXPECT_EQ(type_requests, 1u);
   EXPECT_NE(text.find("# TYPE pp_requests_total counter"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE pp_depth gauge"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE pp_depth gauge\npp_depth 4\n"),
+            std::string::npos);
   EXPECT_NE(text.find("# TYPE pp_lat_ns histogram"), std::string::npos);
   EXPECT_NE(text.find("pp_requests_total{code=\"200\"} 3"), std::string::npos);
 
