@@ -13,6 +13,7 @@
 #include "serving/hidden_store.hpp"
 #include "serving/precompute_service.hpp"
 #include "tensor/gemm.hpp"
+#include "train/sequence.hpp"
 
 using namespace pp;
 
@@ -69,14 +70,46 @@ struct Fixture {
     gbdt_config.booster.early_stopping_rounds = 0;
     f.gbdt->fit(train, valid, gbdt_config);
 
-    Rng rng(3);
+    // Serving-shaped rows, encoded as RnnPolicy encodes them: the one-hot
+    // context and time of day, the T() gap bucket and (update only) the
+    // access bit, so the zero-skipping kernels see serving's few nonzeros.
+    // The hidden state folds in a fixture user's sessions before the one
+    // predicted and updated.
     const auto& net = f.rnn->network();
-    f.hidden = tensor::Matrix::randn(1, net.config().hidden_size, rng, 0,
-                                     0.3f);
-    f.predict_row = tensor::Matrix::rand_uniform(
-        1, net.config().predict_input_size(), rng, 0, 1);
-    f.update_row = tensor::Matrix::rand_uniform(
-        1, net.config().update_input_size(), rng, 0, 1);
+    const auto& seq_cfg = f.rnn->sequence_config();
+    const std::size_t fw = net.config().feature_size;
+    const std::size_t tb = net.config().time_buckets;
+    const features::LogBucketizer bucketizer(static_cast<int>(tb));
+    const auto encode = [&](const data::Session& s, std::int64_t gap,
+                            bool predict) {
+      tensor::Matrix row(1, fw + tb + (predict ? 0 : 1));
+      if (fw > 0 && (!predict || seq_cfg.context_at_predict)) {
+        train::encode_step_features(f.rnn->schema(), seq_cfg.feature_mode,
+                                    s.timestamp, s.context, row.row(0));
+      }
+      bucketizer.encode(gap, row.row(0).subspan(fw, tb));
+      if (!predict) row.row(0)[fw + tb] = s.access ? 1.0f : 0.0f;
+      return row;
+    };
+    const data::UserLog* user = &f.dataset.users.front();
+    for (const data::UserLog& u : f.dataset.users) {
+      if (u.sessions.size() > user->sessions.size()) user = &u;
+    }
+    const std::size_t target =
+        std::min<std::size_t>(8, user->sessions.size() - 1);
+    auto rnn_state = net.infer_initial_state();
+    for (std::size_t i = 0; i < target; ++i) {
+      const std::int64_t gap =
+          i > 0 ? user->sessions[i].timestamp - user->sessions[i - 1].timestamp
+                : 0;
+      net.infer_update(rnn_state, encode(user->sessions[i], gap, false));
+    }
+    const data::Session& next = user->sessions[target];
+    const std::int64_t gap =
+        next.timestamp - user->sessions[target - 1].timestamp;
+    f.hidden = rnn_state.hidden();
+    f.predict_row = encode(next, gap, true);
+    f.update_row = encode(next, gap, false);
     f.gbdt_row.assign(f.pipeline->dimension(), 0.0f);
     train.densify_row(0, f.gbdt_row);
     return f;

@@ -4,7 +4,8 @@
 # Usage:
 #   ci/check.sh [build-dir]                 # Release + perfbench self-test
 #                                           # + exact work-counter gate
-#   ci/check.sh --sanitize asan [build-dir] # Debug + ASan/UBSan, tiers only
+#   ci/check.sh --sanitize asan [build-dir] # RelWithDebInfo at -O2 -g with
+#                                           # asserts on + ASan/UBSan, tiers only
 #   ci/check.sh --sanitize tsan [build-dir] # RelWithDebInfo + TSan (incl. stress)
 #   ci/check.sh --sanitize ubsan [build-dir]# Debug + UBSan, tiers only
 #   ci/check.sh --clang [build-dir]         # Clang build: thread-safety analysis
@@ -121,7 +122,13 @@ case "${SANITIZE}" in
     ;;
   asan|address)
     BUILD_DIR="${BUILD_DIR:-${REPO_ROOT}/build-asan}"
-    CMAKE_ARGS+=(-DPP_SANITIZE=address,undefined -DCMAKE_BUILD_TYPE=Debug)
+    # Optimized: some undefined behaviour exists only in optimized code (a
+    # Debug build passed a null thread-local load that -O2 exposes).
+    # RelWithDebInfo's flags lose their -DNDEBUG so the debug-only contract
+    # asserts (the finite-weights zero-skip check among them) still run.
+    CMAKE_ARGS+=(-DPP_SANITIZE=address,undefined
+                 -DCMAKE_BUILD_TYPE=RelWithDebInfo
+                 "-DCMAKE_CXX_FLAGS_RELWITHDEBINFO=-O2 -g")
     RUN_STRESS=0; RUN_BENCH=0
     ;;
   tsan|thread)
@@ -186,9 +193,10 @@ run_tier '^(unit|obs|quant)$' "unit + obs + quant (fail fast)"
 
 # Forced-portable lane: on AVX2 runners the dispatcher resolves to the
 # SIMD kernels, which would leave the blocked fallback (the only path
-# non-AVX2 hosts ever run) untested. Re-run the kernel parity suite and
-# the int8 serving suite (fused step and head, gate sigmoid/tanh) with
-# the portable kernel forced via the env override.
+# non-AVX2 hosts ever run) untested. Re-run the kernel parity suite (the
+# f32 head's gemv_nz lanes among it) and the serving-kernel suite (fused
+# int8 step and head, fused f32 head, gate sigmoid/tanh) with the
+# portable kernel forced via the env override.
 for suite in tensor_gemm_test quantized_inference_test; do
   echo "== ${suite} (PP_GEMM_FORCE_KERNEL=blocked, portable path) =="
   PP_GEMM_FORCE_KERNEL=blocked "${BUILD_DIR}/${suite}" --gtest_brief=1
@@ -197,9 +205,9 @@ done
 if [[ "${SANITIZE}" == asan || "${SANITIZE}" == address ]]; then
   # Packed-panel buffer overruns live only in the ISA TUs; force the
   # SIMD kernels on under ASan so tile/tail arithmetic (the AVX2 panels,
-  # the VNNI panels and masked tails) is exercised with redzones even if
-  # this runner's dispatch would pick them anyway (and loudly exercises
-  # the degrade path when it can't).
+  # the VNNI panels, the f32 gemv passes and masked tails) is exercised
+  # with redzones even if this runner's dispatch would pick them anyway
+  # (and loudly exercises the degrade path when it can't).
   for suite in tensor_gemm_test quantized_inference_test; do
     echo "== ${suite} (PP_GEMM_FORCE_KERNEL=simd, ASan) =="
     PP_GEMM_FORCE_KERNEL=simd "${BUILD_DIR}/${suite}" --gtest_brief=1

@@ -89,33 +89,91 @@ void read_shape(BinaryReader& reader, std::size_t hidden_size) {
   }
 }
 
-tensor::QuantizedMatrix decode_q8(BinaryReader& reader,
-                                  std::size_t hidden_size) {
-  read_shape(reader, hidden_size);
+/// Reads a part's int8 scale. The codec never writes an invalid one
+/// (symmetric_scale clamps to >= FLT_MIN), and a NaN, infinite, zero or
+/// negative scale would flow straight into the gate inputs of the int8
+/// step and head.
+float read_scale(BinaryReader& reader) {
   const float scale = reader.read_f32();
-  // The codec never writes one (symmetric_scale clamps to >= FLT_MIN), and
-  // a NaN, infinite, zero or negative scale would flow straight into the
-  // gate inputs of the int8 step and head.
   if (!(std::isfinite(scale) && scale > 0.0f)) {
     throw std::runtime_error("get: stored int8 scale " +
                              std::to_string(scale) +
                              " is not finite and positive");
   }
+  return scale;
+}
+
+tensor::QuantizedMatrix decode_q8(BinaryReader& reader,
+                                  std::size_t hidden_size, float scale) {
   std::vector<std::int8_t> data(hidden_size);
   reader.read_bytes(data.data(), data.size());
   return tensor::QuantizedMatrix::from_raw(1, hidden_size, scale,
                                            std::move(data));
 }
 
-tensor::Matrix decode_matrix(StateCodec codec, BinaryReader& reader,
-                             std::size_t hidden_size) {
+/// Decodes a part's payload into `out` [hidden_size] as f32: the stored
+/// floats, or under kInt8 QuantizedMatrix::dequant of the symmetric
+/// stored bytes, scale * float(q).
+void decode_part(StateCodec codec, BinaryReader& reader,
+                 std::size_t hidden_size, float scale, float* out) {
   if (codec == StateCodec::kInt8) {
-    return decode_q8(reader, hidden_size).dequantize();
+    const auto* q = reinterpret_cast<const std::int8_t*>(
+        reader.view(hidden_size));
+    for (std::size_t j = 0; j < hidden_size; ++j) {
+      out[j] = scale * static_cast<float>(q[j]);
+    }
+    return;
   }
-  read_shape(reader, hidden_size);
-  tensor::Matrix m(1, hidden_size);
-  reader.read_bytes(m.data(), m.size() * sizeof(float));
-  return m;
+  reader.read_bytes(out, hidden_size * sizeof(float));
+}
+
+/// Bytes of one part's payload.
+std::size_t payload_bytes(StateCodec codec, std::size_t hidden_size) {
+  return hidden_size * (codec == StateCodec::kInt8 ? 1 : sizeof(float));
+}
+
+/// The one walk over a stored record, shared by get() and get_hidden():
+/// the stamp, the layer count, then per layer its part count and per part
+/// its geometry and (kInt8) its scale, each checked against the model,
+/// before `on_part(layer, part, scale)` consumes the part's payload. A
+/// truncated record throws from the reader.
+template <class OnPart>
+StateStamp walk_record(BinaryReader& reader,
+                       const train::RnnNetworkConfig& cfg, StateCodec codec,
+                       OnPart&& on_part) {
+  StateStamp stamp;
+  stamp.last_update_time = reader.read_i64();
+  stamp.updates = reader.read_u32();
+  const std::uint32_t layers = reader.read_u32();
+  if (layers != static_cast<std::uint32_t>(cfg.num_layers)) {
+    throw std::runtime_error("get: stored layer count mismatches model");
+  }
+  for (std::uint32_t l = 0; l < layers; ++l) {
+    const std::uint32_t parts = reader.read_u32();
+    if (parts != cell_parts(cfg)) {
+      throw std::runtime_error("get: stored part count mismatches model cell");
+    }
+    for (std::uint32_t p = 0; p < parts; ++p) {
+      read_shape(reader, cfg.hidden_size);
+      on_part(l, p,
+              codec == StateCodec::kInt8 ? read_scale(reader) : 1.0f);
+    }
+  }
+  return stamp;
+}
+
+/// Whether (layer, part) is the exposed hidden: the top layer's h.
+bool exposed_part(const train::RnnNetworkConfig& cfg, std::uint32_t layer,
+                  std::uint32_t part) {
+  return layer + 1 == static_cast<std::uint32_t>(cfg.num_layers) &&
+         part == 0;
+}
+
+void require_q8_view(StateCodec codec, const train::RnnNetworkConfig& cfg) {
+  if (codec != StateCodec::kInt8 || cell_parts(cfg) != 1) {
+    throw std::logic_error(
+        "get_q8: needs the kInt8 codec and a single-part (GRU) cell");
+  }
 }
 
 }  // namespace
@@ -151,38 +209,65 @@ template <class State>
 std::optional<BasicStoredState<State>> HiddenStateStore::get(
     std::uint64_t user_id, const train::RnnNetwork& network) const {
   const auto& cfg = network.config();
-  if (kInt8View<State> &&
-      (codec_ != StateCodec::kInt8 || cell_parts(cfg) != 1)) {
-    throw std::logic_error(
-        "get_q8: needs the kInt8 codec and a single-part (GRU) cell");
-  }
+  if constexpr (kInt8View<State>) require_q8_view(codec_, cfg);
   auto bytes = store_->get(key(user_id));
   if (!bytes.has_value()) return std::nullopt;
   BinaryReader reader(std::move(*bytes));
   BasicStoredState<State> state;
-  state.last_update_time = reader.read_i64();
-  state.updates = reader.read_u32();
-  const std::uint32_t layers = reader.read_u32();
-  if (layers != static_cast<std::uint32_t>(cfg.num_layers)) {
-    throw std::runtime_error("get: stored layer count mismatches model");
-  }
-  state.state.layers.reserve(layers);
-  for (std::uint32_t l = 0; l < layers; ++l) {
-    const std::uint32_t parts = reader.read_u32();
-    if (parts != cell_parts(cfg)) {
-      throw std::runtime_error("get: stored part count mismatches model cell");
-    }
-    if constexpr (kInt8View<State>) {
-      state.state.layers.push_back(decode_q8(reader, cfg.hidden_size));
-    } else {
-      auto& layer = state.state.layers.emplace_back();
-      layer.reserve(parts);
-      for (std::uint32_t p = 0; p < parts; ++p) {
-        layer.push_back(decode_matrix(codec_, reader, cfg.hidden_size));
-      }
-    }
-  }
+  auto& layers = state.state.layers;
+  layers.reserve(static_cast<std::size_t>(cfg.num_layers));
+  const StateStamp stamp = walk_record(
+      reader, cfg, codec_,
+      [&](std::uint32_t, std::uint32_t part, float scale) {
+        if constexpr (kInt8View<State>) {
+          layers.push_back(decode_q8(reader, cfg.hidden_size, scale));
+        } else {
+          if (part == 0) layers.emplace_back().reserve(cell_parts(cfg));
+          tensor::Matrix& m = layers.back().emplace_back(1, cfg.hidden_size);
+          decode_part(codec_, reader, cfg.hidden_size, scale, m.data());
+        }
+      });
+  state.last_update_time = stamp.last_update_time;
+  state.updates = stamp.updates;
   return state;
+}
+
+std::optional<StateStamp> HiddenStateStore::get_hidden(
+    std::uint64_t user_id, const train::RnnNetwork& network,
+    float* out) const {
+  const auto& cfg = network.config();
+  auto bytes = store_->get(key(user_id));
+  if (!bytes.has_value()) return std::nullopt;
+  BinaryReader reader(std::move(*bytes));
+  return walk_record(
+      reader, cfg, codec_,
+      [&](std::uint32_t layer, std::uint32_t part, float scale) {
+        if (exposed_part(cfg, layer, part)) {
+          decode_part(codec_, reader, cfg.hidden_size, scale, out);
+        } else {
+          reader.skip(payload_bytes(codec_, cfg.hidden_size));
+        }
+      });
+}
+
+std::optional<StateStamp> HiddenStateStore::get_hidden(
+    std::uint64_t user_id, const train::RnnNetwork& network, std::int8_t* out,
+    float* scale) const {
+  const auto& cfg = network.config();
+  require_q8_view(codec_, cfg);
+  auto bytes = store_->get(key(user_id));
+  if (!bytes.has_value()) return std::nullopt;
+  BinaryReader reader(std::move(*bytes));
+  return walk_record(
+      reader, cfg, codec_,
+      [&](std::uint32_t layer, std::uint32_t part, float part_scale) {
+        if (exposed_part(cfg, layer, part)) {
+          reader.read_bytes(out, cfg.hidden_size);
+          *scale = part_scale;
+        } else {
+          reader.skip(cfg.hidden_size);
+        }
+      });
 }
 
 template void HiddenStateStore::put(std::uint64_t, const StoredState&);

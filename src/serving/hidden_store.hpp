@@ -28,6 +28,13 @@ struct BasicStoredState {
   std::uint32_t updates = 0;
 };
 
+/// A stored record's bookkeeping without its state: what the
+/// exposed-hidden read (HiddenStateStore::get_hidden) returns.
+struct StateStamp {
+  std::int64_t last_update_time = 0;
+  std::uint32_t updates = 0;
+};
+
 using StoredState = BasicStoredState<train::InferenceState>;
 /// The int8 twin of StoredState for the quantized serving mode: the state
 /// matrices stay in their stored byte form (scale + int8 vector). The wire
@@ -62,6 +69,22 @@ class HiddenStateStore {
       std::uint64_t user_id, const train::RnnNetwork& network) const {
     return get<train::QuantizedInferenceState>(user_id, network);
   }
+  /// Reads only the exposed hidden vector (the top layer's h, the one
+  /// RNNpredict consumes) straight into `out` [hidden_size]: f32 values as
+  /// get() would return them (decoded from int8 under the kInt8 codec),
+  /// with no state built. The record walk and its checks are get()'s —
+  /// layer count, part count, every part's geometry and int8 scale, and
+  /// truncation — so it throws exactly where get() throws. Returns the
+  /// record's stamp, or std::nullopt for a cold user (out untouched).
+  std::optional<StateStamp> get_hidden(std::uint64_t user_id,
+                                       const train::RnnNetwork& network,
+                                       float* out) const;
+  /// The int8 twin, under get_q8's preconditions: the stored bytes into
+  /// `out` [hidden_size] and their scale into `*scale`, as-is.
+  std::optional<StateStamp> get_hidden(std::uint64_t user_id,
+                                       const train::RnnNetwork& network,
+                                       std::int8_t* out, float* scale) const;
+
   /// Writes an already-quantized state without an f32 encode pass (the
   /// GRU step re-quantized the updated hidden; its bytes go straight to
   /// the wire). Same format as put() under kInt8.

@@ -40,6 +40,39 @@ obs::Collector collect_ledger(const char* policy,
       });
 }
 
+/// A scoring thread's x rows and hidden block for scorer S, grown once and
+/// reused by every later call on the thread (the head keeps its own
+/// scratch): a warm score allocates only the KV value and the result.
+template <class S>
+struct ScoreScratch {
+  std::vector<float> x;
+  typename S::Block hidden;
+};
+
+template <class S>
+ScoreScratch<S>& score_scratch() {
+  thread_local ScoreScratch<S> scratch;
+  return scratch;
+}
+
+/// One store read of a user's exposed hidden straight into block row
+/// `row`, in the block's form: f32 values, or int8 bytes and their scale.
+std::optional<StateStamp> read_hidden(const HiddenStateStore& store,
+                                      std::uint64_t user_id,
+                                      const train::RnnNetwork& net,
+                                      train::F32Scorer::Block& block,
+                                      std::size_t row) {
+  return store.get_hidden(user_id, net, block.row(row));
+}
+
+std::optional<StateStamp> read_hidden(const HiddenStateStore& store,
+                                      std::uint64_t user_id,
+                                      const train::RnnNetwork& net,
+                                      train::Int8Scorer::Block& block,
+                                      std::size_t row) {
+  return store.get_hidden(user_id, net, block.row(row), &block.scale(row));
+}
+
 }  // namespace
 
 // --------------------------------------------------------------- RnnPolicy
@@ -138,11 +171,14 @@ std::vector<double> RnnPolicy::score_with(
   const std::size_t fw = net.config().feature_size;
   const std::size_t tb = net.config().time_buckets;
 
-  tensor::Matrix x(batch, fw + tb);
-  // f32 mode gathers decoded hidden rows; int8 mode gathers the stored
-  // bytes themselves (per-row scales). Cold users get the cell's actual
-  // initial state (not an assumed zero fill) in either precision.
-  typename S::Block h(batch, net.config().hidden_size);
+  ScoreScratch<S>& scratch = score_scratch<S>();
+  if (scratch.x.size() < batch * (fw + tb)) scratch.x.resize(batch * (fw + tb));
+  float* x = scratch.x.data();
+  // f32 mode reads decoded hidden rows; int8 mode the stored bytes
+  // themselves (per-row scales). Cold users get the cell's actual initial
+  // state (not an assumed zero fill) in either precision.
+  typename S::Block& h = scratch.hidden;
+  h.reshape(batch, net.config().hidden_size);
   // Per-batch stage breakdown (sampled 1-in-N): kv_get and feature_encode
   // accumulate per-session laps; head_gemm/sigmoid are recorded inside
   // scorer.score under the same SampledSection; the span's total is this
@@ -154,23 +190,24 @@ std::vector<double> RnnPolicy::score_with(
     span.stage_begin();
     // Still one KV lookup per session (§9's dominant serving cost term);
     // only the model evaluation is batched. The stripe lock orders the
-    // snapshot read against any concurrent on_session_complete for the
-    // same user.
-    std::optional<BasicStoredState<typename S::State>> stored;
+    // read against any concurrent on_session_complete for the same user.
+    std::optional<StateStamp> stamp;
     {
       MutexLock lock(stripe_for(s.user_id));
-      stored = store_->get<typename S::State>(s.user_id, net);
+      stamp = read_hidden(*store_, s.user_id, net, h, b);
     }
-    scorer.gather(h, b, stored.has_value() ? stored->state : scorer.cold());
-    span.stage_add(0);  // kv_get: stripe-locked lookup + state gather
+    if (!stamp.has_value()) scorer.gather(h, b, scorer.cold());
+    span.stage_add(0);  // kv_get: stripe-locked lookup + hidden read
+    const std::span<float> x_row(x + b * (fw + tb), fw + tb);
+    std::fill_n(x_row.begin(), fw, 0.0f);
     if (seq_cfg.context_at_predict && fw > 0) {
       train::encode_step_features(active.schema(), seq_cfg.feature_mode,
-                                  s.t, s.context, x.row(b));
+                                  s.t, s.context, x_row);
     }
-    const std::int64_t gap = stored.has_value() && stored->updates > 0
-                                 ? s.t - stored->last_update_time
+    const std::int64_t gap = stamp.has_value() && stamp->updates > 0
+                                 ? s.t - stamp->last_update_time
                                  : 0;
-    bucketizer_.encode(gap, x.row(b).subspan(fw, tb));
+    bucketizer_.encode(gap, x_row.subspan(fw, tb));
     span.stage_add(1);  // feature_encode: context + gap bucketization
   }
 

@@ -135,9 +135,9 @@ class RnnPolicy final : public PrecomputePolicy {
 
   double score_session(std::uint64_t user_id, std::int64_t t,
                        std::span<const std::uint32_t> context) override;
-  /// Batched variant: B hidden-state lookups feed one [B x d] RNNpredict
-  /// GEMM instead of B gemv calls. Scores and cost counters match B
-  /// score_session calls exactly.
+  /// Batched variant: B hidden-state lookups feed one batched RNNpredict
+  /// call. Scores and cost counters match B score_session calls exactly.
+  /// A warm call allocates only the B KV values and the returned scores.
   std::vector<double> score_sessions(
       std::span<const SessionStart> sessions) override;
   void on_session_complete(const JoinedSession& joined) override;

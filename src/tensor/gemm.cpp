@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <cmath>
 #include <memory>
 #include <unordered_map>
 
@@ -139,6 +140,19 @@ void nn_blocked_range(const float* a, const float* b, float* c, std::size_t k,
         }
       }
     }
+  }
+}
+
+// ---- gemv over a nonzero list: the portable lane of gemv_nz ---------------
+
+void gemv_nz_portable(const float* vals, const std::uint32_t* rows,
+                      std::size_t nnz, const float* w, std::size_t n,
+                      float* out) {
+  std::fill_n(out, n, 0.0f);
+  for (std::size_t t = 0; t < nnz; ++t) {
+    const float v = vals[t];
+    const float* w_row = w + std::size_t{rows[t]} * n;
+    for (std::size_t j = 0; j < n; ++j) out[j] += v * w_row[j];
   }
 }
 
@@ -305,14 +319,19 @@ GemmKernel resolve_kernel(GemmKernel configured) {
 
 /// Debug check for the finite-weights contract behind the nn/tn
 /// zero-skip (gemm.hpp). Release builds compile this out.
-inline void debug_check_finite_b(const Matrix& b) {
+inline void debug_check_finite_b(const float* b, std::size_t size) {
 #if !defined(NDEBUG)
-  assert(b.all_finite() &&
+  assert(std::all_of(b, b + size, [](float v) { return std::isfinite(v); }) &&
          "gemm: non-finite B operand violates the finite-weights "
          "zero-skip contract (tensor/gemm.hpp)");
 #else
   (void)b;
+  (void)size;
 #endif
+}
+
+inline void debug_check_finite_b(const Matrix& b) {
+  debug_check_finite_b(b.data(), b.size());
 }
 
 /// Runs `range_fn(i0, i1)` over [0, rows), striped across the shared pool
@@ -458,6 +477,17 @@ void gemm_nt_simd(const Matrix& a, const Matrix& b, Matrix& c) {
 
 
 // ---- dispatchers -----------------------------------------------------------
+
+void gemv_nz(const float* vals, const std::uint32_t* rows, std::size_t nnz,
+             const float* w, std::size_t k, std::size_t n, float* out) {
+  debug_check_finite_b(w, k * n);
+  if (resolve_kernel(g_kernel.load(std::memory_order_relaxed)) ==
+      GemmKernel::kSimd) {
+    simd::gemv_nz_f32(vals, rows, nnz, w, n, out);
+  } else {
+    gemv_nz_portable(vals, rows, nnz, w, n, out);
+  }
+}
 
 void gemm_nn_dispatch(const Matrix& a, const Matrix& b, Matrix& c) {
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();

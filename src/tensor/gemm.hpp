@@ -19,9 +19,10 @@
 //               instead (qgemm_avx512.cpp).
 //  * kAuto    — "use the dispatch default" (the initial configuration).
 // All kernels compose with the optional row-partitioned ThreadPool
-// variant, with one exception: QuantizedWeights::multiply (the fused int8
-// serving step and head) always runs on the calling thread, so
-// set_gemm_threads / GemmConfigScope thread counts do not reach it.
+// variant, with two exceptions: QuantizedWeights::multiply (the fused int8
+// serving step and head) and gemv_nz (the fused f32 head) always run on
+// the calling thread, so set_gemm_threads / GemmConfigScope thread counts
+// do not reach them.
 // PP_GEMM_FORCE_KERNEL=naive|blocked|simd overrides the process default
 // (CI uses it to keep the portable path tested on AVX2 runners);
 // gemm_dispatched_kernel() reports what would actually run.
@@ -51,6 +52,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 
 namespace pp::tensor {
@@ -121,6 +123,20 @@ void gemm_tn_simd(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_nt_naive(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_nt_blocked(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_nt_simd(const Matrix& a, const Matrix& b, Matrix& c);
+
+// ---- gemv over a nonzero list (the fused f32 serving head) ----
+/// out[j] = sum over t < nnz of vals[t] * w[rows[t] * n + j], for j < n;
+/// out is overwritten. `rows` ascends and names the nonzero positions of
+/// an input row, `vals` their values, so each element is the nn chain of
+/// that row against the [k x n] weight `w`: accumulated from +0.0f in
+/// ascending row order with a separate mul and add, zero terms skipped
+/// (the zero-skip contract above; debug builds assert `w` finite). Runs on
+/// the calling thread with no allocation, on the dispatched kernel: the
+/// portable loop under kNaive and kBlocked, the AVX2 lane (up to 8 ymm
+/// accumulators, 64 columns per pass) under kSimd, AVX-512 hosts
+/// included. Both agree bit for bit.
+void gemv_nz(const float* vals, const std::uint32_t* rows, std::size_t nnz,
+             const float* w, std::size_t k, std::size_t n, float* out);
 
 /// Row-partitions [0, rows) across the shared GEMM thread pool according
 /// to the global (threads, parallel-threshold) configuration; `macs` is

@@ -24,6 +24,11 @@
 // ops instead of k branch tests per column panel; dense rows still run
 // a 4-accumulator chain per 32 columns.
 //
+// gemv_nz_f32 is the nn kernel for one row whose nonzero list the caller
+// already holds (the fused f32 serving head builds it once per row and
+// reuses it): up to 8 ymm accumulators, 64 columns per pass over the
+// list, and a scalar tail for n % 8 columns.
+//
 // The tn/nt kernels are register-blocked 6x16 broadcast kernels: 12 ymm
 // accumulators (6 output rows x 16 columns), one broadcast of A per row
 // per k-step, two B vector loads shared by all six rows. The nt kernel
@@ -163,6 +168,61 @@ void nn_f32_range(const float* a, const float* b, float* c, std::size_t k,
         for (std::size_t j = n_panel; j < n; ++j) c_row[j] += av * b_row[j];
       }
     }
+  }
+}
+
+// ---- gemv over a nonzero list (the fused f32 serving head) ---------------
+
+namespace {
+
+/// out[0 : 8 * kAcc) from kAcc ymm accumulators over the whole list: the
+/// columns of one pass, each a chain from +0.0f in list order.
+template <std::size_t kAcc>
+void gemv_nz_pass(const float* vals, const std::uint32_t* rows,
+                  std::size_t nnz, const float* w, std::size_t n,
+                  float* out) {
+  __m256 acc[kAcc];
+#pragma GCC unroll 8
+  for (std::size_t i = 0; i < kAcc; ++i) acc[i] = _mm256_setzero_ps();
+  for (std::size_t t = 0; t < nnz; ++t) {
+    const __m256 va = _mm256_set1_ps(vals[t]);
+    const float* w_row = w + std::size_t{rows[t]} * n;
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < kAcc; ++i) {
+      acc[i] = _mm256_add_ps(
+          acc[i], _mm256_mul_ps(va, _mm256_loadu_ps(w_row + 8 * i)));
+    }
+  }
+#pragma GCC unroll 8
+  for (std::size_t i = 0; i < kAcc; ++i) _mm256_storeu_ps(out + 8 * i, acc[i]);
+}
+
+}  // namespace
+
+void gemv_nz_f32(const float* vals, const std::uint32_t* rows,
+                 std::size_t nnz, const float* w, std::size_t n, float* out) {
+  std::size_t j = 0;
+  for (; j + 64 <= n; j += 64) {
+    gemv_nz_pass<8>(vals, rows, nnz, w + j, n, out + j);
+  }
+  const std::size_t blocks = (n - j) / 8;
+  switch (blocks) {
+    case 7: gemv_nz_pass<7>(vals, rows, nnz, w + j, n, out + j); break;
+    case 6: gemv_nz_pass<6>(vals, rows, nnz, w + j, n, out + j); break;
+    case 5: gemv_nz_pass<5>(vals, rows, nnz, w + j, n, out + j); break;
+    case 4: gemv_nz_pass<4>(vals, rows, nnz, w + j, n, out + j); break;
+    case 3: gemv_nz_pass<3>(vals, rows, nnz, w + j, n, out + j); break;
+    case 2: gemv_nz_pass<2>(vals, rows, nnz, w + j, n, out + j); break;
+    case 1: gemv_nz_pass<1>(vals, rows, nnz, w + j, n, out + j); break;
+    default: break;
+  }
+  // Scalar tail columns: the same chain, one column at a time.
+  for (j += 8 * blocks; j < n; ++j) {
+    float acc = 0.0f;
+    for (std::size_t t = 0; t < nnz; ++t) {
+      acc += vals[t] * w[std::size_t{rows[t]} * n + j];
+    }
+    out[j] = acc;
   }
 }
 
@@ -328,6 +388,10 @@ void tn_f32_range(const float*, const float*, float*, std::size_t,
 }
 void nt_f32_range(const float*, const float*, float*, std::size_t,
                   std::size_t, std::size_t, std::size_t) {
+  std::abort();
+}
+void gemv_nz_f32(const float*, const std::uint32_t*, std::size_t,
+                 const float*, std::size_t, float*) {
   std::abort();
 }
 

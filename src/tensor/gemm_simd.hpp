@@ -35,6 +35,14 @@ void tn_f32_range(const float* a, const float* b, float* c, std::size_t k,
 void nt_f32_range(const float* a, const float* b, float* c, std::size_t k,
                   std::size_t n, std::size_t i0, std::size_t i1);
 
+// gemv over an ascending nonzero list (tensor::gemv_nz): out[0:n) =
+// sum_t vals[t] * w[rows[t] * n + j], each column from +0.0f in ascending
+// t with separate mul and add; out is overwritten. The AVX2 lane holds up
+// to 8 ymm accumulators (64 columns) per pass over the list and finishes
+// a tail of n % 8 columns with scalar chains.
+void gemv_nz_f32(const float* vals, const std::uint32_t* rows,
+                 std::size_t nnz, const float* w, std::size_t n, float* out);
+
 // int8 nn: c[i0:i1, :] += a[i0:i1, :] * b over int8 operands with exact
 // i32 accumulation (vpmaddubsw/vpmaddwd, u8 operand swizzle + 128*colsum
 // bias correction — see qgemm_avx2.cpp). Exact for the full int8 range

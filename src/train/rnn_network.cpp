@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 
+#include "tensor/gemm.hpp"
 #include "util/math.hpp"
 
 namespace pp::train {
@@ -16,6 +18,23 @@ namespace {
 /// The per-thread working memory of the fused int8 step and head.
 nn::QuantizedScratch& thread_scratch() {
   thread_local nn::QuantizedScratch scratch;
+  return scratch;
+}
+
+/// The per-thread working memory of the fused f32 head: one row's nonzero
+/// lists (values and positions) for L and W1, and the two products.
+/// Buffers only grow, so once warmed up a call allocates nothing.
+struct HeadScratch {
+  std::vector<float> x_val;
+  std::vector<std::uint32_t> x_pos;
+  std::vector<float> w1_val;
+  std::vector<std::uint32_t> w1_pos;
+  std::vector<float> latent;
+  std::vector<float> hidden;
+};
+
+HeadScratch& head_scratch() {
+  thread_local HeadScratch scratch;
   return scratch;
 }
 
@@ -107,26 +126,74 @@ double RnnNetwork::infer_logit(const Matrix& h_k, const Matrix& x) const {
 
 std::vector<double> RnnNetwork::infer_logits(const Matrix& h_block,
                                              const Matrix& x_block) const {
-  if (h_block.rows() != x_block.rows()) {
-    throw std::invalid_argument("infer_logits: batch mismatch " +
+  if (h_block.rows() != x_block.rows() ||
+      h_block.cols() != config_.hidden_size ||
+      x_block.cols() != config_.predict_input_size()) {
+    throw std::invalid_argument("infer_logits: shape mismatch " +
                                 h_block.shape_string() + " vs " +
                                 x_block.shape_string());
   }
-  Matrix crossed = h_block;
-  if (config_.latent_cross) {
-    Matrix factor = latent_->infer(x_block);
-    for (std::size_t i = 0; i < crossed.size(); ++i) {
-      crossed[i] *= 1.0f + factor[i];
+  return infer_logits(h_block.data(), x_block.data(), h_block.rows());
+}
+
+std::vector<double> RnnNetwork::infer_logits(const float* h, const float* x,
+                                             std::size_t rows) const {
+  using nn::QuantizedScratch;
+  const std::size_t H = config_.hidden_size;
+  const std::size_t P = config_.predict_input_size();
+  const std::size_t M = config_.mlp_hidden;
+  HeadScratch& s = head_scratch();
+  float* x_val = QuantizedScratch::sized(s.x_val, P);
+  std::uint32_t* x_pos = QuantizedScratch::sized(s.x_pos, P);
+  float* w1_val = QuantizedScratch::sized(s.w1_val, H + P);
+  std::uint32_t* w1_pos = QuantizedScratch::sized(s.w1_pos, H + P);
+  float* factor = QuantizedScratch::sized(s.latent, H);
+  float* hidden = QuantizedScratch::sized(s.hidden, M);
+  const bool cross = config_.latent_cross;
+  const float* wl = cross ? latent_->weight().value().data() : nullptr;
+  const float* bl = cross ? latent_->bias().value().data() : nullptr;
+  const float* w1 = w1_->weight().value().data();
+  const float* b1 = w1_->bias().value().data();
+  const float* w2 = w2_->weight().value().data();  // [M x 1]
+  const float b2 = w2_->bias().value()[0];
+
+  std::vector<double> out(rows);
+  for (std::size_t b = 0; b < rows; ++b) {
+    const float* h_row = h + b * H;
+    const float* x_row = x + b * P;
+    // x's ascending nonzero positions, compacted without a branch: every
+    // slot is written, the count only advances past a nonzero.
+    std::size_t nx = 0;
+    for (std::size_t p = 0; p < P; ++p) {
+      x_pos[nx] = static_cast<std::uint32_t>(p);
+      x_val[nx] = x_row[p];
+      nx += x_row[p] != 0.0f ? 1 : 0;
     }
+    // h' = h ∘ (1 + (L(x) + b)), compacted the same way: W1's list opens
+    // with h''s nonzeros, then x's list shifted past the hidden block.
+    if (cross) tensor::gemv_nz(x_val, x_pos, nx, wl, P, H, factor);
+    std::size_t n1 = 0;
+    for (std::size_t j = 0; j < H; ++j) {
+      const float crossed =
+          cross ? h_row[j] * (1.0f + (factor[j] + bl[j])) : h_row[j];
+      w1_pos[n1] = static_cast<std::uint32_t>(j);
+      w1_val[n1] = crossed;
+      n1 += crossed != 0.0f ? 1 : 0;
+    }
+    for (std::size_t t = 0; t < nx; ++t) {
+      w1_pos[n1 + t] = static_cast<std::uint32_t>(H) + x_pos[t];
+      w1_val[n1 + t] = x_val[t];
+    }
+    tensor::gemv_nz(w1_val, w1_pos, n1 + nx, w1, H + P, M, hidden);
+    // Bias, ReLU, then W2 as one scalar chain over the nonzero units.
+    float logit = 0.0f;
+    for (std::size_t j = 0; j < M; ++j) {
+      float v = hidden[j] + b1[j];
+      v = v > 0 ? v : 0.0f;
+      if (v != 0.0f) logit += v * w2[j];
+    }
+    out[b] = logit + b2;
   }
-  Matrix mlp_in = Matrix::concat_cols(crossed, x_block);
-  Matrix hidden = w1_->infer(mlp_in);
-  for (std::size_t i = 0; i < hidden.size(); ++i) {
-    hidden[i] = hidden[i] > 0 ? hidden[i] : 0.0f;
-  }
-  const Matrix logit = w2_->infer(hidden);  // [B x 1]
-  std::vector<double> out(logit.rows());
-  for (std::size_t b = 0; b < logit.rows(); ++b) out[b] = logit.at(b, 0);
   return out;
 }
 
@@ -184,14 +251,26 @@ void RnnNetwork::infer_update_q8(QuantizedInferenceState& state,
 
 std::vector<double> RnnNetwork::infer_logits_q8(
     const tensor::QuantizedMatrix& h_block, const Matrix& x_block) const {
-  const QuantizedNetworkWeights& qw = quantized_weights();
   const std::size_t B = h_block.rows();
+  if (x_block.rows() != B || h_block.cols() != config_.hidden_size ||
+      x_block.cols() != config_.predict_input_size() ||
+      !h_block.symmetric()) {
+    throw std::invalid_argument("infer_logits_q8: shape mismatch");
+  }
+  std::vector<float> scale(B);
+  for (std::size_t b = 0; b < B; ++b) scale[b] = h_block.scale(b);
+  return infer_logits_q8(h_block.data(), scale.data(), x_block.data(), B);
+}
+
+std::vector<double> RnnNetwork::infer_logits_q8(const std::int8_t* h,
+                                                const float* h_scale,
+                                                const float* x,
+                                                std::size_t rows) const {
+  const QuantizedNetworkWeights& qw = quantized_weights();
+  const std::size_t B = rows;
   const std::size_t H = config_.hidden_size;
   const std::size_t P = config_.predict_input_size();
   const std::size_t M = config_.mlp_hidden;
-  if (x_block.rows() != B || h_block.cols() != H || x_block.cols() != P) {
-    throw std::invalid_argument("infer_logits_q8: shape mismatch");
-  }
   // One fused pass per stage over the whole block, each product into the
   // scratch's i32 buffer; the dequant / bias / activation order is the
   // unfused chain's (qgemm's scale * float(acc), then + bias), so a row
@@ -209,23 +288,27 @@ std::vector<double> RnnNetwork::infer_logits_q8(
   // product itself is int8.
   if (config_.latent_cross) {
     for (std::size_t b = 0; b < B; ++b) {
-      scale[b] = tensor::quantize_row(x_block.data() + b * P, q + b * P, P);
+      scale[b] = tensor::quantize_row(x + b * P, q + b * P, P);
     }
     qw.latent->weight().multiply(q, B, acc);
   }
   for (std::size_t b = 0; b < B; ++b) {
     float* row = act + b * (H + P);
+    const std::int8_t* h_row = h + b * H;
+    // The symmetric dequant: scale * float(q).
     if (config_.latent_cross) {
       const float sl = scale[b] * qw.latent->weight().scale();
       const float* bl = qw.latent->bias();
       for (std::size_t j = 0; j < H; ++j) {
         const float factor = sl * static_cast<float>(acc[b * H + j]) + bl[j];
-        row[j] = h_block.dequant(b, j) * (1.0f + factor);
+        row[j] = h_scale[b] * static_cast<float>(h_row[j]) * (1.0f + factor);
       }
     } else {
-      for (std::size_t j = 0; j < H; ++j) row[j] = h_block.dequant(b, j);
+      for (std::size_t j = 0; j < H; ++j) {
+        row[j] = h_scale[b] * static_cast<float>(h_row[j]);
+      }
     }
-    std::memcpy(row + H, x_block.data() + b * P, P * sizeof(float));
+    std::memcpy(row + H, x + b * P, P * sizeof(float));
   }
 
   // MLP head: activations are requantized per row in front of each int8

@@ -99,10 +99,21 @@ class RnnNetwork : public nn::Module {
   InferenceState infer_initial_state() const;
   void infer_update(InferenceState& state, const Matrix& x) const;
   double infer_logit(const Matrix& h_k, const Matrix& x) const;
-  /// Batched RNNpredict: `h_block` is [B x hidden], `x_block` is
-  /// [B x predict_input_size()]; one GEMM amortized across B sessions.
-  /// Row b equals infer_logit(h_block row b, x_block row b) exactly —
-  /// GEMM row independence makes batching bit-transparent.
+  /// Batched RNNpredict, fused: `h` is [rows x hidden] and `x`
+  /// [rows x predict_input_size()], both row-major. One pass per row
+  /// collects x's ascending nonzero positions once, runs L(x) over them
+  /// (tensor::gemv_nz), forms h' = h ∘ (1 + (L(x) + b)), runs W1 over one
+  /// list (h''s nonzeros, then x's shifted by hidden: no concat), then
+  /// bias, ReLU and W2 as a scalar chain, all in per-thread scratch. Every
+  /// output keeps the unfused Linear::infer chain: accumulation from +0.0f
+  /// over ascending nonzero inputs with separate mul and add, the bias
+  /// after the sum, ReLU as v > 0 ? v : 0. So the scores are bit for bit
+  /// the unfused head's on every kernel lane, and row b equals the same
+  /// row scored alone. Allocates only the returned vector.
+  std::vector<double> infer_logits(const float* h, const float* x,
+                                   std::size_t rows) const;
+  /// Matrix form: checks `h_block` is [B x hidden] and `x_block`
+  /// [B x predict_input_size()], then the above.
   std::vector<double> infer_logits(const Matrix& h_block,
                                    const Matrix& x_block) const;
 
@@ -133,12 +144,19 @@ class RnnNetwork : public nn::Module {
   /// Batched int8 RNNpredict, fused: each stage quantizes its activation
   /// rows and runs its int8 product (latent L(x), W1, W2) into a
   /// per-thread i32 scratch, then dequantizes, adds the bias and applies
-  /// the activation in the order of the unfused qgemm chain. `h_block` is
-  /// [B x hidden] int8 with per-row scales (row b = user b's stored
-  /// bytes); `x_block` is f32 [B x predict_input_size()]. No f32 weight
-  /// matrix is formed, and row b equals the same row scored alone
-  /// (per-row activation quantization + exact integer accumulation keep
-  /// batching bit-transparent).
+  /// the activation in the order of the unfused qgemm chain. `h` is
+  /// [rows x hidden] int8 with one scale per row in `h_scale` (row b =
+  /// user b's stored bytes and scale); `x` is f32
+  /// [rows x predict_input_size()]. No f32 weight matrix is formed, and
+  /// row b equals the same row scored alone (per-row activation
+  /// quantization + exact integer accumulation keep batching
+  /// bit-transparent). Allocates only the returned vector.
+  std::vector<double> infer_logits_q8(const std::int8_t* h,
+                                      const float* h_scale, const float* x,
+                                      std::size_t rows) const;
+  /// QuantizedMatrix form: `h_block` must be symmetric [B x hidden]
+  /// (per-row or per-tensor scale) and `x_block` [B x
+  /// predict_input_size()] (throws std::invalid_argument otherwise).
   std::vector<double> infer_logits_q8(const tensor::QuantizedMatrix& h_block,
                                       const Matrix& x_block) const;
 

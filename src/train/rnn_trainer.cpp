@@ -444,11 +444,12 @@ ScoredSeries replay_users(const Scorer& scorer, const data::Dataset& dataset,
       }
     }
     typename Scorer::State state = scorer.cold();
+    typename Scorer::Block hidden;
     std::uint32_t applied = 0;
     constexpr std::size_t kBlock = 256;
     for (std::size_t begin = 0; begin < emitted.size(); begin += kBlock) {
       const std::size_t n = std::min(kBlock, emitted.size() - begin);
-      typename Scorer::Block hidden(n, state.hidden().cols());
+      hidden.reshape(n, state.hidden().cols());
       Matrix x(n, seq.predict_inputs.cols());
       for (std::size_t r = 0; r < n; ++r) {
         const std::size_t p = emitted[begin + r];
@@ -459,7 +460,7 @@ ScoredSeries replay_users(const Scorer& scorer, const data::Dataset& dataset,
         std::copy(seq.predict_inputs.row(p).begin(),
                   seq.predict_inputs.row(p).end(), x.row(r).begin());
       }
-      const std::vector<double> scores = scorer.score(hidden, x);
+      const std::vector<double> scores = scorer.score(hidden, x.data());
       for (std::size_t r = 0; r < n; ++r) {
         const std::size_t p = emitted[begin + r];
         partial[i].append(scores[r], seq.labels[p], seq.timestamps[p]);

@@ -71,14 +71,15 @@ F32Scorer::F32Scorer(const RnnNetwork& network)
     : network_(&network), cold_(network.infer_initial_state()) {}
 
 void F32Scorer::gather(Block& block, std::size_t row, const State& state) {
-  std::memcpy(block.row(row).data(), state.hidden().data(),
+  std::memcpy(block.row(row), state.hidden().data(),
               block.cols() * sizeof(float));
 }
 
 std::vector<double> F32Scorer::score(const Block& hidden,
-                                     const Matrix& x) const {
-  return sigmoid_head<F32Scorer>(
-      [&] { return network_->infer_logits(hidden, x); });
+                                     const float* x) const {
+  return sigmoid_head<F32Scorer>([&] {
+    return network_->infer_logits(hidden.data(), x, hidden.rows());
+  });
 }
 
 Int8Scorer::Int8Scorer(const RnnNetwork& network)
@@ -87,14 +88,16 @@ Int8Scorer::Int8Scorer(const RnnNetwork& network)
 }
 
 void Int8Scorer::gather(Block& block, std::size_t row, const State& state) {
-  std::memcpy(block.row_data(row), state.hidden().data(), block.cols());
-  block.set_row_scale(row, state.hidden().scale());
+  std::memcpy(block.row(row), state.hidden().data(), block.cols());
+  block.scale(row) = state.hidden().scale();
 }
 
 std::vector<double> Int8Scorer::score(const Block& hidden,
-                                      const Matrix& x) const {
-  return sigmoid_head<Int8Scorer>(
-      [&] { return network_->infer_logits_q8(hidden, x); });
+                                      const float* x) const {
+  return sigmoid_head<Int8Scorer>([&] {
+    return network_->infer_logits_q8(hidden.data(), hidden.scales(), x,
+                                     hidden.rows());
+  });
 }
 
 }  // namespace pp::train

@@ -119,9 +119,19 @@ class BinaryReader {
 
   /// Reads n raw bytes (the write_bytes counterpart).
   void read_bytes(void* out, std::size_t n) {
+    std::memcpy(out, view(n), n);
+  }
+
+  /// Passes over n bytes, or throws as a read of them would.
+  void skip(std::size_t n) { view(n); }
+
+  /// The next n bytes in place (valid while the reader lives), consumed
+  /// as read_bytes would consume them: a decode with no copy.
+  const std::uint8_t* view(std::size_t n) {
     require(n);
-    std::memcpy(out, bytes_.data() + pos_, n);
+    const std::uint8_t* p = bytes_.data() + pos_;
     pos_ += n;
+    return p;
   }
 
   bool at_end() const { return pos_ == bytes_.size(); }

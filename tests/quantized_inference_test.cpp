@@ -12,7 +12,9 @@
 //  * the gate sigmoid/tanh: the AVX2 lane bit-identical to the scalar
 //    twin over a dense sweep, within a stated ulp bound of double,
 //  * the fused int8 step and head bit-identical to the unfused qgemm()
-//    chain on every kernel lane (portable, AVX2, AVX-512 VNNI).
+//    chain on every kernel lane (portable, AVX2, AVX-512 VNNI),
+//  * and the fused f32 head, which shares the int8 one's shape, bit
+//    identical to its unfused Linear::infer chain on every kernel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -870,6 +872,143 @@ TEST(FusedInt8Vnni, StepAndHeadMatchUnfusedReference) {
   check_fused_step(tensor::GemmKernel::kSimd);
   check_fused_head(tensor::GemmKernel::kSimd);
 }
+
+// ---- the fused f32 head ----------------------------------------------------
+
+/// The network's layer `name` ("latent", "w1", "w2") as a standalone
+/// nn::Linear holding the same weight and bias.
+std::unique_ptr<nn::Linear> layer_copy(const train::RnnNetwork& net,
+                                       const std::string& name) {
+  const std::vector<std::string> names = net.parameter_names();
+  const std::vector<autograd::Variable> params = net.parameters();
+  tensor::Matrix weight, bias;
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    if (!names[i].starts_with(name + ".")) continue;
+    (names[i].ends_with(".weight") ? weight : bias) = params[i].value();
+  }
+  Rng rng(0);
+  auto layer = std::make_unique<nn::Linear>(weight.rows(), weight.cols(), rng);
+  autograd::Variable w = layer->weight();
+  autograd::Variable b = layer->bias();
+  w.mutable_value() = weight;
+  b.mutable_value() = bias;
+  return layer;
+}
+
+/// The unfused f32 head the fused RnnNetwork::infer_logits replaced:
+/// Linear::infer per layer (the GEMM into a zeroed output, then the bias),
+/// the latent cross h ∘ (1 + L(x)), a concat and the ReLU.
+std::vector<double> reference_f32_head(const train::RnnNetwork& net,
+                                       const tensor::Matrix& h,
+                                       const tensor::Matrix& x) {
+  tensor::Matrix crossed = h;
+  if (net.config().latent_cross) {
+    const tensor::Matrix factor = layer_copy(net, "latent")->infer(x);
+    for (std::size_t i = 0; i < crossed.size(); ++i) {
+      crossed[i] *= 1.0f + factor[i];
+    }
+  }
+  tensor::Matrix hidden =
+      layer_copy(net, "w1")->infer(tensor::Matrix::concat_cols(crossed, x));
+  for (std::size_t i = 0; i < hidden.size(); ++i) {
+    hidden[i] = hidden[i] > 0 ? hidden[i] : 0.0f;
+  }
+  const tensor::Matrix logit = layer_copy(net, "w2")->infer(hidden);
+  std::vector<double> out(logit.rows());
+  for (std::size_t b = 0; b < logit.rows(); ++b) out[b] = logit.at(b, 0);
+  return out;
+}
+
+/// [rows x hidden] f32 states holding +0 and -0 entries, the last row of
+/// several all zero (a cold user).
+tensor::Matrix f32_state_rows(std::size_t rows, std::size_t hidden,
+                              Rng& rng) {
+  tensor::Matrix h = tensor::Matrix::randn(rows, hidden, rng, 0.0f, 0.5f);
+  for (std::size_t b = 0; b < rows; ++b) {
+    for (std::size_t j = 0; j < hidden; ++j) {
+      if (rows > 1 && b + 1 == rows) {
+        h.at(b, j) = 0.0f;
+      } else if (j % 5 == 1) {
+        h.at(b, j) = 0.0f;
+      } else if (j % 7 == 3) {
+        h.at(b, j) = -0.0f;
+      }
+    }
+  }
+  return h;
+}
+
+/// Serving-shaped predict rows (14 context columns, 5 time buckets): a
+/// one-hot context value, one time bucket and one stray value.
+tensor::Matrix one_hot_rows(std::size_t rows, std::size_t cols, Rng& rng) {
+  tensor::Matrix x(rows, cols);
+  for (std::size_t b = 0; b < rows; ++b) {
+    x.at(b, rng.uniform_index(14)) = 1.0f;
+    x.at(b, 14 + rng.uniform_index(cols - 14)) = 1.0f;
+    x.at(b, rng.uniform_index(cols)) = static_cast<float>(rng.normal());
+  }
+  return x;
+}
+
+// Hidden 1, 8, 33 and 128 against an MLP 3 wider (64-column passes,
+// narrower ones and scalar column tails), batches of 1, 3 and 64, the
+// latent cross on and off, one-hot and dense x. memcmp, not ==: -0 and +0
+// must match too.
+void check_fused_f32_head(tensor::GemmKernel kernel) {
+  for (const bool latent_cross : {true, false}) {
+    for (const std::size_t H : {1u, 8u, 33u, 128u}) {
+      for (const std::size_t B : {1u, 3u, 64u}) {
+        for (const bool one_hot : {true, false}) {
+          Rng rng(4000 + 10 * H + B + (latent_cross ? 1 : 0) +
+                  (one_hot ? 2 : 0));
+          const auto net = random_network(H, latent_cross, rng);
+          const std::size_t P = net->config().predict_input_size();
+          const tensor::Matrix h = f32_state_rows(B, H, rng);
+          const tensor::Matrix x =
+              one_hot ? one_hot_rows(B, P, rng)
+                      : tensor::Matrix::randn(B, P, rng, 0.0f, 1.0f);
+          std::vector<double> want;
+          {
+            tensor::GemmConfigScope scope(tensor::GemmKernel::kNaive, 1);
+            want = reference_f32_head(*net, h, x);
+          }
+          tensor::GemmConfigScope scope(kernel, 1);
+          const std::vector<double> got = net->infer_logits(h, x);
+          ASSERT_EQ(got.size(), want.size());
+          EXPECT_EQ(std::memcmp(got.data(), want.data(), B * sizeof(double)),
+                    0)
+              << "H=" << H << " B=" << B << " latent_cross=" << latent_cross
+              << " one_hot=" << one_hot;
+        }
+      }
+    }
+  }
+}
+
+class FusedF32Head : public ::testing::TestWithParam<tensor::GemmKernel> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == tensor::GemmKernel::kSimd &&
+        !tensor::gemm_simd_available()) {
+      GTEST_SKIP() << "no AVX2 kernels on this host";
+    }
+  }
+};
+
+// GemvNz.EveryLaneMatchesTheNnProduct (tensor_gemm_test) pins the gemv
+// lanes themselves; this pins the head built on them.
+TEST_P(FusedF32Head, MatchesUnfusedReference) {
+  check_fused_f32_head(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, FusedF32Head,
+                         ::testing::Values(tensor::GemmKernel::kNaive,
+                                           tensor::GemmKernel::kBlocked,
+                                           tensor::GemmKernel::kSimd),
+                         [](const auto& info) {
+                           return std::string(
+                               tensor::gemm_kernel_name(info.param));
+                         });
 
 TEST(QuantizedWeights, MultiplyMatchesNaiveProductOnEveryKernel) {
   // k covers partial final quads; n covers VNNI chunks of 1..8 column

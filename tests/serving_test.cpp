@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -334,34 +335,77 @@ TEST(SessionJoiner, FiredFifoEvictsOldestNotEverything) {
 class HiddenStoreCodec : public ::testing::TestWithParam<StateCodec> {};
 
 TEST_P(HiddenStoreCodec, RoundTripsState) {
+  // get() returns what put() stored, for a GRU, an LSTM (whose c follows
+  // h) and a two-layer GRU. get_hidden, which reads only the exposed
+  // hidden (the top layer's h) straight into a row, must return get()'s
+  // bits and stamp, and its int8 form get_q8's bytes and scale.
   data::MobileTabConfig config;
   config.num_users = 2;
   config.days = 3;
   const data::Dataset dataset = data::generate_mobile_tab(config);
-  models::RnnModelConfig rnn_config;
-  rnn_config.hidden_size = 16;
-  rnn_config.mlp_hidden = 8;
-  models::RnnModel model(dataset, rnn_config);
+  const bool int8 = GetParam() == StateCodec::kInt8;
+  for (const auto& [cell, layers] :
+       {std::pair{nn::CellType::kGru, 1}, std::pair{nn::CellType::kLstm, 1},
+        std::pair{nn::CellType::kGru, 2}}) {
+    models::RnnModelConfig rnn_config;
+    rnn_config.hidden_size = 16;
+    rnn_config.mlp_hidden = 8;
+    rnn_config.cell = cell;
+    rnn_config.num_layers = layers;
+    const models::RnnModel model(dataset, rnn_config);
+    const train::RnnNetwork& net = model.network();
+    const std::string what =
+        std::string(nn::to_string(cell)) + " x" + std::to_string(layers);
 
-  LocalKvStore kv;
-  HiddenStateStore store(kv, GetParam());
-  StoredState state;
-  state.state = model.network().infer_initial_state();
-  Rng rng(3);
-  for (auto& layer : state.state.layers) {
-    for (auto& part : layer) part = tensor::Matrix::randn(1, 16, rng, 0.0f, 0.4f);
+    LocalKvStore kv;
+    HiddenStateStore store(kv, GetParam());
+    StoredState state;
+    state.state = net.infer_initial_state();
+    Rng rng(3);
+    for (auto& layer : state.state.layers) {
+      for (auto& part : layer) {
+        part = tensor::Matrix::randn(1, 16, rng, 0.0f, 0.4f);
+      }
+    }
+    state.last_update_time = 123456;
+    state.updates = 9;
+    store.put(7, state);
+
+    const auto loaded = store.get(7, net);
+    ASSERT_TRUE(loaded.has_value()) << what;
+    EXPECT_EQ(loaded->last_update_time, 123456) << what;
+    EXPECT_EQ(loaded->updates, 9u) << what;
+    const float tol = int8 ? 0.02f : 1e-7f;
+    EXPECT_TRUE(loaded->state.hidden().approx_equal(state.state.hidden(), tol))
+        << what;
+    EXPECT_FALSE(store.get(8, net).has_value()) << what;
+
+    std::vector<float> row(16, -1.0f);
+    const auto stamp = store.get_hidden(7, net, row.data());
+    ASSERT_TRUE(stamp.has_value()) << what;
+    EXPECT_EQ(stamp->last_update_time, 123456) << what;
+    EXPECT_EQ(stamp->updates, 9u) << what;
+    EXPECT_EQ(std::memcmp(row.data(), loaded->state.hidden().data(),
+                          row.size() * sizeof(float)),
+              0)
+        << what;
+    EXPECT_FALSE(store.get_hidden(8, net, row.data()).has_value()) << what;
+    std::vector<std::int8_t> bytes(16);
+    float scale = 0.0f;
+    if (int8 && cell == nn::CellType::kGru) {
+      const auto q8 = store.get_q8(7, net);
+      ASSERT_TRUE(q8.has_value()) << what;
+      ASSERT_TRUE(store.get_hidden(7, net, bytes.data(), &scale)) << what;
+      EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(),
+                             q8->state.hidden().data()))
+          << what;
+      EXPECT_EQ(scale, q8->state.hidden().scale()) << what;
+    } else {
+      EXPECT_THROW(store.get_hidden(7, net, bytes.data(), &scale),
+                   std::logic_error)
+          << what;
+    }
   }
-  state.last_update_time = 123456;
-  state.updates = 9;
-  store.put(7, state);
-
-  const auto loaded = store.get(7, model.network());
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->last_update_time, 123456);
-  EXPECT_EQ(loaded->updates, 9u);
-  const float tol = GetParam() == StateCodec::kFloat32 ? 1e-7f : 0.02f;
-  EXPECT_TRUE(loaded->state.hidden().approx_equal(state.state.hidden(), tol));
-  EXPECT_FALSE(store.get(8, model.network()).has_value());
 }
 
 INSTANTIATE_TEST_SUITE_P(Codecs, HiddenStoreCodec,
@@ -379,6 +423,9 @@ TEST(HiddenStore, GetRejectsRecordsFromDifferentlySizedModel) {
   // a reused store) must throw instead of feeding an out-of-bounds read.
   // The cell shapes a record too: an LSTM stores (h, c) per layer, a GRU
   // h only, so a GRU record read by an LSTM would step past its state.
+  // The exposed-hidden reads (get_hidden, f32 and int8) share get()'s
+  // record walk and must reject every such record the same way, also a
+  // record cut short after the part they return.
   data::MobileTabConfig config;
   config.num_users = 2;
   config.days = 2;
@@ -390,24 +437,76 @@ TEST(HiddenStore, GetRejectsRecordsFromDifferentlySizedModel) {
   big_config.mlp_hidden = 16;
   models::RnnModelConfig lstm_config = small_config;
   lstm_config.cell = nn::CellType::kLstm;
+  models::RnnModelConfig deep_config = small_config;
+  deep_config.num_layers = 2;
   const models::RnnModel small(dataset, small_config);
   const models::RnnModel big(dataset, big_config);
   const models::RnnModel lstm(dataset, lstm_config);
+  const models::RnnModel deep(dataset, deep_config);
 
-  LocalKvStore kv;
-  HiddenStateStore store(kv);
-  StoredState state;
-  state.state = small.network().infer_initial_state();
-  store.put(1, state);
-  EXPECT_TRUE(store.get(1, small.network()).has_value());
-  EXPECT_THROW(store.get(1, big.network()), std::runtime_error);
-  EXPECT_THROW(store.get(1, lstm.network()), std::runtime_error);  // GRU→LSTM
+  for (const StateCodec codec : {StateCodec::kFloat32, StateCodec::kInt8}) {
+    const bool int8 = codec == StateCodec::kInt8;
+    LocalKvStore kv;
+    HiddenStateStore store(kv, codec);
+    std::vector<float> f32_row(16);
+    std::vector<std::int8_t> q8_row(16);
+    float scale = 0.0f;
+    const auto expect_read = [&](std::uint64_t id,
+                                 const models::RnnModel& model) {
+      const auto& net = model.network();
+      EXPECT_TRUE(store.get(id, net).has_value());
+      EXPECT_TRUE(store.get_hidden(id, net, f32_row.data()).has_value());
+    };
+    // get() and every exposed-hidden read throw std::runtime_error; the
+    // int8 reads apply where the codec and a GRU model allow them.
+    const auto expect_rejected = [&](std::uint64_t id,
+                                     const models::RnnModel& model,
+                                     const char* what) {
+      const auto& net = model.network();
+      EXPECT_THROW(store.get(id, net), std::runtime_error) << what;
+      EXPECT_THROW(store.get_hidden(id, net, f32_row.data()),
+                   std::runtime_error)
+          << what;
+      if (int8 && net.config().cell == nn::CellType::kGru) {
+        EXPECT_THROW(store.get_q8(id, net), std::runtime_error) << what;
+        EXPECT_THROW(store.get_hidden(id, net, q8_row.data(), &scale),
+                     std::runtime_error)
+            << what;
+      }
+    };
 
-  StoredState lstm_state;
-  lstm_state.state = lstm.network().infer_initial_state();
-  store.put(2, lstm_state);
-  EXPECT_TRUE(store.get(2, lstm.network()).has_value());
-  EXPECT_THROW(store.get(2, small.network()), std::runtime_error);  // LSTM→GRU
+    StoredState state;
+    state.state = small.network().infer_initial_state();
+    store.put(1, state);
+    expect_read(1, small);
+    expect_rejected(1, big, "hidden size");
+    expect_rejected(1, lstm, "GRU record, LSTM model");
+    expect_rejected(1, deep, "layer count");
+
+    StoredState lstm_state;
+    lstm_state.state = lstm.network().infer_initial_state();
+    store.put(2, lstm_state);
+    expect_read(2, lstm);
+    expect_rejected(2, small, "LSTM record, GRU model");
+
+    StoredState deep_state;
+    deep_state.state = deep.network().infer_initial_state();
+    store.put(3, deep_state);
+    expect_read(3, deep);
+    expect_rejected(3, small, "two layers, one-layer model");
+
+    // Truncated: the LSTM cut inside its trailing c part (its h, the part
+    // get_hidden returns, is whole), mid-record and inside the header.
+    const std::vector<std::uint8_t> whole = *kv.get("h:2");
+    for (const std::size_t keep : {whole.size() - 1, whole.size() / 2,
+                                   std::size_t{3}}) {
+      kv.put("h:4", std::vector<std::uint8_t>(whole.begin(),
+                                              whole.begin() + keep));
+      expect_rejected(4, lstm, "truncated");
+    }
+    EXPECT_FALSE(store.get_hidden(5, small.network(), f32_row.data())
+                     .has_value());
+  }
 }
 
 TEST(HiddenStore, Int8QuartersTheFootprint) {
@@ -500,6 +599,13 @@ TEST(HiddenStore, GetRejectsInvalidInt8Scale) {
   kv.put("h:1", record(0.01f));
   ASSERT_TRUE(store.get(1, model.network()).has_value());
   ASSERT_TRUE(store.get_q8(1, model.network()).has_value());
+  std::vector<float> f32_row(8);
+  std::vector<std::int8_t> q8_row(8);
+  float row_scale = 0.0f;
+  ASSERT_TRUE(store.get_hidden(1, model.network(), f32_row.data()));
+  ASSERT_TRUE(
+      store.get_hidden(1, model.network(), q8_row.data(), &row_scale));
+  EXPECT_EQ(row_scale, 0.01f);
 
   const float inf = std::numeric_limits<float>::infinity();
   const float bad[] = {std::numeric_limits<float>::quiet_NaN(), inf, -inf,
@@ -509,6 +615,13 @@ TEST(HiddenStore, GetRejectsInvalidInt8Scale) {
     EXPECT_THROW(store.get(2, model.network()), std::runtime_error)
         << "scale " << scale;
     EXPECT_THROW(store.get_q8(2, model.network()), std::runtime_error)
+        << "scale " << scale;
+    EXPECT_THROW(store.get_hidden(2, model.network(), f32_row.data()),
+                 std::runtime_error)
+        << "scale " << scale;
+    EXPECT_THROW(
+        store.get_hidden(2, model.network(), q8_row.data(), &row_scale),
+        std::runtime_error)
         << "scale " << scale;
   }
 }
@@ -692,7 +805,10 @@ TEST(RnnPolicy, ServedScoresEqualOfflineReplayInBothPrecisions) {
   // (window = session_length, grace = update_latency) reproduces the
   // offline replay bit for bit, in each precision — also for a model whose
   // history cap is below the longest user's session count (the cap bounds
-  // training; serving never truncates).
+  // training; serving never truncates). The f32 arm also serves an LSTM
+  // (its stored c follows the h that scoring reads) and a two-layer GRU
+  // (scoring skips the lower layer): the exposed-hidden read must pick the
+  // h the offline replay scores from.
   data::MobileTabConfig config;
   config.num_users = 40;
   config.days = 6;
@@ -723,49 +839,67 @@ TEST(RnnPolicy, ServedScoresEqualOfflineReplayInBothPrecisions) {
   std::stable_sort(stream.begin(), stream.end(),
                    [](const Item& a, const Item& b) { return a.t < b.t; });
 
-  for (const std::size_t truncate :
-       {rnn_config.truncate_history, longest / 2}) {
-    rnn_config.truncate_history = truncate;
-    models::RnnModel model(dataset, rnn_config);
-    model.fit(dataset, users);
-    model.enable_quantized_serving();
-    for (const ScorePrecision precision :
-         {ScorePrecision::kFloat32, ScorePrecision::kInt8}) {
-      const bool int8 = precision == ScorePrecision::kInt8;
-      LocalKvStore kv;
-      HiddenStateStore store(kv,
-                             int8 ? StateCodec::kInt8 : StateCodec::kFloat32);
-      RnnPolicy policy(model, store, precision);
-      ScoreRecordingPolicy recorder(policy);
-      PrecomputeService service(recorder, 0.5, dataset.session_length,
-                                dataset.update_latency, dataset.start_time);
-      std::uint64_t session_id = 1;
-      for (const Item& item : stream) {
-        service.on_session_start(session_id, item.user, item.t,
-                                 item.session->context);
-        if (item.session->access) {
-          service.on_access(session_id, item.t + dataset.session_length / 2);
+  struct Variant {
+    nn::CellType cell;
+    int layers;
+  };
+  const std::size_t default_truncate = rnn_config.truncate_history;
+  for (const Variant variant : {Variant{nn::CellType::kGru, 1},
+                                Variant{nn::CellType::kLstm, 1},
+                                Variant{nn::CellType::kGru, 2}}) {
+    rnn_config.cell = variant.cell;
+    rnn_config.num_layers = variant.layers;
+    // int8 serving is GRU-only; the one-layer GRU runs both precisions.
+    const bool f32_only =
+        variant.cell != nn::CellType::kGru || variant.layers != 1;
+    for (const std::size_t truncate : {default_truncate, longest / 2}) {
+      rnn_config.truncate_history = truncate;
+      models::RnnModel model(dataset, rnn_config);
+      model.fit(dataset, users);
+      if (!f32_only) model.enable_quantized_serving();
+      for (const ScorePrecision precision :
+           {ScorePrecision::kFloat32, ScorePrecision::kInt8}) {
+        const bool int8 = precision == ScorePrecision::kInt8;
+        if (int8 && f32_only) continue;
+        LocalKvStore kv;
+        HiddenStateStore store(
+            kv, int8 ? StateCodec::kInt8 : StateCodec::kFloat32);
+        RnnPolicy policy(model, store, precision);
+        const std::string what = std::string(policy.name()) + " " +
+                                 nn::to_string(variant.cell) + " x" +
+                                 std::to_string(variant.layers) +
+                                 " truncate " + std::to_string(truncate);
+        ScoreRecordingPolicy recorder(policy);
+        PrecomputeService service(recorder, 0.5, dataset.session_length,
+                                  dataset.update_latency,
+                                  dataset.start_time);
+        std::uint64_t session_id = 1;
+        for (const Item& item : stream) {
+          service.on_session_start(session_id, item.user, item.t,
+                                   item.session->context);
+          if (item.session->access) {
+            service.on_access(session_id,
+                              item.t + dataset.session_length / 2);
+          }
+          ++session_id;
         }
-        ++session_id;
-      }
-      service.flush();
+        service.flush();
 
-      const train::ScoredSeries offline =
-          int8 ? model.score_q8(dataset, users) : model.score(dataset, users);
-      std::size_t i = 0;
-      for (const std::size_t u : users) {
-        for (const double served : recorder.served[u]) {
-          ASSERT_LT(i, offline.scores.size())
-              << policy.name() << " truncate " << truncate;
-          EXPECT_EQ(served, offline.scores[i])
-              << policy.name() << " truncate " << truncate << " user " << u
-              << " prediction " << i;
-          ++i;
+        const train::ScoredSeries offline = int8
+                                                ? model.score_q8(dataset, users)
+                                                : model.score(dataset, users);
+        std::size_t i = 0;
+        for (const std::size_t u : users) {
+          for (const double served : recorder.served[u]) {
+            ASSERT_LT(i, offline.scores.size()) << what;
+            EXPECT_EQ(served, offline.scores[i])
+                << what << " user " << u << " prediction " << i;
+            ++i;
+          }
         }
+        EXPECT_EQ(i, offline.scores.size()) << what;
+        EXPECT_GT(i, 100u) << what;
       }
-      EXPECT_EQ(i, offline.scores.size())
-          << policy.name() << " truncate " << truncate;
-      EXPECT_GT(i, 100u) << policy.name();
     }
   }
 }

@@ -600,6 +600,52 @@ TEST(Gemm, ZeroSkipParityWithNonFiniteB) {
   EXPECT_TRUE(bits_equal(t_naive, t_simd));
 }
 
+// ---- gemv over a nonzero list (the fused f32 head) ------------------------
+
+TEST(GemvNz, EveryLaneMatchesTheNnProduct) {
+  // The fused f32 head's primitive: a row's ascending nonzero list against
+  // a [k x n] weight must give the nn product of the whole row (zero-skip,
+  // +0.0f start, ascending chain) bit for bit on every kernel: naive and
+  // blocked run the portable lane, simd the AVX2 one. n covers 64-column
+  // passes, narrower passes and scalar column tails; the row holds +0 and
+  // -0 entries, and the empty list is included.
+  for (const std::size_t n : {1u, 7u, 8u, 9u, 17u, 33u, 63u, 64u, 65u, 128u,
+                              131u, 200u}) {
+    for (const std::size_t k : {1u, 19u, 160u}) {
+      for (const double density : {0.0, 0.05, 0.5, 1.0}) {
+        Rng rng(shape_seed({k, n, static_cast<std::size_t>(density * 100)}));
+        const Matrix w = Matrix::randn(k, n, rng);
+        Matrix a(1, k);
+        std::vector<float> vals;
+        std::vector<std::uint32_t> rows;
+        for (std::size_t p = 0; p < k; ++p) {
+          if (rng.uniform() < density) {
+            a[p] = static_cast<float>(rng.normal());
+            vals.push_back(a[p]);
+            rows.push_back(static_cast<std::uint32_t>(p));
+          } else {
+            a[p] = p % 2 == 0 ? 0.0f : -0.0f;
+          }
+        }
+        Matrix want(1, n);
+        gemm_nn_naive(a, w, want);
+        const std::string where = "n=" + std::to_string(n) +
+                                  " k=" + std::to_string(k) +
+                                  " nnz=" + std::to_string(vals.size());
+        for (const GemmKernel kernel :
+             {GemmKernel::kNaive, GemmKernel::kBlocked, GemmKernel::kSimd}) {
+          GemmConfigScope scope(kernel, 1);
+          std::vector<float> got(n, std::numeric_limits<float>::quiet_NaN());
+          gemv_nz(vals.data(), rows.data(), vals.size(), w.data(), k, n,
+                  got.data());
+          EXPECT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(float)), 0)
+              << gemm_kernel_name(gemm_dispatched_kernel()) << " " << where;
+        }
+      }
+    }
+  }
+}
+
 // ---- pool cache ------------------------------------------------------------
 
 TEST(Gemm, PoolCacheDoesNotThrashAcrossAlternatingWidths) {
