@@ -55,24 +55,6 @@ ScoreScratch<S>& score_scratch() {
   return scratch;
 }
 
-/// One store read of a user's exposed hidden straight into block row
-/// `row`, in the block's form: f32 values, or int8 bytes and their scale.
-std::optional<StateStamp> read_hidden(const HiddenStateStore& store,
-                                      std::uint64_t user_id,
-                                      const train::RnnNetwork& net,
-                                      train::F32Scorer::Block& block,
-                                      std::size_t row) {
-  return store.get_hidden(user_id, net, block.row(row));
-}
-
-std::optional<StateStamp> read_hidden(const HiddenStateStore& store,
-                                      std::uint64_t user_id,
-                                      const train::RnnNetwork& net,
-                                      train::Int8Scorer::Block& block,
-                                      std::size_t row) {
-  return store.get_hidden(user_id, net, block.row(row), &block.scale(row));
-}
-
 }  // namespace
 
 // --------------------------------------------------------------- RnnPolicy
@@ -194,7 +176,7 @@ std::vector<double> RnnPolicy::score_with(
     std::optional<StateStamp> stamp;
     {
       MutexLock lock(stripe_for(s.user_id));
-      stamp = read_hidden(*store_, s.user_id, net, h, b);
+      stamp = scorer.read(*store_, s.user_id, net, h, b);
     }
     if (!stamp.has_value()) scorer.gather(h, b, scorer.cold());
     span.stage_add(0);  // kv_get: stripe-locked lookup + hidden read

@@ -58,8 +58,7 @@ class F32Scorer {
  public:
   /// Per-user recurrent state, as the KV tier stores it.
   using State = InferenceState;
-  /// [B x hidden] rows for score(), filled by gather() or straight from
-  /// the store (HiddenStateStore::get_hidden).
+  /// [B x hidden] rows for score(), filled by gather() or read().
   using Block = HiddenBlock<float>;
   /// `precision` label of the obs series score() records.
   static constexpr const char* kLabel = "f32";
@@ -73,6 +72,15 @@ class F32Scorer {
   }
   /// Copies the state's exposed hidden vector into row `row` of `block`.
   static void gather(Block& block, std::size_t row, const State& state);
+  /// One read of a user's stored exposed hidden straight into row `row`
+  /// of `block` through serving::HiddenStateStore::get_hidden (a template
+  /// so this layer does not include serving's): the record's stamp, or
+  /// std::nullopt for a cold user with the row untouched.
+  template <class Store>
+  static auto read(const Store& store, std::uint64_t user_id,
+                   const RnnNetwork& network, Block& block, std::size_t row) {
+    return store.get_hidden(user_id, network, block.row(row));
+  }
   /// Batched RNNpredict -> sigmoid, one access probability per row of
   /// `hidden`; `x` holds as many rows of predict_input_size(). Row b
   /// equals the row scored alone. Inside a sampled obs span it records
@@ -100,6 +108,13 @@ class Int8Scorer {
     network_->infer_update_q8(state, x);
   }
   static void gather(Block& block, std::size_t row, const State& state);
+  /// The stored bytes and their scale, under get_q8's preconditions.
+  template <class Store>
+  static auto read(const Store& store, std::uint64_t user_id,
+                   const RnnNetwork& network, Block& block, std::size_t row) {
+    return store.get_hidden(user_id, network, block.row(row),
+                            &block.scale(row));
+  }
   std::vector<double> score(const Block& hidden, const float* x) const;
 
  private:
