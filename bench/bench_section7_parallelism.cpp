@@ -28,9 +28,11 @@ int main() {
     max_len = std::max(max_len, u.sessions.size());
     total += u.sessions.size();
   }
+  const double padding_factor =
+      static_cast<double>(max_len) * dataset.users.size() / total;
   std::printf("history lengths: mean %.0f, max %zu (padding factor %.2fx)\n",
               static_cast<double>(total) / dataset.users.size(), max_len,
-              static_cast<double>(max_len) * dataset.users.size() / total);
+              padding_factor);
 
   std::vector<std::size_t> users(dataset.users.size());
   std::iota(users.begin(), users.end(), 0);
@@ -45,6 +47,7 @@ int main() {
       {"sequential", train::BatchStrategy::kSequential},
   };
 
+  constexpr std::size_t kTrainerThreads = 2;
   Table table({"strategy", "seconds_per_epoch", "speedup_vs_padded"});
   double padded_time = 0;
   std::vector<double> times;
@@ -61,7 +64,7 @@ int main() {
     trainer_config.epochs = 1;
     trainer_config.minibatch_users = 8;
     trainer_config.strategy = s.strategy;
-    trainer_config.num_threads = 2;
+    trainer_config.num_threads = kTrainerThreads;
     trainer_config.sequence.truncate_history = 2000;
     train::RnnTrainer trainer(network, trainer_config);
     Stopwatch sw;
@@ -84,12 +87,12 @@ int main() {
       "The paper's 2x is the padding-waste elimination: compare the\n"
       "unpadded rows (sequential / per-user threads) against the padded\n"
       "batch. Padded batching amortizes per-op overhead across the batch,\n"
-      "so its deficit is smaller than the raw %.2fx padding factor; on\n"
-      "hosts with several physical cores the per-user-thread row gains a\n"
-      "further ~Nx from parallel whole-user evaluation (this runner has\n"
-      "%u hardware threads, which may be hyperthread siblings).\n",
-      static_cast<double>(max_len) * dataset.users.size() / total,
-      std::thread::hardware_concurrency());
+      "so its deficit is smaller than the raw %.2fx padding factor.\n"
+      "Measured here, on %u hardware threads: per-user threads (%zu\n"
+      "trainer threads) %.2fx and sequential %.2fx the padded batch's\n"
+      "speed, per-user threads %.2fx the sequential speed.\n",
+      padding_factor, std::thread::hardware_concurrency(), kTrainerThreads,
+      padded_time / times[0], padded_time / times[2], times[2] / times[0]);
 
   // ---- old vs new GEMM kernel under the padded-batch strategy ----------
   // The padded strategy is the GEMM-bound one (every step is a [B x d]
@@ -97,22 +100,19 @@ int main() {
   struct KernelChoice {
     const char* name;
     tensor::GemmKernel kernel;
-    std::size_t threads;
   };
   // The simd rows dispatch to the AVX2/FMA kernels when the host has them
   // and degrade to blocked otherwise (resolve_kernel in gemm.cpp), so the
   // table stays runnable on any machine.
   const KernelChoice kernels[] = {
-      {"naive (seed)", tensor::GemmKernel::kNaive, 1},
-      {"blocked", tensor::GemmKernel::kBlocked, 1},
-      {"blocked + threads", tensor::GemmKernel::kBlocked, 0},
-      {"simd", tensor::GemmKernel::kSimd, 1},
-      {"simd + threads", tensor::GemmKernel::kSimd, 0},
+      {"naive (seed)", tensor::GemmKernel::kNaive},
+      {"blocked", tensor::GemmKernel::kBlocked},
+      {"simd", tensor::GemmKernel::kSimd},
   };
   Table kernel_table({"gemm_kernel", "seconds_per_epoch", "speedup_vs_naive"});
   double naive_time = 0;
   for (const KernelChoice& choice : kernels) {
-    tensor::GemmConfigScope scope(choice.kernel, choice.threads);
+    tensor::GemmConfigScope scope(choice.kernel);
     train::RnnNetworkConfig net_config;
     net_config.feature_size =
         train::feature_width(dataset.schema, train::FeatureMode::kFull);
@@ -137,8 +137,7 @@ int main() {
         .cell(naive_time / seconds, 2);
   }
   kernel_table.print(
-      "Padded-batch epoch, seed GEMM vs blocked (and ThreadPool-threaded) "
-      "kernel");
+      "Padded-batch epoch, seed GEMM vs blocked and simd kernels");
 
   // ---- raw kernel throughput (the isolated old-vs-new comparison) ------
   const std::size_t dims[] = {128, 384};
@@ -151,7 +150,7 @@ int main() {
     const double flops = 2.0 * static_cast<double>(d) * d * d * reps;
     double base = 0;
     for (const KernelChoice& choice : kernels) {
-      tensor::GemmConfigScope scope(choice.kernel, choice.threads, 0);
+      tensor::GemmConfigScope scope(choice.kernel);
       tensor::Matrix c(d, d);
       Stopwatch sw;
       for (int r = 0; r < reps; ++r) {

@@ -12,7 +12,6 @@
 #include "serving/aggregation_service.hpp"
 #include "serving/hidden_store.hpp"
 #include "serving/precompute_service.hpp"
-#include "tensor/gemm.hpp"
 #include "train/sequence.hpp"
 
 using namespace pp;
@@ -259,31 +258,6 @@ BENCHMARK(BM_QuantizedScoring)
     ->Args({1, 64})
     ->Args({0, 256})
     ->Args({1, 256});
-
-/// Old-vs-new kernel on a serving-shaped GEMM ([B x 2h] * [2h x h], the
-/// W1 product of a batched RNNpredict).
-void BM_GemmKernel(benchmark::State& state) {
-  const auto kernel = static_cast<tensor::GemmKernel>(state.range(0));
-  const std::size_t threads = static_cast<std::size_t>(state.range(1));
-  Rng rng(9);
-  const tensor::Matrix a = tensor::Matrix::randn(256, 306, rng);
-  const tensor::Matrix b = tensor::Matrix::randn(306, 128, rng);
-  tensor::Matrix c(256, 128);
-  tensor::GemmConfigScope scope(kernel, threads, 0);
-  for (auto _ : state) {
-    c.set_zero();
-    tensor::gemm_accumulate(a, b, c);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.counters["MACs"] = 256.0 * 306.0 * 128.0;
-}
-BENCHMARK(BM_GemmKernel)
-    ->ArgNames({"kernel", "threads"})
-    ->Args({static_cast<long>(tensor::GemmKernel::kNaive), 1})
-    ->Args({static_cast<long>(tensor::GemmKernel::kBlocked), 1})
-    ->Args({static_cast<long>(tensor::GemmKernel::kBlocked), 0})
-    ->Args({static_cast<long>(tensor::GemmKernel::kSimd), 1})
-    ->Args({static_cast<long>(tensor::GemmKernel::kSimd), 0});
 
 void BM_GbdtPredict(benchmark::State& state) {
   Fixture& f = Fixture::get();

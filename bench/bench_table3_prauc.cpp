@@ -30,11 +30,9 @@ DatasetResult evaluate(const data::Dataset& dataset, bool timeshift) {
   result.name = dataset.name;
   const std::vector<double>* scores[4] = {&s.percentage, &s.lr, &s.gbdt,
                                           &s.rnn};
-  const std::vector<float>* labels[4] = {&s.percentage_labels, &s.lr_labels,
-                                         &s.gbdt_labels, &s.rnn_labels};
   for (int m = 0; m < 4; ++m) {
-    result.pr_auc[m] = eval::pr_auc(*scores[m], *labels[m]);
-    result.recall50[m] = eval::recall_at_precision(*scores[m], *labels[m], 0.5);
+    result.pr_auc[m] = eval::pr_auc(*scores[m], s.labels);
+    result.recall50[m] = eval::recall_at_precision(*scores[m], s.labels, 0.5);
   }
   return result;
 }
@@ -68,24 +66,19 @@ DatasetResult evaluate_mpu_cv(const data::Dataset& dataset, std::size_t k) {
       a.insert(a.end(), b.begin(), b.end());
     };
     append(combined.percentage, s.percentage);
-    append_l(combined.percentage_labels, s.percentage_labels);
     append(combined.lr, s.lr);
-    append_l(combined.lr_labels, s.lr_labels);
     append(combined.gbdt, s.gbdt);
-    append_l(combined.gbdt_labels, s.gbdt_labels);
     append(combined.rnn, s.rnn);
-    append_l(combined.rnn_labels, s.rnn_labels);
+    append_l(combined.labels, s.labels);
   }
   DatasetResult result;
   result.name = dataset.name;
   const std::vector<double>* scores[4] = {&combined.percentage, &combined.lr,
                                           &combined.gbdt, &combined.rnn};
-  const std::vector<float>* labels[4] = {
-      &combined.percentage_labels, &combined.lr_labels,
-      &combined.gbdt_labels, &combined.rnn_labels};
   for (int m = 0; m < 4; ++m) {
-    result.pr_auc[m] = eval::pr_auc(*scores[m], *labels[m]);
-    result.recall50[m] = eval::recall_at_precision(*scores[m], *labels[m], 0.5);
+    result.pr_auc[m] = eval::pr_auc(*scores[m], combined.labels);
+    result.recall50[m] =
+        eval::recall_at_precision(*scores[m], combined.labels, 0.5);
   }
   return result;
 }
@@ -105,12 +98,10 @@ int main() {
     const std::vector<double>* scores[4] = {
         &mobile_scores.percentage, &mobile_scores.lr, &mobile_scores.gbdt,
         &mobile_scores.rnn};
-    const std::vector<float>* labels[4] = {
-        &mobile_scores.percentage_labels, &mobile_scores.lr_labels,
-        &mobile_scores.gbdt_labels, &mobile_scores.rnn_labels};
     for (int m = 0; m < 4; ++m) {
-      r.pr_auc[m] = eval::pr_auc(*scores[m], *labels[m]);
-      r.recall50[m] = eval::recall_at_precision(*scores[m], *labels[m], 0.5);
+      r.pr_auc[m] = eval::pr_auc(*scores[m], mobile_scores.labels);
+      r.recall50[m] =
+          eval::recall_at_precision(*scores[m], mobile_scores.labels, 0.5);
     }
     results.push_back(r);
   }
@@ -157,12 +148,10 @@ int main() {
   const std::vector<double>* scores[4] = {
       &mobile_scores.percentage, &mobile_scores.lr, &mobile_scores.gbdt,
       &mobile_scores.rnn};
-  const std::vector<float>* labels[4] = {
-      &mobile_scores.percentage_labels, &mobile_scores.lr_labels,
-      &mobile_scores.gbdt_labels, &mobile_scores.rnn_labels};
   std::vector<std::vector<eval::PrPoint>> curves;
   for (int m = 0; m < 4; ++m) {
-    curves.push_back(eval::precision_recall_curve(*scores[m], *labels[m]));
+    curves.push_back(
+        eval::precision_recall_curve(*scores[m], mobile_scores.labels));
   }
   for (double recall = 0.1; recall <= 0.9001; recall += 0.1) {
     auto& row = f6.row().cell(recall, 1);

@@ -1,6 +1,7 @@
 #include "bench/common.hpp"
 
 #include <cstdio>
+#include <stdexcept>
 
 namespace pp::bench {
 
@@ -26,6 +27,7 @@ features::ExampleBatch build_batch(const data::Dataset& dataset,
 ModelScores run_model_comparison(const data::Dataset& dataset,
                                  const BenchSplit& split, bool is_timeshift) {
   ModelScores scores;
+  std::vector<float> lr_labels, gbdt_labels, rnn_labels;
   const std::int64_t eval_from = dataset.end_time - 7 * 86400;
   // Baselines train on the last 7 days (§5.3), giving aggregation features
   // a 23-day warm-up.
@@ -38,7 +40,7 @@ ModelScores run_model_comparison(const data::Dataset& dataset,
   {
     const auto series = percentage.score(dataset, split.test, eval_from);
     scores.percentage = series.scores;
-    scores.percentage_labels = series.labels;
+    scores.labels = series.labels;
   }
 
   // ---- logistic regression ----
@@ -53,7 +55,7 @@ ModelScores run_model_comparison(const data::Dataset& dataset,
     models::LogisticRegressionModel lr;
     lr.fit(train);
     scores.lr = lr.predict(test);
-    scores.lr_labels = test.labels;
+    lr_labels = test.labels;
   }
 
   // ---- GBDT with depth search ----
@@ -73,7 +75,7 @@ ModelScores run_model_comparison(const data::Dataset& dataset,
               std::to_string(summary.chosen_depth) + " trees=" +
               std::to_string(summary.trees));
     scores.gbdt = gbdt.predict(test);
-    scores.gbdt_labels = test.labels;
+    gbdt_labels = test.labels;
   }
 
   // ---- RNN ----
@@ -87,7 +89,15 @@ ModelScores run_model_comparison(const data::Dataset& dataset,
               format_double(sw.elapsed_seconds(), 1) + "s");
     const auto series = rnn.score(dataset, split.test, eval_from, 0, 2);
     scores.rnn = series.scores;
-    scores.rnn_labels = series.labels;
+    rnn_labels = series.labels;
+  }
+  // Table 3 is like for like only if every model scores the same rows.
+  // ModelComparison.EveryModelScoresTheSameRows (tests/models_test.cpp)
+  // pins them on small cohorts; this holds it on every bench run.
+  if (lr_labels != scores.labels || gbdt_labels != scores.labels ||
+      rnn_labels != scores.labels) {
+    throw std::logic_error(dataset.name +
+                           ": the four models scored different label series");
   }
   return scores;
 }

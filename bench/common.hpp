@@ -112,19 +112,18 @@ inline BenchSplit make_split(std::size_t num_users, std::uint64_t seed = 99) {
   return split;
 }
 
-/// Scores + labels for all four models on one dataset's held-out users,
-/// evaluated on the last 7 days (§8). Shared by the Table 3 / Table 4 /
-/// Figure 6 benches.
+/// Scores for all four models on one dataset's held-out users, evaluated
+/// on the last 7 days (§8), and the labels they share: every model scores
+/// the same (user, timestamp) rows in the same order. Shared by the
+/// Table 3 / Table 4 / Figure 6 benches.
 struct ModelScores {
   std::vector<double> percentage, lr, gbdt, rnn;
-  std::vector<float> labels;  // identical ordering across models? No:
-  // each model carries its own label vector because example sets differ
-  // slightly (LR/GBDT batches vs replay); keep per-model labels.
-  std::vector<float> percentage_labels, lr_labels, gbdt_labels, rnn_labels;
+  std::vector<float> labels;
 };
 
 /// Runs the full four-model comparison on a session dataset (MobileTab,
-/// MPU) or a timeshifted one. Prints progress to stderr.
+/// MPU) or a timeshifted one. Prints progress to stderr. Throws
+/// std::logic_error when the models' label series differ.
 ModelScores run_model_comparison(const data::Dataset& dataset,
                                  const BenchSplit& split,
                                  bool is_timeshift);

@@ -3,7 +3,8 @@
 #
 # Usage:
 #   ci/lint.sh --binary [build-dir]   # AVX2/AVX-512/SSE4.2 containment
-#   ci/lint.sh --source               # raw sync primitives outside src/util/
+#   ci/lint.sh --source               # raw sync primitives outside src/util/,
+#                                     # threads and locks in src/tensor/
 #
 # --binary  Machine-checks the TU-isolation rule behind the runtime-
 #           dispatched kernels (CMakeLists.txt): only the *_avx2.cpp TUs
@@ -37,11 +38,16 @@
 #           wrappers. A raw std::mutex member is invisible to the analysis,
 #           so one unconverted file would silently shrink the checked
 #           surface. Comment-stripped grep over src/ minus src/util/.
+#           It also keeps threads out of the tensor layer: no file under
+#           src/tensor/ may include util/thread_pool.hpp, util/thread.hpp
+#           or util/mutex.hpp. Every product runs on the thread that asks
+#           for it; parallelism belongs to the callers (the trainer's
+#           per-user threads, the service's fan-out).
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
-usage() { sed -n '2,7p' "${BASH_SOURCE[0]}"; }
+usage() { sed -n '2,8p' "${BASH_SOURCE[0]}"; }
 
 binary_lint() {
   local build_dir="$1"
@@ -184,13 +190,35 @@ source_lint() {
     echo "source lint: found no sources under src/ — wrong checkout?" >&2
     exit 2
   fi
+
+  local tensor_pattern='#[[:space:]]*include[[:space:]]*"util/(thread_pool|thread|mutex)\.hpp"'
+  local tensor_checked=0
+  while IFS= read -r -d '' f; do
+    tensor_checked=$((tensor_checked + 1))
+    hits="$(sed 's@//.*@@' "${f}" | grep -En "${tensor_pattern}" || true)"
+    if [[ -n "${hits}" ]]; then
+      bad=$((bad + 1))
+      echo "source lint: thread or lock header in ${f#"${REPO_ROOT}"/} —" \
+           "tensor products run on the calling thread; parallelism belongs" \
+           "to the callers (the trainer's per-user threads, the service's" \
+           "fan-out):" >&2
+      sed 's/^/  /' <<<"${hits}" >&2
+    fi
+  done < <(find "${REPO_ROOT}/src/tensor" -type f \( -name '*.cpp' -o -name '*.hpp' \) \
+             -print0 | sort -z)
+  if [[ "${tensor_checked}" -eq 0 ]]; then
+    echo "source lint: found no sources under src/tensor/ — wrong checkout?" >&2
+    exit 2
+  fi
+
   if [[ "${bad}" -gt 0 ]]; then
-    echo "source lint: FAIL — ${bad}/${checked} files use raw primitives" \
-         "outside src/util/" >&2
+    echo "source lint: FAIL — ${bad} files use raw primitives outside" \
+         "src/util/ or threads in src/tensor/" >&2
     exit 1
   fi
   echo "source lint: OK — ${checked} files outside src/util/ free of raw" \
-       "sync primitives"
+       "sync primitives, ${tensor_checked} in src/tensor/ free of threads" \
+       "and locks"
 }
 
 case "${1:-}" in

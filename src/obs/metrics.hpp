@@ -238,7 +238,7 @@ class MetricsRegistry {
 
   /// The process-wide registry every instrumented subsystem uses.
   /// Constructed on first use and never destroyed, so a component in
-  /// static storage (e.g. a cached GEMM pool) may unregister at exit.
+  /// static storage (a thread pool, a store) may unregister at exit.
   static MetricsRegistry& global();
 
  private:

@@ -282,6 +282,9 @@ GbdtPolicy::GbdtPolicy(const models::GbdtModel& model,
       pipeline_(&pipeline),
       aggregation_(&aggregation),
       dense_(pipeline.dimension(), 0.0f),
+      walk_cost_(static_cast<std::size_t>(
+          model.booster().mean_tree_depth() *
+          static_cast<double>(model.booster().num_trees()))),
       collector_(collect_ledger(name(), predictions_, state_updates_,
                                 model_flops_)) {}
 
@@ -292,12 +295,7 @@ double GbdtPolicy::score_session(std::uint64_t user_id, std::int64_t t,
   for (const auto& [col, value] : row_) dense_[col] = value;
   const double p = model_->predict_row(dense_);
   predictions_.fetch_add(1, std::memory_order_relaxed);
-  // Tree-walk cost: one comparison per level per tree.
-  model_flops_.fetch_add(
-      static_cast<std::size_t>(
-          model_->booster().mean_tree_depth() *
-          static_cast<double>(model_->booster().num_trees())),
-      std::memory_order_relaxed);
+  model_flops_.fetch_add(walk_cost_, std::memory_order_relaxed);
   return p;
 }
 

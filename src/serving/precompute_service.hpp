@@ -238,6 +238,9 @@ class GbdtPolicy final : public PrecomputePolicy {
   AggregationService* aggregation_;
   features::SparseRow row_;
   std::vector<float> dense_;
+  /// The ledger's cost of one score: one comparison per level per tree,
+  /// fixed for the model's life, so it is measured once.
+  std::size_t walk_cost_;
   /// Atomics like RnnPolicy's: the collector reads them from a scrape.
   std::atomic<std::size_t> predictions_{0};
   std::atomic<std::size_t> state_updates_{0};

@@ -69,9 +69,6 @@ DurableKvStore::DurableKvStore(DurableKvConfig config)
   dead_bytes_active_ = active_size - live_active;
   dead_bytes_sealed_ =
       static_cast<std::size_t>(log_.sealed_bytes()) - live_sealed;
-  if (config_.background_compaction) {
-    compaction_thread_ = Thread([this] { compaction_thread_main(); });
-  }
   collector_ = obs::MetricsRegistry::global().collect(
       {}, [this](const obs::Emit& emit) {
         serving::emit_kv_stats(stats(), emit);
@@ -94,17 +91,6 @@ DurableKvStore::DurableKvStore(DurableKvConfig config)
         emit("pp_storage_rotations", l.rotations);
         emit("pp_storage_orphans_removed", l.orphans_removed);
       });
-}
-
-DurableKvStore::~DurableKvStore() {
-  if (compaction_thread_.joinable()) {
-    {
-      MutexLock lock(mutex_);
-      stop_ = true;
-    }
-    compaction_cv_.notify_all();
-    compaction_thread_.join();
-  }
 }
 
 void DurableKvStore::recover_record(std::string_view key, std::uint32_t flags,
@@ -173,7 +159,7 @@ void DurableKvStore::put(const std::string& key,
   }
   live_value_bytes_ += loc.value_len;
   live_record_bytes_ += loc.record_bytes;
-  maybe_trigger_compaction();
+  maybe_compact();
 }
 
 bool DurableKvStore::erase(const std::string& key) {
@@ -196,7 +182,7 @@ bool DurableKvStore::erase(const std::string& key) {
   // records until compaction drops both. It always lands in the active
   // segment (appends go nowhere else).
   dead_bytes_active_ += tomb.record_bytes;
-  maybe_trigger_compaction();
+  maybe_compact();
   return true;
 }
 
@@ -261,33 +247,13 @@ void DurableKvStore::compact_locked() {
   reclaimed_bytes_ += reclaimed;
 }
 
-bool DurableKvStore::compaction_due() const {
-  if (config_.compact_dead_ratio <= 0.0) return false;
-  if (dead_bytes_sealed_ < config_.compact_min_bytes) return false;
+void DurableKvStore::maybe_compact() {
+  if (config_.compact_dead_ratio <= 0.0) return;
+  if (dead_bytes_sealed_ < config_.compact_min_bytes) return;
   const std::uint64_t sealed = log_.sealed_bytes();
-  if (sealed == 0) return false;
-  return static_cast<double>(dead_bytes_sealed_) >=
-         config_.compact_dead_ratio * static_cast<double>(sealed);
-}
-
-void DurableKvStore::maybe_trigger_compaction() {
-  if (!compaction_due()) return;
-  if (config_.background_compaction) {
-    compaction_requested_ = true;
-    compaction_cv_.notify_one();
-  } else {
-    compact_locked();
-  }
-}
-
-void DurableKvStore::compaction_thread_main() {
-  MutexLock lock(mutex_);
-  while (!stop_) {
-    if (!compaction_requested_) {
-      compaction_cv_.wait(mutex_);
-      continue;
-    }
-    compaction_requested_ = false;
+  if (sealed == 0) return;
+  if (static_cast<double>(dead_bytes_sealed_) >=
+      config_.compact_dead_ratio * static_cast<double>(sealed)) {
     compact_locked();
   }
 }

@@ -14,12 +14,10 @@
 // Overwrites and tombstones strand dead bytes in earlier segments;
 // compaction rewrites the live records of every sealed segment into fresh
 // segments and atomically swaps the manifest (the same tmp+rename idiom
-// as learner checkpoints), reclaiming the dead space. Compaction can run
-// inline on the writing thread past a dead-byte threshold, or on a
-// dedicated background thread (config.background_compaction) that is
-// woken when the threshold trips — either way under the store mutex, so
-// readers and writers simply queue behind a compaction rather than
-// racing it.
+// as learner checkpoints), reclaiming the dead space. Auto-compaction runs
+// inline on the writing thread once a dead-byte threshold trips, under the
+// store mutex, so readers and writers simply queue behind a compaction
+// rather than racing it.
 //
 // Drop-in: this is a serving::KvStore, so HiddenStateStore /
 // AggregationService run on top unchanged, and the stored value bytes are
@@ -41,7 +39,6 @@
 #include "storage/segment_log.hpp"
 #include "util/arena_map.hpp"
 #include "util/mutex.hpp"
-#include "util/thread.hpp"
 
 namespace pp::storage {
 
@@ -58,9 +55,6 @@ struct DurableKvConfig {
   /// compact() always works.
   double compact_dead_ratio = 0.5;
   std::size_t compact_min_bytes = 1u << 20;
-  /// Run auto-compaction on a dedicated background thread instead of
-  /// inline on the writing thread.
-  bool background_compaction = false;
 };
 
 /// Durability/recovery ledger, alongside the serving KvStats.
@@ -89,7 +83,6 @@ class DurableKvStore final : public serving::KvStore {
   /// tails truncated, orphan segments removed). Throws on I/O failure or
   /// an unrecognized directory.
   explicit DurableKvStore(DurableKvConfig config);
-  ~DurableKvStore() override;
 
   std::optional<std::vector<std::uint8_t>> get(const std::string& key)
       override;
@@ -117,9 +110,8 @@ class DurableKvStore final : public serving::KvStore {
                       const RecordLocation& loc) PP_REQUIRES(mutex_);
   void account_overwrite(const RecordLocation& old) PP_REQUIRES(mutex_);
   void compact_locked() PP_REQUIRES(mutex_);
-  void maybe_trigger_compaction() PP_REQUIRES(mutex_);
-  bool compaction_due() const PP_REQUIRES(mutex_);
-  void compaction_thread_main();
+  /// Compacts inline once the dead-byte threshold trips.
+  void maybe_compact() PP_REQUIRES(mutex_);
 
   DurableKvConfig config_;
   mutable Mutex mutex_;
@@ -137,12 +129,6 @@ class DurableKvStore final : public serving::KvStore {
   serving::KvStats stats_ PP_GUARDED_BY(mutex_);
   std::size_t compactions_ PP_GUARDED_BY(mutex_) = 0;
   std::size_t reclaimed_bytes_ PP_GUARDED_BY(mutex_) = 0;
-
-  // Background compaction thread (config.background_compaction).
-  CondVar compaction_cv_;
-  bool stop_ PP_GUARDED_BY(mutex_) = false;
-  bool compaction_requested_ PP_GUARDED_BY(mutex_) = false;
-  Thread compaction_thread_;
   obs::Collector collector_;
 };
 

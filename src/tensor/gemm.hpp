@@ -18,22 +18,20 @@
 //               (tensor::QuantizedWeights) run a vpdpbusd lane of kSimd
 //               instead (qgemm_avx512.cpp).
 //  * kAuto    — "use the dispatch default" (the initial configuration).
-// All kernels compose with the optional row-partitioned ThreadPool
-// variant, with two exceptions: QuantizedWeights::multiply (the fused int8
-// serving step and head) and gemv_nz (the fused f32 head) always run on
-// the calling thread, so set_gemm_threads / GemmConfigScope thread counts
-// do not reach them.
+// Every product runs on the thread that asks for it. Parallelism belongs
+// to the callers (§7.1's per-user threads, the service's user-affine
+// fan-out, the threaded replay), which run whole users on their own
+// threads; the kernels keep only thread-local scratch.
 // PP_GEMM_FORCE_KERNEL=naive|blocked|simd overrides the process default
 // (CI uses it to keep the portable path tested on AVX2 runners);
 // gemm_dispatched_kernel() reports what would actually run.
 //
 // Parity contract (pinned by tests/tensor_gemm_test.cpp):
 //  * Accumulation order over the shared dimension is identical
-//    (ascending p per output element) in every kernel and stripe
-//    partition, and FP contraction is pinned OFF in every kernel TU
-//    (-ffp-contract=off; the SIMD kernels use explicit separate
-//    vmulps+vaddps, never fused FMA), so naive == blocked == simd ==
-//    threaded bit-for-bit, int8 and f32 alike.
+//    (ascending p per output element) in every kernel, and FP
+//    contraction is pinned OFF in every kernel TU (-ffp-contract=off; the
+//    SIMD kernels use explicit separate vmulps+vaddps, never fused FMA),
+//    so naive == blocked == simd bit-for-bit, int8 and f32 alike.
 //  * Zero-skip contract: the nn/tn kernels skip an individual (row, p)
 //    term exactly when the A operand is 0.0f. Every kernel skips at the
 //    same per-(row, p) granularity, so the equivalence holds bitwise
@@ -47,13 +45,12 @@
 //  * A row of a batched [B x d] product == the same row computed as a
 //    [1 x d] product — the invariant the batched scoring path relies on.
 //
-// Kernel selection and threading are process-global knobs (benches and
-// the trainer flip them); GemmConfigScope restores them on scope exit.
+// Kernel selection is a process-global knob (benches and tests flip it);
+// GemmConfigScope restores it on scope exit.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 namespace pp::tensor {
 
@@ -73,37 +70,21 @@ void set_gemm_kernel(GemmKernel kernel);
 /// when SIMD is unavailable. Never returns kAuto.
 GemmKernel gemm_dispatched_kernel();
 
-/// Worker threads for the row-partitioned kernels. 1 = sequential
-/// (the default), 0 = hardware concurrency.
+/// Always 1: every product runs on the calling thread. Kept for the
+/// benchmark's build report.
 std::size_t gemm_threads();
-void set_gemm_threads(std::size_t threads);
 
-/// Minimum multiply-accumulate count (m*k*n) before the threaded path
-/// engages; small products are faster on the calling thread.
-std::size_t gemm_parallel_threshold();
-void set_gemm_parallel_threshold(std::size_t macs);
-
-/// Total ThreadPool constructions performed by the shared GEMM pool
-/// cache since process start. Pools are cached per width, so callers
-/// alternating widths must not drive this up (regression-tested).
-std::size_t gemm_pool_builds();
-
-/// RAII guard: selects (kernel, threads[, parallel threshold]) for the
-/// current scope and restores the previous configuration — threshold
-/// included — on destruction.
+/// RAII guard: selects a kernel for the current scope and restores the
+/// previous one on destruction.
 class GemmConfigScope {
  public:
-  GemmConfigScope(GemmKernel kernel, std::size_t threads);
-  GemmConfigScope(GemmKernel kernel, std::size_t threads,
-                  std::size_t parallel_threshold);
+  explicit GemmConfigScope(GemmKernel kernel);
   ~GemmConfigScope();
   GemmConfigScope(const GemmConfigScope&) = delete;
   GemmConfigScope& operator=(const GemmConfigScope&) = delete;
 
  private:
   GemmKernel saved_kernel_;
-  std::size_t saved_threads_;
-  std::size_t saved_threshold_;
 };
 
 // ---- accumulating kernels (exposed for parity tests and benches) ----
@@ -138,16 +119,7 @@ void gemm_nt_simd(const Matrix& a, const Matrix& b, Matrix& c);
 void gemv_nz(const float* vals, const std::uint32_t* rows, std::size_t nnz,
              const float* w, std::size_t k, std::size_t n, float* out);
 
-/// Row-partitions [0, rows) across the shared GEMM thread pool according
-/// to the global (threads, parallel-threshold) configuration; `macs` is
-/// the multiply-accumulate count weighed against the threshold, and the
-/// sequential path simply runs range_fn(0, rows) on the caller. Exposed so
-/// sibling kernels (the int8 qgemm) share one pool and one set of knobs.
-void gemm_partition_rows(
-    std::size_t rows, std::size_t macs,
-    const std::function<void(std::size_t, std::size_t)>& range_fn);
-
-// ---- dispatchers used by Matrix (kernel + threading per global config) ----
+// ---- dispatchers used by Matrix (kernel per global config) ----
 void gemm_nn_dispatch(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_tn_dispatch(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_nt_dispatch(const Matrix& a, const Matrix& b, Matrix& c);

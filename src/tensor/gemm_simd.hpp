@@ -14,7 +14,7 @@
 // the per-(row, p) zero-skip), so their results are bit-identical — for
 // finite and non-finite operands alike. The int8 kernel is exact integer
 // arithmetic. Range signatures mirror the static *_range helpers in
-// gemm.cpp so gemm_partition_rows can stripe any of them.
+// gemm.cpp.
 #pragma once
 
 #include <cstddef>

@@ -12,18 +12,17 @@
 // stored hidden states) or one pair per row (activations). Per-row scaling
 // is what keeps batching bit-transparent: a row's encoding depends only on
 // that row, so a [B x d] quantized product row equals the same row scored
-// alone — the invariant the batched serving path and the threaded-parity
-// tests rely on. Weights use the symmetric special case (zero_point 0,
-// q in [-127, 127]) whose rules match the HiddenStateStore int8 codec
-// exactly; one-sided activations (ReLU outputs) use the full affine form
-// for an extra bit of resolution.
+// alone — the invariant the batched serving path relies on. Weights use
+// the symmetric special case (zero_point 0, q in [-127, 127]) whose rules
+// match the HiddenStateStore int8 codec exactly; one-sided activations
+// (ReLU outputs) use the full affine form for an extra bit of resolution.
 //
 // qgemm computes C = dequant(A) * dequant(B) through an int8 x int8 -> i32
-// blocked kernel (same tiles / 4-row micro-kernel / shared ThreadPool row
-// partition as the f32 kernel). Integer accumulation is exact, so blocked
-// == naive == threaded bit-for-bit with no ±0 caveats. B must be
-// per-tensor symmetric (weights); A zero points are folded in afterwards
-// via the standard column-sum correction:
+// blocked kernel (same tiles and 4-row micro-kernel as the f32 kernel, on
+// the calling thread). Integer accumulation is exact, so blocked == naive
+// bit-for-bit with no ±0 caveats. B must be per-tensor symmetric
+// (weights); A zero points are folded in afterwards via the standard
+// column-sum correction:
 //
 //   C_ij = sa(i) * sb * (acc_ij - za(i) * colsum_B(j)).
 //
@@ -149,12 +148,11 @@ class QuantizedWeights {
 
 // ---- raw i32 kernels (exposed for parity tests and benches) ----
 // c[m x n] += a[m x k] * b[k x n] over int8 operands with int32
-// accumulation; `blocked` and `simd` additionally row-partition across
-// the shared GEMM pool per the global (threads, threshold) knobs. `simd`
-// runs the AVX2 vpmaddubsw/vpmaddwd kernel (qgemm_avx2.cpp) when
-// gemm_simd_available() and k fits the u8 x s8 accumulator bound, and
-// falls back to `blocked` otherwise — integer arithmetic is exact, so
-// all three agree bit-for-bit.
+// accumulation, on the calling thread. `simd` runs the AVX2
+// vpmaddubsw/vpmaddwd kernel (qgemm_avx2.cpp) when gemm_simd_available()
+// and k fits the u8 x s8 accumulator bound, and falls back to `blocked`
+// otherwise — integer arithmetic is exact, so all three agree
+// bit-for-bit.
 void qgemm_nn_i32_naive(const std::int8_t* a, const std::int8_t* b,
                         std::int32_t* c, std::size_t m, std::size_t k,
                         std::size_t n);

@@ -180,9 +180,8 @@ void nn_i8i32_range(const std::int8_t* a, const std::int8_t* b,
     quad_count[r] = cnt;
   }
 
-  // The B panel is re-packed per stripe when the caller row-partitions
-  // this range across the pool; the pack is O(k*32) per tile against the
-  // O(rows*k*16) products it feeds.
+  // The B panel is re-packed per call; the pack is O(k*32) per tile
+  // against the O(rows*k*16) products it feeds.
   thread_local ByteScratch panel_scratch;
   unsigned char* panel_lo = panel_scratch.get(2 * kq * 4 * kNr);
   unsigned char* panel_hi = panel_lo + kq * 4 * kNr;

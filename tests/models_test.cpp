@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
-
-#include <numeric>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "data/generators.hpp"
 #include "eval/metrics.hpp"
@@ -235,6 +237,112 @@ TEST(RnnModel, ReusableTimestampOnlyModeRuns) {
   rnn.fit(dataset, range(30));
   const auto series = rnn.score(dataset, range(30));
   EXPECT_GT(series.scores.size(), 0u);
+}
+
+/// One evaluated prediction: what a Table 3 column is scored on.
+struct EvalRow {
+  std::size_t user;
+  std::int64_t t;
+  float label;
+  bool operator==(const EvalRow&) const = default;
+};
+
+/// The rows of a model's series over `users`, scored one user at a time so
+/// each row carries its user. The same rows, in the same order, must come
+/// back when all users are scored in one call, as the comparison does.
+template <typename Score>
+std::vector<EvalRow> series_rows(std::span<const std::size_t> users,
+                                 const Score& score) {
+  std::vector<EvalRow> rows;
+  for (const std::size_t u : users) {
+    const train::ScoredSeries s = score(std::span<const std::size_t>(&u, 1));
+    for (std::size_t i = 0; i < s.labels.size(); ++i) {
+      rows.push_back({u, s.timestamps[i], s.labels[i]});
+    }
+  }
+  const train::ScoredSeries whole = score(users);
+  EXPECT_EQ(whole.labels.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size() && i < whole.labels.size(); ++i) {
+    EXPECT_EQ(whole.timestamps[i], rows[i].t) << "row " << i;
+    EXPECT_EQ(whole.labels[i], rows[i].label) << "row " << i;
+  }
+  return rows;
+}
+
+std::vector<EvalRow> batch_rows(const features::ExampleBatch& batch,
+                                std::span<const std::size_t> users) {
+  std::vector<EvalRow> rows;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    rows.push_back({users[batch.user_row[i]], batch.timestamps[i],
+                    batch.labels[i]});
+  }
+  return rows;
+}
+
+void expect_same_rows(const std::vector<EvalRow>& want,
+                      const std::vector<EvalRow>& got,
+                      const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want[i], got[i])
+        << what << " row " << i << ": user " << want[i].user << " vs "
+        << got[i].user << ", t " << want[i].t << " vs " << got[i].t;
+  }
+}
+
+TEST(ModelComparison, EveryModelScoresTheSameRows) {
+  // Table 3 compares PR-AUCs, so all four models must be scored on the
+  // same (user, timestamp, label) rows: the percentage model's replay, the
+  // LR and GBDT example batches and the RNN's replay, with the split and
+  // evaluation window run_model_comparison uses. MPU's RNN caps training
+  // histories at 800 sessions; scoring must not inherit the cap.
+  data::MobileTabConfig mobile;
+  mobile.num_users = 600;
+  data::TimeshiftConfig timeshift;
+  timeshift.num_users = 600;
+  data::MpuConfig mpu;
+  mpu.mean_events_per_day = 24.0;
+  const data::Dataset datasets[] = {data::generate_mobile_tab(mobile),
+                                    data::generate_timeshift(timeshift),
+                                    data::generate_mpu(mpu)};
+  for (const data::Dataset& dataset : datasets) {
+    const auto split = features::split_users(dataset.users.size(), 0.1, 99);
+    const std::int64_t eval_from = dataset.end_time - 7 * 86400;
+
+    PercentageModel percentage;
+    percentage.fit(dataset, split.train);
+    const std::vector<EvalRow> want =
+        series_rows(split.test, [&](std::span<const std::size_t> users) {
+          return percentage.score(dataset, users, eval_from);
+        });
+    ASSERT_GT(want.size(), 100u) << dataset.name;
+
+    for (const features::FeatureEncoding encoding :
+         {features::lr_encoding(), features::gbdt_encoding()}) {
+      const features::FeaturePipeline pipeline(dataset.schema, {}, encoding);
+      const features::ExampleBatch batch =
+          dataset.timeshifted
+              ? features::build_timeshift_examples(dataset, split.test,
+                                                   pipeline, eval_from, 0, 2)
+              : features::build_session_examples(dataset, split.test,
+                                                 pipeline, eval_from, 0, 2);
+      expect_same_rows(want, batch_rows(batch, split.test),
+                       dataset.name + " example batch");
+    }
+
+    RnnModelConfig rnn_config;
+    rnn_config.hidden_size = 8;
+    rnn_config.mlp_hidden = 8;
+    rnn_config.truncate_history = dataset.name == "MPU" ? 800 : 600;
+    const RnnModel rnn(dataset, rnn_config);
+    expect_same_rows(
+        want,
+        series_rows(split.test,
+                    [&](std::span<const std::size_t> users) {
+                      return rnn.score(dataset, users, eval_from, 0, 2);
+                    }),
+        dataset.name + " RNN");
+  }
 }
 
 }  // namespace

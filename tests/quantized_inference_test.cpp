@@ -591,7 +591,7 @@ TEST(GateMath, VectorLaneMatchesScalarTwinWithinUlpBound) {
   }
   for (const tensor::GemmKernel kernel :
        {tensor::GemmKernel::kBlocked, tensor::GemmKernel::kSimd}) {
-    tensor::GemmConfigScope scope(kernel, 1);
+    tensor::GemmConfigScope scope(kernel);
     const std::string name = tensor::gemm_kernel_name(kernel);
     check(name + " sigmoid", tensor::sigmoid_f32, want_s, true);
     check(name + " tanh", tensor::tanh_f32, want_t, true);
@@ -768,11 +768,11 @@ void check_fused_step(tensor::GemmKernel kernel) {
         const tensor::Matrix x = sparse_rows(B, kInput, rng);
         tensor::Matrix want1, want2;
         {
-          tensor::GemmConfigScope scope(tensor::GemmKernel::kBlocked, 1);
+          tensor::GemmConfigScope scope(tensor::GemmKernel::kBlocked);
           want1 = reference_step(*cell1, ref1, x);
           want2 = reference_step(*cell2, ref2, want1);
         }
-        tensor::GemmConfigScope scope(kernel, 1);
+        tensor::GemmConfigScope scope(kernel);
         const float* out1 = q1.infer_step(h1, x.data(), scratch);
         EXPECT_TRUE(std::equal(out1, out1 + B * H, want1.data(),
                                [](float a, float b) {
@@ -827,10 +827,10 @@ void check_fused_head(tensor::GemmKernel kernel) {
             sparse_rows(B, net->config().predict_input_size(), rng);
         std::vector<double> want;
         {
-          tensor::GemmConfigScope scope(tensor::GemmKernel::kBlocked, 1);
+          tensor::GemmConfigScope scope(tensor::GemmKernel::kBlocked);
           want = reference_head(*net, h, x);
         }
-        tensor::GemmConfigScope scope(kernel, 1);
+        tensor::GemmConfigScope scope(kernel);
         EXPECT_EQ(net->infer_logits_q8(h, x), want)
             << "H=" << H << " B=" << B << " latent_cross=" << latent_cross;
       }
@@ -969,10 +969,10 @@ void check_fused_f32_head(tensor::GemmKernel kernel) {
                       : tensor::Matrix::randn(B, P, rng, 0.0f, 1.0f);
           std::vector<double> want;
           {
-            tensor::GemmConfigScope scope(tensor::GemmKernel::kNaive, 1);
+            tensor::GemmConfigScope scope(tensor::GemmKernel::kNaive);
             want = reference_f32_head(*net, h, x);
           }
-          tensor::GemmConfigScope scope(kernel, 1);
+          tensor::GemmConfigScope scope(kernel);
           const std::vector<double> got = net->infer_logits(h, x);
           ASSERT_EQ(got.size(), want.size());
           EXPECT_EQ(std::memcmp(got.data(), want.data(), B * sizeof(double)),
@@ -1033,7 +1033,7 @@ TEST(QuantizedWeights, MultiplyMatchesNaiveProductOnEveryKernel) {
         for (const tensor::GemmKernel kernel :
              {tensor::GemmKernel::kNaive, tensor::GemmKernel::kBlocked,
               tensor::GemmKernel::kSimd}) {
-          tensor::GemmConfigScope scope(kernel, 1);
+          tensor::GemmConfigScope scope(kernel);
           std::vector<std::int32_t> got(m * n, 0x5a5a5a5a);
           w.multiply(a.data(), m, got.data());
           EXPECT_EQ(got, want) << tensor::gemm_kernel_name(kernel) << " k=" << k

@@ -950,6 +950,16 @@ TEST(PrecomputePolicy, DefaultBatchedScoringLoopsScoreSession) {
   }
   EXPECT_EQ(batched.cost_summary().predictions,
             sequential.cost_summary().predictions);
+  // One tree walk per score: a comparison per level per tree.
+  const auto walk = static_cast<std::size_t>(
+      gbdt.booster().mean_tree_depth() *
+      static_cast<double>(gbdt.booster().num_trees()));
+  ASSERT_GT(walk, 0u);
+  for (const GbdtPolicy* policy : {&sequential, &batched}) {
+    const ServingCostSummary cost = policy->cost_summary();
+    EXPECT_EQ(cost.predictions, starts.size());
+    EXPECT_EQ(cost.model_flops, cost.predictions * walk);
+  }
 }
 
 TEST(PrecomputeService, BatchedSessionStartsMatchSequentialDecisions) {

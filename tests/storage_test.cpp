@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -23,7 +22,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "kv_reference.hpp"
@@ -400,33 +398,6 @@ TEST(DurableKv, AutoCompactionTriggersInline) {
     for (std::size_t i = 0; i < 4; ++i) {
       kv.put("key" + std::to_string(i), value_of(8));
     }
-  }
-  EXPECT_GE(kv.durable_stats().compactions, 1u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(*kv.get("key" + std::to_string(i)), value_of(8));
-  }
-}
-
-TEST(DurableKv, BackgroundCompactionThreadReclaims) {
-  TempDir dir("bg_compact");
-  DurableKvConfig config;
-  config.dir = dir.sub("kv");
-  config.segment_bytes = 256;
-  config.compact_dead_ratio = 0.5;
-  config.compact_min_bytes = 1024;
-  config.background_compaction = true;
-  DurableKvStore kv(config);
-  for (std::size_t round = 0; round < 60; ++round) {
-    for (std::size_t i = 0; i < 4; ++i) {
-      kv.put("key" + std::to_string(i), value_of(8));
-    }
-  }
-  // The writer only nudges the compaction thread; wait for its ledger.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (kv.durable_stats().compactions == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   EXPECT_GE(kv.durable_stats().compactions, 1u);
   for (std::size_t i = 0; i < 4; ++i) {

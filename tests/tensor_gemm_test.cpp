@@ -1,9 +1,9 @@
-// Parity and property tests for the blocked / SIMD / threaded GEMM
-// kernels (tensor/gemm.hpp). The naive loops are the reference; the
-// blocked and AVX2 kernels must agree with them bit-for-bit (the parity
-// contract in gemm.hpp), on every shape and under every thread count,
-// for f32 and int8 alike — including the full int8 range with the -128
-// maddubs edge case and non-finite B under the zero-skip contract.
+// Parity and property tests for the blocked and SIMD GEMM kernels
+// (tensor/gemm.hpp). The naive loops are the reference; the blocked and
+// AVX2 kernels must agree with them bit-for-bit (the parity contract in
+// gemm.hpp), on every shape and for concurrent callers, for f32 and int8
+// alike — including the full int8 range with the -128 maddubs edge case
+// and non-finite B under the zero-skip contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +11,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "tensor/cpu_dispatch.hpp"
@@ -41,6 +42,22 @@ const std::vector<GemmShape>& test_shapes() {
 
 std::uint64_t shape_seed(const GemmShape& s) {
   return s.m * 1000003 + s.k * 1009 + s.n + 17;
+}
+
+/// Runs `product` on four threads at once and returns each caller's
+/// result. Products run on the calling thread with thread-local scratch,
+/// so callers that run in parallel (the trainer's per-user threads, the
+/// service's fan-out) must each get the bits of a sequential call.
+template <typename Product>
+auto on_concurrent_callers(const Product& product) {
+  constexpr std::size_t kCallers = 4;
+  std::vector<decltype(product())> results(kCallers);
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&results, &product, t] { results[t] = product(); });
+  }
+  for (std::thread& caller : callers) caller.join();
+  return results;
 }
 
 /// Independent i-j-k reference (different loop order from every kernel).
@@ -103,21 +120,17 @@ TEST_P(GemmParity, ThreadedMatchesSequentialBitForBit) {
   Rng rng(shape_seed(GetParam()) ^ 0x77);
   const Matrix a = Matrix::randn(m, k, rng);
   const Matrix b = Matrix::randn(k, n, rng);
-
-  Matrix sequential;
-  {
-    GemmConfigScope scope(GemmKernel::kBlocked, 1);
-    sequential = a.matmul(b);
+  // The threads are the callers': each runs whole products, so every
+  // kernel must give each of them the sequential bits.
+  for (const GemmKernel kernel :
+       {GemmKernel::kNaive, GemmKernel::kBlocked, GemmKernel::kSimd}) {
+    GemmConfigScope scope(kernel);
+    const Matrix sequential = a.matmul(b);
+    for (const Matrix& threaded :
+         on_concurrent_callers([&a, &b] { return a.matmul(b); })) {
+      EXPECT_EQ(sequential, threaded) << gemm_kernel_name(kernel);
+    }
   }
-  Matrix threaded;
-  {
-    // Threshold 0 forces the threaded path even for tiny products.
-    GemmConfigScope scope(GemmKernel::kBlocked, 4, 0);
-    threaded = a.matmul(b);
-  }
-  // Row stripes never change the per-element accumulation order, so the
-  // results are identical bits, not just approximately equal.
-  EXPECT_EQ(sequential, threaded);
 }
 
 TEST_P(GemmParity, MatmulEntryPointsAgreeAcrossKernels) {
@@ -130,12 +143,12 @@ TEST_P(GemmParity, MatmulEntryPointsAgreeAcrossKernels) {
 
   Matrix naive_nn, naive_tn, naive_nt;
   {
-    GemmConfigScope scope(GemmKernel::kNaive, 1);
+    GemmConfigScope scope(GemmKernel::kNaive);
     naive_nn = a.matmul(b);
     naive_tn = at.matmul_transposed_self(b);
     naive_nt = a.matmul_transposed_other(bt);
   }
-  GemmConfigScope scope(GemmKernel::kBlocked, 1);
+  GemmConfigScope scope(GemmKernel::kBlocked);
   EXPECT_TRUE(a.matmul(b).approx_equal(naive_nn, 1e-4f));
   EXPECT_TRUE(at.matmul_transposed_self(b).approx_equal(naive_tn, 1e-4f));
   EXPECT_TRUE(a.matmul_transposed_other(bt).approx_equal(naive_nt, 1e-4f));
@@ -167,19 +180,16 @@ TEST(Gemm, RandomizedShapesMatchReference) {
 }
 
 TEST(Gemm, DeterministicAcrossRepeatedRuns) {
-  // Same seed -> bitwise-identical inputs and outputs, with and without
-  // threading: the reproducibility contract the training seeds rely on.
-  auto run = [](std::size_t threads) {
+  // Same seed -> bitwise-identical inputs and outputs: the
+  // reproducibility contract the training seeds rely on.
+  auto run = [] {
     Rng rng(42);
     const Matrix a = Matrix::randn(37, 53, rng);
     const Matrix b = Matrix::randn(53, 29, rng);
-    GemmConfigScope scope(GemmKernel::kBlocked, threads, 0);
+    GemmConfigScope scope(GemmKernel::kBlocked);
     return a.matmul(b);
   };
-  const Matrix first = run(1);
-  EXPECT_EQ(first, run(1));
-  EXPECT_EQ(first, run(3));
-  EXPECT_EQ(first, run(8));
+  EXPECT_EQ(run(), run());
 }
 
 TEST(Gemm, AccumulatesIntoExistingOutput) {
@@ -224,25 +234,24 @@ std::vector<std::int8_t> random_int8(std::size_t n, Rng& rng) {
 class QGemmParity : public ::testing::TestWithParam<GemmShape> {};
 
 TEST_P(QGemmParity, BlockedAndThreadedMatchNaiveExactly) {
-  // Integer accumulation is exact, so naive / blocked / threaded must be
-  // identical — no float-tolerance escape hatch.
-  const auto [m, k, n] = GetParam();
-  Rng rng(shape_seed(GetParam()) ^ 0x1111);
-  const auto a = random_int8(m * k, rng);
-  const auto b = random_int8(k * n, rng);
-  std::vector<std::int32_t> c_naive(m * n, 0), c_blocked(m * n, 0),
-      c_threaded(m * n, 0);
-  qgemm_nn_i32_naive(a.data(), b.data(), c_naive.data(), m, k, n);
-  {
-    GemmConfigScope scope(GemmKernel::kBlocked, 1);
-    qgemm_nn_i32_blocked(a.data(), b.data(), c_blocked.data(), m, k, n);
+  // Integer accumulation is exact, so naive and blocked must be identical
+  // — no float-tolerance escape hatch — on one caller and on concurrent
+  // ones.
+  const GemmShape s = GetParam();
+  Rng rng(shape_seed(s) ^ 0x1111);
+  const auto a = random_int8(s.m * s.k, rng);
+  const auto b = random_int8(s.k * s.n, rng);
+  const auto blocked = [&a, &b, s] {
+    std::vector<std::int32_t> c(s.m * s.n, 0);
+    qgemm_nn_i32_blocked(a.data(), b.data(), c.data(), s.m, s.k, s.n);
+    return c;
+  };
+  std::vector<std::int32_t> c_naive(s.m * s.n, 0);
+  qgemm_nn_i32_naive(a.data(), b.data(), c_naive.data(), s.m, s.k, s.n);
+  EXPECT_EQ(c_naive, blocked());
+  for (const auto& c_threaded : on_concurrent_callers(blocked)) {
+    EXPECT_EQ(c_naive, c_threaded);
   }
-  {
-    GemmConfigScope scope(GemmKernel::kBlocked, 4, 0);  // force fan-out
-    qgemm_nn_i32_blocked(a.data(), b.data(), c_threaded.data(), m, k, n);
-  }
-  EXPECT_EQ(c_naive, c_blocked);
-  EXPECT_EQ(c_naive, c_threaded);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, QGemmParity,
@@ -356,22 +365,12 @@ TEST_P(GemmParity, SimdMatchesNaiveBitForBit_NT) {
 }
 
 // ---- dispatch matrix sweep -------------------------------------------------
-// Every kernel x thread-count combination must produce identical bits on
-// odd / remainder-heavy shapes: the micro-kernel edges (6-row f32 blocks,
-// 16-column panels, 4-byte k-quads) all see partial tiles here.
+// Every kernel must produce identical bits on odd / remainder-heavy
+// shapes: the micro-kernel edges (6-row f32 blocks, 16-column panels,
+// 4-byte k-quads) all see partial tiles here.
 
-struct DispatchCase {
-  GemmKernel kernel;
-  std::size_t threads;
-  const char* tag;
-};
-
-const DispatchCase kDispatchCases[] = {
-    {GemmKernel::kBlocked, 1, "blocked_seq"},
-    {GemmKernel::kBlocked, 4, "blocked_t4"},
-    {GemmKernel::kSimd, 1, "simd_seq"},
-    {GemmKernel::kSimd, 4, "simd_t4"},
-};
+const GemmKernel kDispatchKernels[] = {GemmKernel::kBlocked,
+                                       GemmKernel::kSimd};
 
 TEST(GemmDispatchMatrix, AllKernelsAndThreadCountsBitExactF32) {
   constexpr std::size_t kOddK = 33;  // 8 full k-quads + 1, odd
@@ -384,20 +383,20 @@ TEST(GemmDispatchMatrix, AllKernelsAndThreadCountsBitExactF32) {
       const Matrix bt = b.transposed();
       Matrix ref_nn, ref_tn, ref_nt;
       {
-        GemmConfigScope scope(GemmKernel::kNaive, 1);
+        GemmConfigScope scope(GemmKernel::kNaive);
         ref_nn = a.matmul(b);
         ref_tn = at.matmul_transposed_self(b);
         ref_nt = a.matmul_transposed_other(bt);
       }
-      for (const DispatchCase& dc : kDispatchCases) {
-        // Threshold 0 engages the threaded path even at these sizes.
-        GemmConfigScope scope(dc.kernel, dc.threads, 0);
+      for (const GemmKernel kernel : kDispatchKernels) {
+        GemmConfigScope scope(kernel);
+        const char* tag = gemm_kernel_name(kernel);
         EXPECT_EQ(ref_nn, a.matmul(b))
-            << dc.tag << " nn " << m << "x" << kOddK << "x" << n;
+            << tag << " nn " << m << "x" << kOddK << "x" << n;
         EXPECT_EQ(ref_tn, at.matmul_transposed_self(b))
-            << dc.tag << " tn " << m << "x" << kOddK << "x" << n;
+            << tag << " tn " << m << "x" << kOddK << "x" << n;
         EXPECT_EQ(ref_nt, a.matmul_transposed_other(bt))
-            << dc.tag << " nt " << m << "x" << kOddK << "x" << n;
+            << tag << " nt " << m << "x" << kOddK << "x" << n;
       }
     }
   }
@@ -422,16 +421,15 @@ TEST(GemmDispatchMatrix, QGemmKernelsBitExactOverFullInt8Range) {
         const auto b = random_int8_full(k * n, rng);
         std::vector<std::int32_t> ref(m * n, 0);
         qgemm_nn_i32_naive(a.data(), b.data(), ref.data(), m, k, n);
-        for (const DispatchCase& dc : kDispatchCases) {
-          GemmConfigScope scope(GemmKernel::kBlocked, dc.threads, 0);
+        for (const GemmKernel kernel : kDispatchKernels) {
           std::vector<std::int32_t> out(m * n, 0);
-          if (dc.kernel == GemmKernel::kSimd) {
+          if (kernel == GemmKernel::kSimd) {
             qgemm_nn_i32_simd(a.data(), b.data(), out.data(), m, k, n);
           } else {
             qgemm_nn_i32_blocked(a.data(), b.data(), out.data(), m, k, n);
           }
-          EXPECT_EQ(ref, out)
-              << dc.tag << " " << m << "x" << k << "x" << n;
+          EXPECT_EQ(ref, out) << gemm_kernel_name(kernel) << " " << m << "x"
+                              << k << "x" << n;
         }
       }
     }
@@ -488,12 +486,12 @@ TEST(QGemm, QuantizationCodecParityAcrossKernels) {
     m.at(0, 0) = -0.0f;
     QuantizedMatrix q_simd, qr_simd, qa_simd;
     {
-      GemmConfigScope scope(GemmKernel::kSimd, 1);
+      GemmConfigScope scope(GemmKernel::kSimd);
       q_simd = QuantizedMatrix::quantize(m);
       qr_simd = QuantizedMatrix::quantize_rows(m);
       qa_simd = QuantizedMatrix::quantize_rows_affine(m);
     }
-    GemmConfigScope scope(GemmKernel::kBlocked, 1);
+    GemmConfigScope scope(GemmKernel::kBlocked);
     const QuantizedMatrix q = QuantizedMatrix::quantize(m);
     const QuantizedMatrix qr = QuantizedMatrix::quantize_rows(m);
     const QuantizedMatrix qa = QuantizedMatrix::quantize_rows_affine(m);
@@ -527,12 +525,12 @@ TEST(QGemm, FullProductBitExactAcrossDispatchedKernels) {
   }
   Matrix out_simd, out_blocked;
   {
-    GemmConfigScope scope(GemmKernel::kSimd, 1);
+    GemmConfigScope scope(GemmKernel::kSimd);
     out_simd = qgemm(QuantizedMatrix::quantize_rows(a),
                      QuantizedMatrix::quantize(w));
   }
   {
-    GemmConfigScope scope(GemmKernel::kBlocked, 1);
+    GemmConfigScope scope(GemmKernel::kBlocked);
     out_blocked = qgemm(QuantizedMatrix::quantize_rows(a),
                         QuantizedMatrix::quantize(w));
   }
@@ -634,7 +632,7 @@ TEST(GemvNz, EveryLaneMatchesTheNnProduct) {
                                   " nnz=" + std::to_string(vals.size());
         for (const GemmKernel kernel :
              {GemmKernel::kNaive, GemmKernel::kBlocked, GemmKernel::kSimd}) {
-          GemmConfigScope scope(kernel, 1);
+          GemmConfigScope scope(kernel);
           std::vector<float> got(n, std::numeric_limits<float>::quiet_NaN());
           gemv_nz(vals.data(), rows.data(), vals.size(), w.data(), k, n,
                   got.data());
@@ -646,49 +644,22 @@ TEST(GemvNz, EveryLaneMatchesTheNnProduct) {
   }
 }
 
-// ---- pool cache ------------------------------------------------------------
-
-TEST(Gemm, PoolCacheDoesNotThrashAcrossAlternatingWidths) {
-  // Regression: acquire_pool used to rebuild the single shared pool every
-  // time the configured width changed, so two call sites alternating
-  // widths paid thread creation per product. The cache keys pools by
-  // width: after both widths are seen once, alternating between them must
-  // build nothing.
-  Rng rng(4242);
-  const Matrix a = Matrix::randn(16, 32, rng);
-  const Matrix b = Matrix::randn(32, 8, rng);
-  auto run_with_threads = [&](std::size_t threads) {
-    GemmConfigScope scope(GemmKernel::kBlocked, threads, 0);
-    return a.matmul(b);
-  };
-  run_with_threads(2);  // warm both widths' pools
-  run_with_threads(3);
-  const std::size_t builds_before = gemm_pool_builds();
-  Matrix last;
-  for (int round = 0; round < 8; ++round) {
-    last = run_with_threads(2);
-    last = run_with_threads(3);
-  }
-  EXPECT_EQ(gemm_pool_builds(), builds_before);
-  EXPECT_TRUE(last.approx_equal(reference_matmul(a, b), 1e-3f));
-}
-
 // ---- dispatch resolution ---------------------------------------------------
 
 TEST(Gemm, DispatchResolutionInvariants) {
   // kAuto is a configuration value, never a dispatch result.
   EXPECT_NE(gemm_dispatched_kernel(), GemmKernel::kAuto);
   {
-    GemmConfigScope scope(GemmKernel::kNaive, 1);
+    GemmConfigScope scope(GemmKernel::kNaive);
     EXPECT_EQ(gemm_dispatched_kernel(), GemmKernel::kNaive);
   }
   {
-    GemmConfigScope scope(GemmKernel::kBlocked, 1);
+    GemmConfigScope scope(GemmKernel::kBlocked);
     EXPECT_EQ(gemm_dispatched_kernel(), GemmKernel::kBlocked);
   }
   {
     // kSimd degrades to kBlocked when the host or build can't run it.
-    GemmConfigScope scope(GemmKernel::kSimd, 1);
+    GemmConfigScope scope(GemmKernel::kSimd);
     EXPECT_EQ(gemm_dispatched_kernel(), gemm_simd_available()
                                             ? GemmKernel::kSimd
                                             : GemmKernel::kBlocked);
@@ -702,14 +673,13 @@ TEST(Gemm, DispatchResolutionInvariants) {
 
 TEST(Gemm, ConfigScopeRestoresGlobals) {
   const GemmKernel kernel_before = gemm_kernel();
-  const std::size_t threads_before = gemm_threads();
   {
-    GemmConfigScope scope(GemmKernel::kNaive, 7);
+    GemmConfigScope scope(GemmKernel::kNaive);
     EXPECT_EQ(gemm_kernel(), GemmKernel::kNaive);
-    EXPECT_EQ(gemm_threads(), 7u);
   }
   EXPECT_EQ(gemm_kernel(), kernel_before);
-  EXPECT_EQ(gemm_threads(), threads_before);
+  // Products always run on the calling thread.
+  EXPECT_EQ(gemm_threads(), 1u);
 }
 
 }  // namespace
