@@ -5,7 +5,10 @@
 // (Figure 5) and padded steps are wasted work.
 //
 // This bench times one epoch of identical training work under all three
-// strategies on an MPU-like workload with heavy-tailed history lengths.
+// strategies on an MPU-like workload with heavy-tailed history lengths,
+// five interleaved rounds each, and reads the ratios off the medians.
+#include <algorithm>
+#include <iterator>
 #include <numeric>
 #include <thread>
 
@@ -14,6 +17,21 @@
 
 using namespace pp;
 using namespace pp::bench;
+
+namespace {
+
+/// The q-quantile of `values`, linearly interpolated between order
+/// statistics (the median of 5 is the 3rd, its quartiles the 2nd and 4th).
+double quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  return values[lo] +
+         (pos - static_cast<double>(lo)) * (values[hi] - values[lo]);
+}
+
+}  // namespace
 
 int main() {
   data::MpuConfig config;
@@ -48,10 +66,8 @@ int main() {
   };
 
   constexpr std::size_t kTrainerThreads = 2;
-  Table table({"strategy", "seconds_per_epoch", "speedup_vs_padded"});
-  double padded_time = 0;
-  std::vector<double> times;
-  for (const Strategy& s : strategies) {
+  // One epoch of the same training work, from the same initial weights.
+  const auto time_epoch = [&](train::BatchStrategy strategy) {
     train::RnnNetworkConfig net_config;
     net_config.feature_size =
         train::feature_width(dataset.schema, train::FeatureMode::kFull);
@@ -63,36 +79,56 @@ int main() {
     train::RnnTrainerConfig trainer_config;
     trainer_config.epochs = 1;
     trainer_config.minibatch_users = 8;
-    trainer_config.strategy = s.strategy;
+    trainer_config.strategy = strategy;
     trainer_config.num_threads = kTrainerThreads;
     trainer_config.sequence.truncate_history = 2000;
     train::RnnTrainer trainer(network, trainer_config);
     Stopwatch sw;
     trainer.fit(dataset, users);
-    times.push_back(sw.elapsed_seconds());
-    if (s.strategy == train::BatchStrategy::kPaddedBatch) {
-      padded_time = times.back();
+    return sw.elapsed_seconds();
+  };
+  // A single epoch per strategy reads host noise as often as the
+  // strategies' gap, so each runs kRounds times, interleaved, each round
+  // starting one strategy later than the last: drift on a shared host and
+  // first-run effects land on every strategy alike.
+  constexpr std::size_t kStrategies = std::size(strategies);
+  constexpr std::size_t kRounds = 5;
+  std::vector<double> times[kStrategies];
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    for (std::size_t k = 0; k < kStrategies; ++k) {
+      const std::size_t i = (round + k) % kStrategies;
+      times[i].push_back(time_epoch(strategies[i].strategy));
     }
   }
-  for (std::size_t i = 0; i < 3; ++i) {
+  double median[kStrategies];
+  for (std::size_t i = 0; i < kStrategies; ++i) {
+    median[i] = quantile(times[i], 0.5);
+  }
+  const double padded = median[1];  // strategies[1] is the padded batch
+  Table table({"strategy", "median_s", "q1_s", "q3_s", "speedup_vs_padded"});
+  for (std::size_t i = 0; i < kStrategies; ++i) {
     table.row()
         .cell(strategies[i].name)
-        .cell(times[i], 2)
-        .cell(padded_time / times[i], 2);
+        .cell(median[i], 3)
+        .cell(quantile(times[i], 0.25), 3)
+        .cell(quantile(times[i], 0.75), 3)
+        .cell(padded / median[i], 2);
   }
   table.print(
-      "Section 7.1: one epoch under each execution strategy (paper: "
-      "per-user evaluation ~2x faster than padded batching)");
+      "Section 7.1: seconds per epoch under each execution strategy, " +
+      std::to_string(kRounds) +
+      " interleaved rounds (paper: per-user evaluation ~2x faster than "
+      "padded batching)");
   std::printf(
       "The paper's 2x is the padding-waste elimination: compare the\n"
       "unpadded rows (sequential / per-user threads) against the padded\n"
       "batch. Padded batching amortizes per-op overhead across the batch,\n"
       "so its deficit is smaller than the raw %.2fx padding factor.\n"
-      "Measured here, on %u hardware threads: per-user threads (%zu\n"
-      "trainer threads) %.2fx and sequential %.2fx the padded batch's\n"
-      "speed, per-user threads %.2fx the sequential speed.\n",
+      "Measured here, on %u hardware threads, from the medians: per-user\n"
+      "threads (%zu trainer threads) %.2fx and sequential %.2fx the padded\n"
+      "batch's speed, per-user threads %.2fx the sequential speed.\n",
       padding_factor, std::thread::hardware_concurrency(), kTrainerThreads,
-      padded_time / times[0], padded_time / times[2], times[2] / times[0]);
+      padded / median[0], padded / median[2], median[2] / median[0]);
 
   // ---- old vs new GEMM kernel under the padded-batch strategy ----------
   // The padded strategy is the GEMM-bound one (every step is a [B x d]

@@ -90,6 +90,9 @@ DurableKvStore::DurableKvStore(DurableKvConfig config)
         emit("pp_storage_crc_rejects", l.crc_rejects);
         emit("pp_storage_rotations", l.rotations);
         emit("pp_storage_orphans_removed", l.orphans_removed);
+        emit("pp_storage_memory_reads", l.memory_reads);
+        emit("pp_storage_file_reads", l.file_reads);
+        emit("pp_storage_active_copy_bytes", l.active_copy_bytes);
       });
 }
 

@@ -1,12 +1,15 @@
 // Crash-safe KvStore over the append-only segment log: the durable tier
 // of §9's "real-time data store similar to Redis", and the gate to the
 // roadmap's "millions of users" being literal — values live on disk, RAM
-// holds only an index from key to record location: one arena-backed hash
+// holds an index from key to record location: one arena-backed hash
 // table (util/arena_map.hpp) holding each key with a 20-byte location,
-// ~73 B per 12-byte key.
+// ~73 B per 12-byte key, plus, once a get has read from it, a copy of the
+// one active segment (at most segment_bytes, more only for a single
+// oversized record).
 //
 //   put    append a framed record, point the index at it
-//   get    index lookup + one pread
+//   get    index lookup, then a copy out of the active segment's
+//          in-memory copy (segment_log.hpp) or one pread of a sealed one
 //   erase  append a tombstone record, drop the index entry
 //   open   rebuild the index by scanning the segments in manifest order
 //          (last writer wins, tombstones erase), truncating torn tails

@@ -102,4 +102,9 @@ ReplayJournalStats ReplayJournal::stats() const {
   return s;
 }
 
+SegmentLogStats ReplayJournal::log_stats() const {
+  MutexLock lock(mutex_);
+  return log_.stats();
+}
+
 }  // namespace pp::storage

@@ -72,6 +72,9 @@ class ReplayJournal {
   void flush();
 
   ReplayJournalStats stats() const;
+  /// The log's own counters. A journal never reads its log back outside
+  /// open(), so it never holds an active-segment copy.
+  SegmentLogStats log_stats() const;
 
  private:
   mutable Mutex mutex_;

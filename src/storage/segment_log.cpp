@@ -71,19 +71,27 @@ void store_u32(std::uint8_t* p, std::uint32_t v) {
   std::memcpy(p, &v, sizeof(v));
 }
 
-/// Reads a whole segment file (bounded by segment_bytes plus whatever a
-/// crash appended) into memory for the recovery scan.
-std::vector<std::uint8_t> read_file(int fd, const std::string& path) {
+std::size_t file_size(int fd, const std::string& path) {
   struct stat st{};
   if (::fstat(fd, &st) != 0) fail("fstat", path, errno);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(st.st_size));
+  return static_cast<std::size_t>(st.st_size);
+}
+
+/// Reads the first `len` bytes of a segment file into `bytes`: the whole
+/// file for the recovery scan (bounded by segment_bytes plus whatever a
+/// crash appended), the valid prefix for the active segment's copy.
+/// `bytes` ends shorter than `len` only if the file did. Returns 0, or the
+/// errno of a failed pread (the caller names the file, so a read that
+/// succeeds builds no path string).
+int read_file(int fd, std::size_t len, std::vector<std::uint8_t>& bytes) {
+  bytes.resize(len);
   std::size_t done = 0;
   while (done < bytes.size()) {
     const ssize_t n = ::pread(fd, bytes.data() + done, bytes.size() - done,
                               static_cast<off_t>(done));
     if (n < 0) {
       if (errno == EINTR) continue;
-      fail("pread", path, errno);
+      return errno;
     }
     if (n == 0) {
       bytes.resize(done);  // concurrent truncation: scan what we saw
@@ -91,7 +99,7 @@ std::vector<std::uint8_t> read_file(int fd, const std::string& path) {
     }
     done += static_cast<std::size_t>(n);
   }
-  return bytes;
+  return 0;
 }
 
 }  // namespace
@@ -222,7 +230,10 @@ void SegmentLog::open(const ScanCallback& on_record) {
 
 void SegmentLog::recover_segment(Segment& seg, const ScanCallback& on_record) {
   const std::string path = segment_path(seg.id);
-  const std::vector<std::uint8_t> bytes = read_file(seg.fd, path);
+  std::vector<std::uint8_t> bytes;
+  if (const int err = read_file(seg.fd, file_size(seg.fd, path), bytes)) {
+    fail("pread", path, err);
+  }
   std::size_t pos = 0;
   while (bytes.size() - pos >= kRecordHeaderBytes) {
     const std::uint8_t* h = bytes.data() + pos;
@@ -274,7 +285,8 @@ void SegmentLog::recover_segment(Segment& seg, const ScanCallback& on_record) {
 
 void SegmentLog::append_to(Segment& seg, std::string_view key,
                            std::span<const std::uint8_t> value,
-                           std::uint32_t flags, RecordLocation* loc) {
+                           std::uint32_t flags, RecordLocation* loc,
+                           std::vector<std::uint8_t>* copy) {
   if (key.size() > kMaxKeyBytes || value.size() > kMaxValueBytes) {
     throw std::invalid_argument("SegmentLog: record exceeds framing bounds");
   }
@@ -320,6 +332,13 @@ void SegmentLog::append_to(Segment& seg, std::string_view key,
       next->iov_len -= left;
     }
   }
+  // Only now, with every byte accepted by the kernel: a write that throws
+  // above leaves the copy as short as the segment's valid prefix.
+  if (copy != nullptr) {
+    copy->insert(copy->end(), header, header + kRecordHeaderBytes);
+    copy->insert(copy->end(), key.begin(), key.end());
+    copy->insert(copy->end(), value.begin(), value.end());
+  }
   if (loc != nullptr) {
     loc->segment_id = seg.id;
     loc->value_offset = seg.size + kRecordHeaderBytes + key.size();
@@ -339,6 +358,15 @@ void SegmentLog::rotate() {
   }
   Segment fresh = create_segment(next_id_++);
   segments_.push_back(fresh);
+  // A loaded copy now mirrors the fresh, empty segment. One that grew past
+  // segment_bytes for an oversized record is released instead; the next
+  // active read reserves it again.
+  active_copy_.clear();
+  if (active_copy_.capacity() > config_.segment_bytes) {
+    std::vector<std::uint8_t>().swap(active_copy_);
+    active_copy_loaded_ = false;
+  }
+  stats_.active_copy_bytes = 0;
   // The manifest lists the new segment before any byte lands in it; a
   // crash between create and this write leaves an orphan that open() GCs.
   write_manifest();
@@ -358,7 +386,9 @@ RecordLocation SegmentLog::append(std::string_view key,
     rotate();
   }
   RecordLocation loc;
-  append_to(segments_.back(), key, value, flags, &loc);
+  append_to(segments_.back(), key, value, flags, &loc,
+            active_copy_loaded_ ? &active_copy_ : nullptr);
+  stats_.active_copy_bytes = active_copy_.size();
   ++stats_.appended_records;
   if (config_.fsync_every_append) {
     if (timed_fsync(segments_.back().fd) != 0) {
@@ -368,8 +398,32 @@ RecordLocation SegmentLog::append(std::string_view key,
   return loc;
 }
 
-std::vector<std::uint8_t> SegmentLog::read_value(
-    const RecordLocation& loc) const {
+void SegmentLog::load_active_copy() {
+  const Segment& active = segments_.back();
+  const auto size = static_cast<std::size_t>(active.size);
+  active_copy_.reserve(std::max(config_.segment_bytes, size));
+  const int err = read_file(active.fd, size, active_copy_);
+  if (err != 0 || active_copy_.size() != size) {
+    active_copy_.clear();
+    if (err != 0) fail("pread", segment_path(active.id), err);
+    throw std::runtime_error("SegmentLog: short read of active segment " +
+                             std::to_string(active.id));
+  }
+  active_copy_loaded_ = true;
+  stats_.active_copy_bytes = size;
+}
+
+std::vector<std::uint8_t> SegmentLog::read_value(const RecordLocation& loc) {
+  if (!segments_.empty() && loc.segment_id == segments_.back().id) {
+    if (!active_copy_loaded_) load_active_copy();
+    if (loc.value_offset + loc.value_len > active_copy_.size()) {
+      throw std::runtime_error("SegmentLog: short value read in segment " +
+                               std::to_string(loc.segment_id));
+    }
+    const std::uint8_t* value = active_copy_.data() + loc.value_offset;
+    ++stats_.memory_reads;
+    return std::vector<std::uint8_t>(value, value + loc.value_len);
+  }
   const Segment* seg = find_segment(loc.segment_id);
   if (seg == nullptr) {
     throw std::logic_error("SegmentLog: read from unknown segment " +
@@ -391,6 +445,7 @@ std::vector<std::uint8_t> SegmentLog::read_value(
     }
     done += static_cast<std::size_t>(n);
   }
+  ++stats_.file_reads;
   return value;
 }
 
@@ -447,7 +502,7 @@ std::uint64_t SegmentLog::compact_sealed(
         output.push_back(create_segment(next_id_++));
       }
       RecordLocation loc;
-      append_to(output.back(), key, value, flags, &loc);
+      append_to(output.back(), key, value, flags, &loc, nullptr);
       return loc;
     };
     fill(emit);

@@ -31,6 +31,15 @@
 // torn/corrupt tail off, and garbage-collects segment files a crash left
 // outside the manifest (interrupted rotation or compaction).
 //
+// Reads: the first read_value() of a record in the active segment loads
+// that whole segment into one in-memory copy (one segment_bytes
+// reservation). From then on every append extends the copy once its
+// pwritev has returned, rotation empties it, and active-segment reads are
+// served from it; sealed records are one pread each. The copy mirrors
+// only bytes the kernel has accepted and is never written back, so it
+// changes nothing on disk; a log that is never read (a journal, a store
+// being bulk-loaded) never builds one.
+//
 // Thread-compatibility: externally synchronized. The owning store wraps
 // every call in its own pp::Mutex; SegmentLog itself takes no locks.
 #pragma once
@@ -74,6 +83,13 @@ struct SegmentLogStats {
   std::size_t rotations = 0;
   /// Crash-leftover segment files removed at open().
   std::size_t orphans_removed = 0;
+  /// read_value() calls served from the active segment's copy, and those
+  /// that pread a sealed segment.
+  std::size_t memory_reads = 0;
+  std::size_t file_reads = 0;
+  /// Bytes held in the active segment's copy: the active segment's size
+  /// once a read has loaded it, 0 before.
+  std::size_t active_copy_bytes = 0;
 };
 
 struct SegmentLogConfig {
@@ -114,7 +130,9 @@ class SegmentLog {
   RecordLocation append(std::string_view key,
                         std::span<const std::uint8_t> value,
                         std::uint32_t flags = 0);
-  std::vector<std::uint8_t> read_value(const RecordLocation& loc) const;
+  /// Not const: a read in the active segment may load its copy, and every
+  /// read is counted (memory_reads / file_reads).
+  std::vector<std::uint8_t> read_value(const RecordLocation& loc);
   /// fsyncs the active segment — the batch durability point when
   /// fsync_every_append is off.
   void sync();
@@ -153,15 +171,24 @@ class SegmentLog {
   /// tail; updates size/stats.
   void recover_segment(Segment& seg, const ScanCallback& on_record);
   const Segment* find_segment(std::uint64_t id) const;
+  /// Writes one framed record at the end of `seg`; once the write has
+  /// returned, appends the same bytes to `copy` when it is non-null.
   static void append_to(Segment& seg, std::string_view key,
                         std::span<const std::uint8_t> value,
-                        std::uint32_t flags, RecordLocation* loc);
+                        std::uint32_t flags, RecordLocation* loc,
+                        std::vector<std::uint8_t>* copy);
+  /// Reads the active segment into active_copy_ (first active read only).
+  void load_active_copy();
 
   SegmentLogConfig config_;
   bool opened_ = false;
   /// Manifest (replay) order; back() is the active segment.
   std::vector<Segment> segments_;
   std::uint64_t next_id_ = 1;
+  /// Byte-for-byte copy of the active segment, valid while
+  /// active_copy_loaded_; its size is then always segments_.back().size.
+  std::vector<std::uint8_t> active_copy_;
+  bool active_copy_loaded_ = false;
   SegmentLogStats stats_;
 };
 

@@ -86,6 +86,9 @@ std::vector<Expected> owner_stats(online::ServingStack& stack,
   add("pp_storage_crc_rejects", {}, l.crc_rejects);
   add("pp_storage_rotations", {}, l.rotations);
   add("pp_storage_orphans_removed", {}, l.orphans_removed);
+  add("pp_storage_memory_reads", {}, l.memory_reads);
+  add("pp_storage_file_reads", {}, l.file_reads);
+  add("pp_storage_active_copy_bytes", {}, l.active_copy_bytes);
 
   const storage::ReplayJournalStats j = stack.journal()->stats();
   add("pp_journal_appended", {}, j.appended);

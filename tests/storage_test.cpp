@@ -7,10 +7,12 @@
 // guarantee. The end-to-end kill/resume acceptance harness lives in
 // storage_persist_test.cpp.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <array>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -22,6 +24,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "kv_reference.hpp"
@@ -448,8 +451,18 @@ TEST(DurableKv, MatchesUnorderedMapReferenceThroughReopenCompactAndTornTail) {
   config.segment_bytes = 64u << 10;  // many sealed segments to compact
   auto store = std::make_unique<DurableKvStore>(config);
   kvtest::KvReference ref;
-  const auto reopen = [&] {
+  // Reads served from the active segment's copy and from the files,
+  // summed over every instance.
+  std::size_t memory_reads = 0, file_reads = 0;
+  const auto close = [&] {
+    if (store == nullptr) return;
+    const SegmentLogStats l = store->log_stats();
+    memory_reads += l.memory_reads;
+    file_reads += l.file_reads;
     store.reset();
+  };
+  const auto reopen = [&] {
+    close();
     store = std::make_unique<DurableKvStore>(config);
     ref.reset_stats();  // KvStats count this instance's traffic
   };
@@ -463,7 +476,7 @@ TEST(DurableKv, MatchesUnorderedMapReferenceThroughReopenCompactAndTornTail) {
     const bool appends = !op.erase || before.has_value();
     kvtest::apply_both(*store, ref, op);
     if (i % 2500 == 1249 && appends) {
-      store.reset();
+      close();
       const std::string segment = active_segment(config.dir);
       std::filesystem::resize_file(segment,
                                    std::filesystem::file_size(segment) - 1);
@@ -495,6 +508,202 @@ TEST(DurableKv, MatchesUnorderedMapReferenceThroughReopenCompactAndTornTail) {
   EXPECT_GE(reopens, 6u);
   EXPECT_EQ(compactions, 6u);
   EXPECT_GE(store->durable_stats().segments, 2u);
+  // Both read paths ran: active-segment records from the copy, sealed and
+  // compacted ones from the files.
+  close();
+  EXPECT_GT(memory_reads, 0u);
+  EXPECT_GT(file_reads, 0u);
+}
+
+// ------------------------------------------------- active-segment copy
+
+std::size_t active_segment_bytes(const std::string& dir) {
+  return static_cast<std::size_t>(
+      std::filesystem::file_size(active_segment(dir)));
+}
+
+TEST(DurableKv, ActiveSegmentReadsMatchAReopenedStoreAndSplitByWhereTheySit) {
+  // Reads start only after a write-only phase, then run on through
+  // rotations, empty values, tombstones, a value larger than a segment, a
+  // compaction and a reopen. Every read must return what a store freshly
+  // opened on the same directory returns, and count where its record sits:
+  // a memory read in the active segment, a file read in a sealed or
+  // compacted one.
+  TempDir dir("active_copy");
+  DurableKvConfig config;
+  config.dir = dir.sub("kv");
+  config.segment_bytes = 1024;
+  config.compact_dead_ratio = 0;  // compaction only where the test asks
+  auto store = std::make_unique<DurableKvStore>(config);
+  // Where each live key's record sits: the number of rotations, over every
+  // instance, before it was written. A record written since the latest
+  // rotation is in the active segment.
+  std::unordered_map<std::string, std::size_t> written_at;
+  std::vector<std::string> keys;  // every key ever written
+  std::size_t earlier_rotations = 0;
+  const auto rotations = [&] {
+    return earlier_rotations + store->log_stats().rotations;
+  };
+  std::size_t memory_reads = 0, file_reads = 0;  // this instance's
+  const auto put = [&](const std::string& key,
+                       std::vector<std::uint8_t> value) {
+    if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
+      keys.push_back(key);
+    }
+    store->put(key, std::move(value));
+    written_at[key] = rotations();
+  };
+  const auto erase = [&](const std::string& key) {
+    EXPECT_TRUE(store->erase(key));
+    written_at.erase(key);
+  };
+  const auto read = [&](const std::string& key) {
+    SCOPED_TRACE("read " + key);
+    DurableKvStore reopened(config);
+    ASSERT_EQ(store->get(key), reopened.get(key));
+    const auto it = written_at.find(key);
+    const bool active = it != written_at.end() && it->second == rotations();
+    if (it != written_at.end()) ++(active ? memory_reads : file_reads);
+    const SegmentLogStats l = store->log_stats();
+    EXPECT_EQ(l.memory_reads, memory_reads);
+    EXPECT_EQ(l.file_reads, file_reads);
+    // A loaded copy is the whole active segment; an active read loads it.
+    const std::size_t segment = active_segment_bytes(config.dir);
+    if (active) {
+      EXPECT_EQ(l.active_copy_bytes, segment);
+    }
+    EXPECT_TRUE(l.active_copy_bytes == 0 || l.active_copy_bytes == segment)
+        << l.active_copy_bytes << " vs " << segment;
+  };
+  const auto read_all = [&] {
+    for (const std::string& key : keys) read(key);
+  };
+
+  // Write only: puts, overwrites, an empty value and a tombstone across
+  // several rotations hold no copy and count no read.
+  for (std::size_t i = 0; i < 90; ++i) {
+    put("key" + std::to_string(i % 24), value_of(i % 9));
+  }
+  put("empty", {});
+  erase("key3");
+  ASSERT_GT(rotations(), 2u);
+  EXPECT_EQ(store->log_stats().memory_reads + store->log_stats().file_reads,
+            0u);
+  EXPECT_EQ(store->log_stats().active_copy_bytes, 0u);
+
+  read_all();
+  ASSERT_GT(memory_reads, 0u);
+  ASSERT_GT(file_reads, 0u);
+
+  // Appends extend the loaded copy; rotations empty it.
+  const std::size_t rotated = rotations();
+  for (std::size_t i = 0; i < 80; ++i) {
+    const std::string key = "key" + std::to_string((i * 7) % 24);
+    if (i % 11 == 5 && written_at.count(key) > 0) {
+      erase(key);
+    } else {
+      put(key, i % 13 == 0 ? std::vector<std::uint8_t>{} : value_of(i % 9));
+    }
+    read(key);
+    read("key" + std::to_string((i * 5) % 24));
+    if (::testing::Test::HasFailure()) return;
+  }
+  ASSERT_GT(rotations(), rotated + 2);
+
+  // A value larger than a segment opens a segment of its own; the copy
+  // grows to hold it, and the next rotation releases the oversize copy.
+  const std::size_t before_big = rotations();
+  put("big", std::vector<std::uint8_t>(3 * config.segment_bytes, 0x5A));
+  EXPECT_EQ(rotations(), before_big + 1);
+  read("big");
+  EXPECT_GT(store->log_stats().active_copy_bytes, config.segment_bytes);
+  put("after big", value_of(4));
+  EXPECT_EQ(rotations(), before_big + 2);
+  EXPECT_EQ(store->log_stats().active_copy_bytes, 0u);
+  read("big");
+  read("after big");
+  read_all();
+
+  // Compaction rewrites the sealed records (read from the files) and
+  // leaves the active segment, and so the copy, as it was.
+  put("before compaction", value_of(2));
+  const std::size_t copy = store->log_stats().active_copy_bytes;
+  ASSERT_GT(copy, 0u);
+  store->compact();
+  EXPECT_EQ(store->durable_stats().compactions, 1u);
+  EXPECT_EQ(store->log_stats().active_copy_bytes, copy);
+  file_reads = store->log_stats().file_reads;  // compaction's own reads
+  read_all();
+  for (std::size_t i = 0; i < 30; ++i) {
+    put("key" + std::to_string(i % 5), value_of(i % 7));
+    read("key" + std::to_string((i + 2) % 5));
+  }
+
+  // A reopened store starts without a copy and loads it on demand.
+  earlier_rotations = rotations();
+  store = std::make_unique<DurableKvStore>(config);
+  memory_reads = file_reads = 0;
+  EXPECT_EQ(store->log_stats().active_copy_bytes, 0u);
+  read_all();
+  for (std::size_t i = 0; i < 40; ++i) {
+    put("key" + std::to_string(i % 6), value_of(i % 9));
+    read("key" + std::to_string((i + 3) % 6));
+  }
+  read_all();
+  EXPECT_GT(memory_reads, 0u);
+  EXPECT_GT(file_reads, 0u);
+}
+
+/// Caps the size of every file this process writes (RLIMIT_FSIZE) while
+/// alive, with SIGXFSZ ignored so that a write past the cap fails with
+/// EFBIG instead of ending the process.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(std::uintmax_t bytes) {
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_), 0);
+    handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit cap = saved_;
+    cap.rlim_cur = static_cast<rlim_t>(bytes);
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &cap), 0);
+  }
+  ~FileSizeCap() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, handler_);
+  }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+
+ private:
+  rlimit saved_{};
+  void (*handler_)(int) = SIG_DFL;
+};
+
+TEST(DurableKv, FailedAppendLeavesTheActiveCopyAtTheSegmentsValidPrefix) {
+  // A record whose write the kernel cuts short is not in the segment's
+  // valid prefix, so it must not be in the copy either: the next record
+  // lands at that same offset, and reads of it must see its bytes.
+  TempDir dir("copy_failed_write");
+  DurableKvConfig config;
+  config.dir = dir.sub("kv");
+  DurableKvStore kv(config);
+  kv.put("a", value_of(3));
+  ASSERT_EQ(*kv.get("a"), value_of(3));  // loads the copy
+  const std::string segment = active_segment(config.dir);
+  {
+    // The first 8 bytes of the next record fit under the cap.
+    FileSizeCap cap(std::filesystem::file_size(segment) + 8);
+    EXPECT_THROW(kv.put("b", value_of(5)), std::runtime_error);
+  }
+  EXPECT_FALSE(kv.contains("b"));
+  kv.put("c", value_of(7));
+  DurableKvStore reopened(config);
+  EXPECT_EQ(kv.get("c"), reopened.get("c"));
+  EXPECT_EQ(*kv.get("c"), value_of(7));
+  EXPECT_EQ(*kv.get("a"), value_of(3));
+  const SegmentLogStats l = kv.log_stats();
+  EXPECT_EQ(l.memory_reads, 4u);
+  EXPECT_EQ(l.file_reads, 0u);
+  EXPECT_EQ(l.active_copy_bytes, std::filesystem::file_size(segment));
 }
 
 // ------------------------------------------- recovery sweeps (satellite 3)
@@ -832,6 +1041,46 @@ TEST(ReplayJournal, TornTailDroppedAndDecodeRejectsCounted) {
                         });
   EXPECT_EQ(replayed, 10u);  // the chopped record was the garbage one
   EXPECT_GT(journal.stats().torn_bytes_dropped, 0u);
+}
+
+TEST(ActiveSegmentCopy, WriteOnlyStoreAndJournalNeverHoldOne) {
+  // Only a read builds the copy: a store that is only written to (through
+  // rotations, tombstones and an inline compaction) and a journal, before
+  // and after a reopen, never hold one.
+  TempDir dir("write_only");
+  DurableKvConfig config;
+  config.dir = dir.sub("kv");
+  config.segment_bytes = 256;
+  config.compact_min_bytes = 1024;
+  for (int open = 0; open < 2; ++open) {
+    DurableKvStore kv(config);
+    for (std::size_t round = 0; round < 60; ++round) {
+      for (std::size_t i = 0; i < 4; ++i) {
+        kv.put("key" + std::to_string(i), value_of(8));
+      }
+      if (round % 10 == 9) kv.erase("key0");
+    }
+    ASSERT_GE(kv.durable_stats().compactions, 1u);
+    const SegmentLogStats l = kv.log_stats();
+    EXPECT_EQ(l.active_copy_bytes, 0u);
+    EXPECT_EQ(l.memory_reads, 0u);
+    // Compaction reads the sealed records it keeps from the files.
+    EXPECT_GT(l.file_reads, 0u);
+  }
+
+  ReplayJournalConfig journal_config;
+  journal_config.dir = dir.sub("replay");
+  journal_config.segment_bytes = 256;
+  for (int open = 0; open < 2; ++open) {
+    ReplayJournal journal(journal_config, [](auto...) {});
+    feed_stream(40, 0,
+                [&](std::uint64_t user, std::int64_t t, const auto& context,
+                    bool access) { journal.append(user, t, context, access); });
+    const SegmentLogStats l = journal.log_stats();
+    EXPECT_GT(l.rotations, 0u);
+    EXPECT_EQ(l.active_copy_bytes, 0u);
+    EXPECT_EQ(l.memory_reads + l.file_reads, 0u);
+  }
 }
 
 // ------------------------------------------------------ on-disk format pin
