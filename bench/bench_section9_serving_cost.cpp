@@ -137,67 +137,6 @@ void BM_RnnHiddenUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_RnnHiddenUpdate);
 
-/// The sharded, multi-threaded serving driver: one PrecomputeService over
-/// a ShardedKvStore, batches of session starts partitioned user-affinely
-/// across a ThreadPool (threads x shards sweep). Throughput is sessions/s
-/// end to end — scoring, joiner feed, and (via the advance) the hidden
-/// updates of the previous batch. threads=1 with shards=1 is the
-/// single-threaded batched baseline the >1.5x-at-4-threads target is
-/// measured against. The only measurement of the service's pool fan-out.
-void BM_ShardedServing(benchmark::State& state) {
-  Fixture& f = Fixture::get();
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  const auto shards = static_cast<std::size_t>(state.range(1));
-  constexpr std::size_t kBatch = 256;
-  constexpr std::size_t kUsers = 512;
-
-  serving::ShardedKvStore kv(shards);
-  serving::HiddenStateStore store(kv);
-  serving::RnnPolicy policy(*f.rnn, store);
-  serving::PrecomputeService service(policy, 0.5, 1200, 60,
-                                     f.dataset.end_time);
-  ThreadPool pool(threads);
-  // Warm every user so scoring pays the full lookup + decode cost.
-  for (std::size_t u = 0; u < kUsers; ++u) {
-    serving::JoinedSession joined;
-    joined.session_id = 1000000 + u;
-    joined.user_id = u;
-    joined.session_start = f.dataset.end_time - 7200;
-    joined.access = u % 2 == 0;
-    policy.on_session_complete(joined);
-  }
-
-  std::uint64_t sid = 1;
-  std::int64_t base = f.dataset.end_time;
-  std::vector<serving::SessionStart> batch(kBatch);
-  for (auto _ : state) {
-    state.PauseTiming();
-    for (std::size_t b = 0; b < kBatch; ++b) {
-      serving::SessionStart& s = batch[b];
-      s.session_id = sid++;
-      s.user_id = (b * 31) % kUsers;
-      s.t = base + static_cast<std::int64_t>((b * 7) % 600);
-      s.context = {static_cast<std::uint32_t>(b % 4), 0, 0, 0};
-    }
-    base += 3600;  // next batch starts after the previous windows close
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(service.on_session_starts(batch, &pool));
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kBatch));
-  state.counters["threads"] = static_cast<double>(threads);
-  state.counters["shards"] = static_cast<double>(shards);
-}
-BENCHMARK(BM_ShardedServing)
-    ->ArgNames({"threads", "shards"})
-    ->Args({1, 1})
-    ->Args({1, 8})
-    ->Args({2, 8})
-    ->Args({4, 1})
-    ->Args({4, 8})
-    ->Args({4, 16})
-    ->UseRealTime();
-
 /// f32 vs int8 end-to-end policy scoring (§9 quantized serving): batched
 /// score_sessions over a fully warmed store, KV lookups included. arg 0
 /// selects the precision, arg 1 the batch size. Counters report the

@@ -4,7 +4,8 @@
 # Usage:
 #   ci/lint.sh --binary [build-dir]   # AVX2/AVX-512/SSE4.2 containment
 #   ci/lint.sh --source               # raw sync primitives outside src/util/,
-#                                     # threads and locks in src/tensor/
+#                                     # threads and locks in src/tensor/,
+#                                     # pools in src/serving/ and src/ingest/
 #
 # --binary  Machine-checks the TU-isolation rule behind the runtime-
 #           dispatched kernels (CMakeLists.txt): only the *_avx2.cpp TUs
@@ -42,12 +43,15 @@
 #           src/tensor/ may include util/thread_pool.hpp, util/thread.hpp
 #           or util/mutex.hpp. Every product runs on the thread that asks
 #           for it; parallelism belongs to the callers (the trainer's
-#           per-user threads, the service's fan-out).
+#           per-user threads, the threaded replay). And it keeps pools out
+#           of serving: no file under src/serving/ or src/ingest/ may
+#           include util/thread_pool.hpp, because a service scores on its
+#           caller's thread.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
-usage() { sed -n '2,8p' "${BASH_SOURCE[0]}"; }
+usage() { sed -n '2,9p' "${BASH_SOURCE[0]}"; }
 
 binary_lint() {
   local build_dir="$1"
@@ -191,34 +195,47 @@ source_lint() {
     exit 2
   fi
 
-  local tensor_pattern='#[[:space:]]*include[[:space:]]*"util/(thread_pool|thread|mutex)\.hpp"'
-  local tensor_checked=0
-  while IFS= read -r -d '' f; do
-    tensor_checked=$((tensor_checked + 1))
-    hits="$(sed 's@//.*@@' "${f}" | grep -En "${tensor_pattern}" || true)"
-    if [[ -n "${hits}" ]]; then
-      bad=$((bad + 1))
-      echo "source lint: thread or lock header in ${f#"${REPO_ROOT}"/} —" \
-           "tensor products run on the calling thread; parallelism belongs" \
-           "to the callers (the trainer's per-user threads, the service's" \
-           "fan-out):" >&2
-      sed 's/^/  /' <<<"${hits}" >&2
+  # forbid_include <dir> <headers> <what> <why>: no file under src/<dir>/
+  # may include a util/ header named in <headers> (an ERE alternation).
+  local layered=0
+  forbid_include() {
+    local dir="$1" what="$3" why="$4" found=0 f
+    local include='#[[:space:]]*include[[:space:]]*"util/('"$2"')\.hpp"'
+    while IFS= read -r -d '' f; do
+      found=$((found + 1))
+      hits="$(sed 's@//.*@@' "${f}" | grep -En "${include}" || true)"
+      if [[ -n "${hits}" ]]; then
+        bad=$((bad + 1))
+        echo "source lint: ${what} in ${f#"${REPO_ROOT}"/} — ${why}:" >&2
+        sed 's/^/  /' <<<"${hits}" >&2
+      fi
+    done < <(find "${REPO_ROOT}/src/${dir}" -type f \( -name '*.cpp' -o -name '*.hpp' \) \
+               -print0 | sort -z)
+    if [[ "${found}" -eq 0 ]]; then
+      echo "source lint: found no sources under src/${dir}/ — wrong checkout?" >&2
+      exit 2
     fi
-  done < <(find "${REPO_ROOT}/src/tensor" -type f \( -name '*.cpp' -o -name '*.hpp' \) \
-             -print0 | sort -z)
-  if [[ "${tensor_checked}" -eq 0 ]]; then
-    echo "source lint: found no sources under src/tensor/ — wrong checkout?" >&2
-    exit 2
-  fi
+    layered=$((layered + found))
+  }
+  local callers="parallelism belongs to the callers"
+  forbid_include tensor 'thread_pool|thread|mutex' "thread or lock header" \
+    "tensor products run on the calling thread; ${callers}"
+  local dir
+  for dir in serving ingest; do
+    forbid_include "${dir}" 'thread_pool' "thread pool header" \
+      "a service scores on its caller's thread; ${callers}"
+  done
 
   if [[ "${bad}" -gt 0 ]]; then
     echo "source lint: FAIL — ${bad} files use raw primitives outside" \
-         "src/util/ or threads in src/tensor/" >&2
+         "src/util/, threads in src/tensor/ or pools in src/serving/ or" \
+         "src/ingest/" >&2
     exit 1
   fi
   echo "source lint: OK — ${checked} files outside src/util/ free of raw" \
-       "sync primitives, ${tensor_checked} in src/tensor/ free of threads" \
-       "and locks"
+       "sync primitives; ${layered} in src/tensor/, src/serving/ and" \
+       "src/ingest/ free of the thread, lock and pool headers they may not" \
+       "include"
 }
 
 case "${1:-}" in

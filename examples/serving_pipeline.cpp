@@ -102,10 +102,9 @@ int main() {
   std::printf("stream joiner: %zu contexts, %zu accesses, %zu joined\n",
               joiner.contexts, joiner.accesses, joiner.joined);
 
-  // --- The multi-threaded tier: the same spec with a sharded backend;
-  // session-start batches are partitioned user-affinely across a worker
-  // pool (each user's hidden state is touched by exactly one worker; the
-  // stream joiner stays single-writer).
+  // --- The batched tier: the same spec with a sharded backend, fed
+  // session starts in batches on this thread (each batch is scored in
+  // snapshot groups, one batched score call per group).
   online::TenantSpec sharded_spec;
   sharded_spec.id = "sharded";
   sharded_spec.model = std::shared_ptr<models::RnnModel>(model.clone());
@@ -116,7 +115,6 @@ int main() {
   sharded_spec.capture = false;
   online::ServingStack& sharded_stack = tenants.register_tenant(sharded_spec);
   serving::PrecomputeService& sharded_service = sharded_stack.service();
-  ThreadPool pool(4);
 
   // Replay a cohort of fresh users in batches of 256 session starts; the
   // service time-sorts each batch internally and cuts it into snapshot
@@ -133,7 +131,7 @@ int main() {
       start.context = s.context;
       batch.push_back(start);
       if (batch.size() == 256) {
-        for (const bool d : sharded_service.on_session_starts(batch, &pool)) {
+        for (const bool d : sharded_service.on_session_starts(batch)) {
           triggered += d ? 1 : 0;
         }
         scored += batch.size();
@@ -142,15 +140,15 @@ int main() {
     }
   }
   if (!batch.empty()) {
-    for (const bool d : sharded_service.on_session_starts(batch, &pool)) {
+    for (const bool d : sharded_service.on_session_starts(batch)) {
       triggered += d ? 1 : 0;
     }
     scored += batch.size();
   }
   sharded_service.flush();
 
-  std::printf("\nsharded tier (8 shards, 4 workers): %zu sessions scored "
-              "in batches, %zu precomputes triggered\n",
+  std::printf("\nsharded tier (8 shards, batches of 256): %zu sessions "
+              "scored, %zu precomputes triggered\n",
               scored, triggered);
   const auto sharded_costs = sharded_stack.policy().cost_summary();
   std::printf("sharded costs: %.1f KV lookups/prediction, %zu live keys\n",
@@ -285,10 +283,7 @@ int main() {
   load_config.start_time = dataset.start_time;
   ingest::LoadGenerator load(load_config);
 
-  ingest::ConsumerConfig consumer_config;
-  consumer_config.pool = &pool;
-  ingest::IngestConsumer consumer(bus, ingest_stack.service(),
-                                  consumer_config);
+  ingest::IngestConsumer consumer(bus, ingest_stack.service());
   consumer.start();
   const ingest::LoadGenStats produced = load.run(&bus);
   consumer.join();

@@ -77,7 +77,7 @@ void IngestConsumer::feed(const std::vector<Event>& merged) {
       contexts += ev.kind == EventKind::kContext ? 1 : 0;
     }
     Stopwatch watch;
-    service_.on_events(slice, config_.pool);
+    service_.on_events(slice);
     ++stats_.batches;
     stats_.events += slice.size();
     stats_.contexts += contexts;

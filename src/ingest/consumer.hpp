@@ -1,6 +1,7 @@
 // Ingest consumer: one thread that drains every bus lane, decodes frames,
 // merges lanes into a single deterministic event order, and feeds the
-// SessionJoiner → snapshot-group PrecomputeService pipeline.
+// SessionJoiner → snapshot-group PrecomputeService pipeline, all on the
+// consumer thread.
 //
 // Determinism contract (extends the batched == sequential pin of the
 // serving tier): the decisions, cost ledger, and joiner stats produced by
@@ -15,8 +16,8 @@
 //
 // Batching: each merge round's events are handed to
 // PrecomputeService::on_events() in slices of at most batch_capacity
-// events, contexts and accesses together (group fan-out optionally over a
-// ThreadPool). Where merge rounds and slices cut the stream does not
+// events, contexts and accesses together; the service scores each slice on
+// the consumer thread. Where merge rounds and slices cut the stream does not
 // affect results: on_events gives every cut the effect of a one-at-a-time
 // replay, which is precisely the pinned batched == sequential property.
 //
@@ -39,7 +40,10 @@
 #include "obs/metrics.hpp"
 #include "serving/precompute_service.hpp"
 #include "util/thread.hpp"
-#include "util/thread_pool.hpp"
+
+namespace pp {
+class ThreadPool;
+}  // namespace pp
 
 namespace pp::ingest {
 
@@ -47,8 +51,8 @@ struct ConsumerConfig {
   /// Max events (contexts and accesses) per on_events() call. It also
   /// bounds how long one call holds the service mutex.
   std::size_t batch_capacity = 256;
-  /// Optional pool for user-affine snapshot-group fan-out (policy must be
-  /// concurrent_safe(); the service falls back to inline scoring if not).
+  /// Ignored: the service scores on the consumer thread. Kept only while
+  /// perfbench's ingest workload still sets it; it goes once that does.
   ThreadPool* pool = nullptr;
 };
 

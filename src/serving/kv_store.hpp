@@ -11,8 +11,8 @@
 // blocks, so a user's 160-B int8 state record costs ~209 B of RAM with its
 // key, entry and probe slots.
 // `ShardedKvStore` hash-partitions the key space over N independent
-// LocalKvStore shards (per-shard mutex + stats) so many serving workers
-// can hit the store concurrently without serializing on one lock;
+// LocalKvStore shards (per-shard mutex + stats) so concurrent callers can
+// hit the store without serializing on one lock;
 // size / value_bytes / stats merge across shards.
 //
 // Every live LocalKvStore (so every shard) and DurableKvStore reports its

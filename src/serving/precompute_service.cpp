@@ -171,15 +171,11 @@ std::vector<double> RnnPolicy::score_with(
     const SessionStart& s = sessions[b];
     span.stage_begin();
     // Still one KV lookup per session (§9's dominant serving cost term);
-    // only the model evaluation is batched. The stripe lock orders the
-    // read against any concurrent on_session_complete for the same user.
-    std::optional<StateStamp> stamp;
-    {
-      MutexLock lock(stripe_for(s.user_id));
-      stamp = scorer.read(*store_, s.user_id, net, h, b);
-    }
+    // only the model evaluation is batched.
+    const std::optional<StateStamp> stamp =
+        scorer.read(*store_, s.user_id, net, h, b);
     if (!stamp.has_value()) scorer.gather(h, b, scorer.cold());
-    span.stage_add(0);  // kv_get: stripe-locked lookup + hidden read
+    span.stage_add(0);  // kv_get: lookup + hidden read
     const std::span<float> x_row(x + b * (fw + tb), fw + tb);
     std::fill_n(x_row.begin(), fw, 0.0f);
     if (seq_cfg.context_at_predict && fw > 0) {
@@ -218,14 +214,9 @@ void RnnPolicy::complete_with(const S& scorer, const JoinedSession& joined) {
   const std::size_t fw = net.config().feature_size;
   const std::size_t tb = net.config().time_buckets;
 
-  // gru_update stage: the whole completion (get -> GRU step -> put,
-  // including the stripe-lock wait) is the paper's state-update cost unit.
+  // gru_update stage: the whole completion (get -> GRU step -> put) is the
+  // paper's state-update cost unit.
   obs::ScopedTimer stage_timer(obs::sample_tick() ? obs_gru_ : nullptr);
-
-  // The whole get -> GRU step -> put is one read-modify-write of the
-  // user's stored state; the stripe lock keeps concurrent completions for
-  // the same user strictly ordered (no lost updates).
-  MutexLock lock(stripe_for(joined.user_id));
 
   // Read the prior state in the active precision. The int8 mode keeps the
   // stored bytes as-is: they feed the quantized GRU products directly and
@@ -437,116 +428,7 @@ void PrecomputeService::handle_joined(const JoinedSession& joined) {
   if (completion_listener_) completion_listener_(joined);
 }
 
-namespace {
-
-/// splitmix64 finalizer. Partitioning by raw user_id % parts would let a
-/// strided or parity-skewed id population collapse onto a few partitions;
-/// mixing first keeps the split even while staying a pure function of
-/// user_id (user-affinity preserved).
-std::uint64_t mix_user_id(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-/// Shared state of one group fan-out. Helpers hold it by shared_ptr, so a
-/// helper that only gets scheduled after the group already finished (or
-/// after the service is gone) finds no partition left to claim and exits
-/// without touching anything else.
-struct GroupFanout {
-  std::vector<std::vector<SessionStart>> part_sessions;
-  std::vector<std::vector<std::size_t>> part_slots;
-  std::vector<double> scores;
-  std::atomic<std::size_t> next{0};
-  Mutex done_mutex;
-  CondVar done_cv;
-  /// Partitions finished.
-  std::size_t completed PP_GUARDED_BY(done_mutex) = 0;
-  /// First scoring error.
-  std::exception_ptr error PP_GUARDED_BY(done_mutex);
-
-  /// Claims partitions until none remain. Every claimed partition is
-  /// counted as completed even when scoring throws, so the waiter always
-  /// unblocks. Takes the policy by pointer and only dereferences it after
-  /// claiming a partition: a helper that runs after the group finished
-  /// must not touch the (possibly destroyed) policy at all.
-  void drain(PrecomputePolicy* policy) {
-    for (;;) {
-      const std::size_t p = next.fetch_add(1);
-      if (p >= part_sessions.size()) return;
-      std::exception_ptr failure;
-      try {
-        const std::vector<double> part =
-            policy->score_sessions(part_sessions[p]);
-        for (std::size_t j = 0; j < part.size(); ++j) {
-          scores[part_slots[p][j]] = part[j];
-        }
-      } catch (...) {
-        failure = std::current_exception();
-      }
-      MutexLock lock(done_mutex);
-      if (failure && !error) error = failure;
-      if (++completed == part_sessions.size()) done_cv.notify_all();
-    }
-  }
-};
-
-}  // namespace
-
-std::vector<double> PrecomputeService::score_group(
-    std::span<const SessionStart> group, ThreadPool* pool) {
-  const std::size_t count = group.size();
-  // Inline when fanning out cannot help: no pool, a tiny group, a policy
-  // without concurrent support, or the caller already being one of the
-  // pool's workers (its siblings are likely busy, and inline is the same
-  // caller-runs degradation parallel_for uses).
-  if (pool == nullptr || pool->size() < 2 || count < 2 ||
-      pool->on_worker_thread() || !policy_->concurrent_safe()) {
-    return policy_->score_sessions(group);
-  }
-  // User-affine partition: user_id alone picks the partition, so two
-  // sessions of the same user in one group stay in one partition in
-  // group order, and no user's hidden state is read by two threads. At
-  // most one thread executes a given partition (claimed via `next`).
-  const std::size_t parts = std::min(pool->size(), count);
-  auto state = std::make_shared<GroupFanout>();
-  state->part_sessions.resize(parts);
-  state->part_slots.resize(parts);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t p =
-        static_cast<std::size_t>(mix_user_id(group[i].user_id) % parts);
-    state->part_sessions[p].push_back(group[i]);
-    state->part_slots[p].push_back(i);
-  }
-  state->scores.assign(count, 0.0);
-  // Helpers are optional accelerators; the caller drains partitions
-  // itself, so the group completes even if every worker is starved (e.g.
-  // all of them blocked on this service's mutex). The futures are
-  // deliberately not awaited — a late helper no-ops against the shared
-  // state. One helper per non-empty partition beyond the caller's first;
-  // empty partitions need no thread at all.
-  std::size_t nonempty = 0;
-  for (const auto& part : state->part_sessions) {
-    nonempty += part.empty() ? 0 : 1;
-  }
-  PrecomputePolicy* const policy = policy_;
-  for (std::size_t h = 1; h < nonempty; ++h) {
-    pool->submit([state, policy] { state->drain(policy); });
-  }
-  state->drain(policy_);
-  {
-    MutexLock lock(state->done_mutex);
-    while (state->completed != state->part_sessions.size()) {
-      state->done_cv.wait(state->done_mutex);
-    }
-    if (state->error) std::rethrow_exception(state->error);
-  }
-  return std::move(state->scores);
-}
-
 void PrecomputeService::on_events(std::span<const StreamEvent> events,
-                                  ThreadPool* pool,
                                   std::span<bool> decisions) {
   if (!decisions.empty() && decisions.size() != events.size()) {
     throw std::invalid_argument(
@@ -626,8 +508,9 @@ void PrecomputeService::on_events(std::span<const StreamEvent> events,
       }
     }
 
-    const std::vector<double> scores =
-        group_.empty() ? std::vector<double>{} : score_group(group_, pool);
+    const std::vector<double> scores = group_.empty()
+                                           ? std::vector<double>{}
+                                           : policy_->score_sessions(group_);
     {
       // decision_joiner stage: thresholding + the joiner feed of one
       // snapshot group's events, in order.
@@ -667,12 +550,12 @@ bool PrecomputeService::on_session_start(
                        .t = t,
                        .context = context};
   bool prefetch = false;
-  on_events({&ev, 1}, nullptr, {&prefetch, 1});
+  on_events({&ev, 1}, {&prefetch, 1});
   return prefetch;
 }
 
 std::vector<bool> PrecomputeService::on_session_starts(
-    std::span<const SessionStart> sessions, ThreadPool* pool) {
+    std::span<const SessionStart> sessions) {
   std::vector<StreamEvent> events;
   events.reserve(sessions.size());
   for (const SessionStart& s : sessions) {
@@ -683,7 +566,7 @@ std::vector<bool> PrecomputeService::on_session_starts(
                       .context = s.context});
   }
   const auto decisions = std::make_unique<bool[]>(sessions.size());
-  on_events(events, pool, {decisions.get(), sessions.size()});
+  on_events(events, {decisions.get(), sessions.size()});
   return std::vector<bool>(decisions.get(), decisions.get() + sessions.size());
 }
 

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <span>
 #include <variant>
@@ -22,7 +23,6 @@
 #include "serving/stream.hpp"
 #include "train/scorer.hpp"
 #include "util/mutex.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pp::serving {
 
@@ -87,9 +87,9 @@ class PrecomputePolicy {
   const SerialToken& serial_token() const PP_RETURN_CAPABILITY(serial_) {
     return serial_;
   }
-  /// Whether score_sessions / on_session_complete tolerate concurrent
-  /// callers. The threaded service driver only fans out over policies
-  /// that opt in; everything else is scored on the calling thread.
+  /// Inert: the service scores every group on its caller's thread and
+  /// never reads this. It stays only because perfbench's policy decorator
+  /// still overrides it; it goes once that override does.
   virtual bool concurrent_safe() const { return false; }
   virtual ServingCostSummary cost_summary() const = 0;
   virtual const char* name() const = 0;
@@ -110,17 +110,17 @@ enum class ScorePrecision { kFloat32, kInt8 };
 /// split execution — MLP at session start, GRU at session end, both on the
 /// precision's scorer (train/scorer.hpp), as the offline replay runs them.
 ///
-/// Thread-safe: score_sessions / on_session_complete may be called from
-/// concurrent serving workers. Per-user state access is serialized through
-/// striped locks keyed by user_id (the Graves-style ordering constraint:
-/// each user's recurrent state update is strictly ordered, everything else
-/// fans out), and the cost counters are atomics.
+/// Not thread-safe: score_sessions / on_session_complete run one at a
+/// time, as the service calls them under its mutex, so each user's
+/// recurrent state is read and updated strictly in session order (the
+/// Graves-style ordering constraint). The cost counters are atomics only
+/// because a metrics scrape reads them from another thread.
 ///
 /// kInt8 requires a kInt8-codec store and a model with
 /// enable_quantized_serving() already called (throws otherwise). The int8
-/// mode keeps every batching/threading invariant of the f32 path: per-row
-/// activation quantization plus exact integer accumulation make batched,
-/// single, and thread-partitioned scoring bit-identical.
+/// mode keeps the batching invariant of the f32 path: per-row activation
+/// quantization plus exact integer accumulation make batched and single
+/// scoring bit-identical.
 class RnnPolicy final : public PrecomputePolicy {
  public:
   RnnPolicy(const models::RnnModel& model, HiddenStateStore& store,
@@ -142,7 +142,6 @@ class RnnPolicy final : public PrecomputePolicy {
       std::span<const SessionStart> sessions) override;
   void on_session_complete(const JoinedSession& joined) override;
   void begin_batch() override PP_REQUIRES(serial_);
-  bool concurrent_safe() const override { return true; }
   ServingCostSummary cost_summary() const override;
   const char* name() const override {
     return precision_ == ScorePrecision::kInt8 ? "rnn-int8" : "rnn";
@@ -168,24 +167,14 @@ class RnnPolicy final : public PrecomputePolicy {
   template <class S>
   void complete_with(const S& scorer, const JoinedSession& joined);
 
-  /// Resolves user_id to its stripe. PP_RETURN_CAPABILITY tells the
-  /// analysis which array element a MutexLock at the call site actually
-  /// acquires, so two different stripes are never conflated.
-  Mutex& stripe_for(std::uint64_t user_id)
-      PP_RETURN_CAPABILITY(stripes_[user_id % kLockStripes]) {
-    return stripes_[user_id % kLockStripes];
-  }
   /// The model every score/update in the current pin window uses. Fixed
-  /// model or the pinned registry snapshot. Deliberately NOT guarded by
-  /// serial_: scoring workers read the pin concurrently with each other,
-  /// which is safe because the service only re-pins (begin_batch, under
-  /// serial_) while no scoring is in flight — writes and reads are
-  /// separated in time by the group structure, not by a lock.
+  /// model or the pinned registry snapshot. Not guarded by serial_: direct
+  /// callers (tests, benches) score without the token, and the service
+  /// only re-pins (begin_batch, under serial_) between its own score and
+  /// update calls, all made under its mutex.
   const models::RnnModel& model() const {
     return registry_ != nullptr ? *active_->model : *model_;
   }
-
-  static constexpr std::size_t kLockStripes = 64;
 
   /// Resolves the policy's obs instruments once (registry lookups happen
   /// here, never on the scoring path). Observe-only: these record latency
@@ -198,12 +187,8 @@ class RnnPolicy final : public PrecomputePolicy {
   HiddenStateStore* store_;
   ScorePrecision precision_;
   features::LogBucketizer bucketizer_;
-  /// Bound to model(); begin_batch() re-binds it with the pin, under the
-  /// same no-scoring-in-flight contract.
+  /// Bound to model(); begin_batch() re-binds it with the pin.
   AnyScorer scorer_;
-  /// Striped per-user locks: one stripe serializes the read-modify-write
-  /// of every user hashing to it; different stripes never contend.
-  std::array<Mutex, kLockStripes> stripes_;
   std::atomic<std::size_t> predictions_{0};
   std::atomic<std::size_t> state_updates_{0};
   std::atomic<std::size_t> model_flops_{0};
@@ -310,19 +295,16 @@ class PrecomputeService {
   /// twice within a group is scored once, for its first delivery. Results
   /// therefore do not depend on how a stream is cut into calls.
   ///
-  /// With a pool and a concurrent_safe() policy a group's scoring is
-  /// partitioned user-affinely (user_id picks the worker), so any user's
-  /// hidden state is touched by one worker and scores equal the inline
-  /// path's bit for bit. The joiner stays single-writer: timer fires and
-  /// event feeds run on the calling thread under the service mutex.
+  /// Everything — each group's one score_sessions call, timer fires and
+  /// event feeds — runs on the calling thread under the service mutex, so
+  /// concurrent callers are served one call at a time.
   ///
   /// `decisions` is empty or has events.size() entries; the decision of
   /// context events[i] lands in decisions[i], access slots are left as
   /// they are. If scoring throws, every group before the failing one has
   /// been applied, and the failing group's timers have fired.
   void on_events(std::span<const StreamEvent> events,
-                 ThreadPool* pool = nullptr, std::span<bool> decisions = {})
-      PP_EXCLUDES(mutex_);
+                 std::span<bool> decisions = {}) PP_EXCLUDES(mutex_);
   /// One context event through on_events(). Returns the decision.
   bool on_session_start(std::uint64_t session_id, std::uint64_t user_id,
                         std::int64_t t,
@@ -330,8 +312,7 @@ class PrecomputeService {
                                          data::kMaxContextFields>& context);
   /// Context events through one on_events() call; decisions return in
   /// input order.
-  std::vector<bool> on_session_starts(std::span<const SessionStart> sessions,
-                                      ThreadPool* pool = nullptr);
+  std::vector<bool> on_session_starts(std::span<const SessionStart> sessions);
   /// One access event through on_events().
   void on_access(std::uint64_t session_id, std::int64_t t);
   void advance_to(std::int64_t t);
@@ -358,12 +339,6 @@ class PrecomputeService {
   double threshold() const { return threshold_; }
 
  private:
-  /// Scores one snapshot group, fanning out across `pool` when given one.
-  /// Runs under the service mutex (on_events' group loop); worker threads
-  /// it fans out to touch only policy state, never the mutex_-guarded
-  /// event stream.
-  std::vector<double> score_group(std::span<const SessionStart> group,
-                                  ThreadPool* pool) PP_REQUIRES(mutex_);
   /// Joiner completion callback body: the Figure 7 record, the policy
   /// state update, then the listener feed. Only reachable from joiner_
   /// calls, which all happen under mutex_.
@@ -379,8 +354,8 @@ class PrecomputeService {
   /// window + grace: the minimum delay between a context event and its
   /// join timer, i.e. the scoring-snapshot horizon of one batch group.
   std::int64_t horizon_;
-  /// Single-writer guard for the joiner / metrics state; scoring itself
-  /// fans out, but event-stream mutation never does.
+  /// Serializes every call into the service: scoring, the joiner and the
+  /// metrics all run under it, on the calling thread.
   mutable Mutex mutex_;
   SessionJoiner joiner_ PP_GUARDED_BY(mutex_);
   OnlineMetrics metrics_ PP_GUARDED_BY(mutex_);

@@ -133,16 +133,18 @@ std::string SegmentLog::manifest_path() const {
   return config_.dir + "/MANIFEST";
 }
 
-void SegmentLog::write_manifest() {
+void SegmentLog::write_manifest(const Segment* next) {
   std::string text(kManifestFormatLine);
   text += '\n';
-  for (const Segment& seg : segments_) {
+  const auto list = [&text](const Segment& seg) {
     char name[32];
     std::snprintf(name, sizeof(name), "seg-%06llu.log",
                   static_cast<unsigned long long>(seg.id));
     text += name;
     text += '\n';
-  }
+  };
+  for (const Segment& seg : segments_) list(seg);
+  if (next != nullptr) list(*next);
   durable_write_file(manifest_path(), text.data(), text.size());
 }
 
@@ -350,13 +352,25 @@ void SegmentLog::append_to(Segment& seg, std::string_view key,
 
 void SegmentLog::rotate() {
   Segment& active = segments_.back();
-  // Seal: the segment will never be written again, so its bytes go to
-  // disk now — recovery of a sealed segment must never find a torn tail
-  // short of media corruption.
+  // Seal: once rotated, the segment is never written again, so its bytes
+  // go to disk now — recovery of a sealed segment must never find a torn
+  // tail short of media corruption.
   if (timed_fsync(active.fd) != 0) {
     fail("fsync seal", segment_path(active.id), errno);
   }
-  Segment fresh = create_segment(next_id_++);
+  const Segment fresh = create_segment(next_id_++);
+  // The manifest lists the fresh segment before any byte lands in it; a
+  // crash between create and this write leaves an orphan that open() GCs.
+  // If the write fails, the sealed segment stays the append target. The
+  // fresh file is left as it is: a write that failed after its rename
+  // (at the directory fsync) has already listed it, and open() then
+  // recovers it empty; otherwise open() removes it as an orphan.
+  try {
+    write_manifest(&fresh);
+  } catch (...) {
+    ::close(fresh.fd);
+    throw;
+  }
   segments_.push_back(fresh);
   // A loaded copy now mirrors the fresh, empty segment. One that grew past
   // segment_bytes for an oversized record is released instead; the next
@@ -367,9 +381,6 @@ void SegmentLog::rotate() {
     active_copy_loaded_ = false;
   }
   stats_.active_copy_bytes = 0;
-  // The manifest lists the new segment before any byte lands in it; a
-  // crash between create and this write leaves an orphan that open() GCs.
-  write_manifest();
   ++stats_.rotations;
   stats_.segments = segments_.size();
 }

@@ -163,8 +163,10 @@ class SegmentLog {
 
   std::string segment_path(std::uint64_t id) const;
   std::string manifest_path() const;
-  /// Durably replaces MANIFEST with the current segments_ order.
-  void write_manifest();
+  /// Durably replaces MANIFEST with the current segments_ order, followed
+  /// by `next` when given: a rotation's fresh segment, listed before it
+  /// becomes the append target.
+  void write_manifest(const Segment* next = nullptr);
   Segment create_segment(std::uint64_t id);
   void rotate();
   /// Scans one segment file through `on_record`, truncating any invalid

@@ -19,9 +19,9 @@
 //               instead (qgemm_avx512.cpp).
 //  * kAuto    — "use the dispatch default" (the initial configuration).
 // Every product runs on the thread that asks for it. Parallelism belongs
-// to the callers (§7.1's per-user threads, the service's user-affine
-// fan-out, the threaded replay), which run whole users on their own
-// threads; the kernels keep only thread-local scratch.
+// to the callers (§7.1's per-user threads, the threaded replay), which run
+// whole users on their own threads; the kernels keep only thread-local
+// scratch.
 // PP_GEMM_FORCE_KERNEL=naive|blocked|simd overrides the process default
 // (CI uses it to keep the portable path tested on AVX2 runners);
 // gemm_dispatched_kernel() reports what would actually run.

@@ -14,7 +14,7 @@
 //    (self-deadlock documentation; the analysis checks it where it can).
 //  * PP_ACQUIRE / PP_RELEASE / PP_TRY_ACQUIRE on lock primitives.
 //  * PP_RETURN_CAPABILITY(mu) on an accessor that hands out a reference to
-//    the capability `mu` (the RnnPolicy striped-lock accessor).
+//    the capability `mu` (PrecomputePolicy::serial_token()).
 //  * PP_ASSERT_CAPABILITY on a runtime assertion that a lock is held —
 //    the escape valve for call graphs the intra-procedural analysis cannot
 //    follow (e.g. a std::function callback invoked under a lock).

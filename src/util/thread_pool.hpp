@@ -1,5 +1,9 @@
-// Fixed-size thread pool used for per-user gradient evaluation (the paper's
-// "custom parallelism", §7.1) and for feature-parallel GBDT split search.
+// Fixed-size thread pool. Its callers split work by user: the §7.1
+// per-user trainer replicas (the paper's "custom parallelism",
+// train/rnn_trainer.cpp), the threaded replay train::score_users (and its
+// int8 twin), and the per-user example builder in features/examples.cpp.
+// Tensor products and the serving tier run on their caller's thread and
+// never take a pool (ci/lint.sh --source).
 #pragma once
 
 #include <cstddef>
@@ -42,8 +46,8 @@ class ThreadPool {
   /// Runs fn(i) for i in [0, count), blocking until all are done. Work is
   /// dealt in contiguous chunks to limit scheduling overhead.
   ///
-  /// Re-entrancy: when called from one of this pool's own workers (e.g. a
-  /// threaded GEMM inside a sharded serving worker) the chunks run inline
+  /// Re-entrancy: when called from one of this pool's own workers (a task
+  /// that itself calls parallel_for on the same pool) the chunks run inline
   /// on the caller (caller-runs). Submitting them would deadlock — the
   /// worker would block on futures that only the occupied workers could
   /// ever schedule.

@@ -33,7 +33,6 @@
 #include "serving/stream.hpp"
 #include "storage/kv_factory.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pp::ingest {
 namespace {
@@ -446,16 +445,14 @@ TEST(IngestDeterminism, ThreadedIngestMatchesSequentialReplayBitIdentical) {
   seq.service().flush();
 
   // Threaded: 4 producer threads → bounded lanes → watermark-merging
-  // consumer fanning batches over a pool.
+  // consumer thread, which feeds the service in batches.
   EventBusConfig bus_config;
   bus_config.num_lanes = lg.num_producers;
   bus_config.lane_capacity = 32;
   bus_config.backpressure = BackpressurePolicy::kBlock;
   EventBus bus(bus_config);
-  ThreadPool pool(4);
   ConsumerConfig consumer_config;
   consumer_config.batch_capacity = 64;
-  consumer_config.pool = &pool;
   IngestConsumer consumer(bus, thr.service(), consumer_config);
   consumer.start();
   const LoadGenStats produced = gen.run(&bus);
@@ -889,10 +886,10 @@ struct CutReplay {
 
 class OnEventsCut
     : public ::testing::TestWithParam<
-          std::tuple<serving::ScorePrecision, /*threaded=*/bool>> {};
+          std::tuple<serving::ScorePrecision, /*thread_per_call=*/bool>> {};
 
 TEST_P(OnEventsCut, EveryCutMatchesTheOneEventReplay) {
-  const auto [precision, threaded] = GetParam();
+  const auto [precision, thread_per_call] = GetParam();
   constexpr std::int64_t kGrace = 60;
   const std::vector<Event> events =
       edge_case_stream(drift_meta().session_length + kGrace);
@@ -900,8 +897,6 @@ TEST_P(OnEventsCut, EveryCutMatchesTheOneEventReplay) {
                              [](const Event& x, const Event& y) {
                                return x.t != y.t ? x.t < y.t : x.seq < y.seq;
                              }));
-  ThreadPool pool(4);
-  ThreadPool* const fanout = threaded ? &pool : nullptr;
 
   online::CohortRegistryMap tenants;
   std::size_t replays = 0;
@@ -929,14 +924,23 @@ TEST_P(OnEventsCut, EveryCutMatchesTheOneEventReplay) {
         return r;
       };
   // Feeds one on_events call per slice; `cuts` are the slice boundaries.
+  // With thread_per_call each call runs on a fresh caller thread, whose
+  // scoring scratch starts cold.
   const auto sliced = [&](std::vector<std::size_t> cuts) {
     cuts.push_back(events.size());
     return replay([&](serving::PrecomputeService& service) {
       const auto out = std::make_unique<bool[]>(events.size());
       std::size_t begin = 0;
       for (const std::size_t end : cuts) {
-        service.on_events(std::span(events).subspan(begin, end - begin),
-                          fanout, {out.get() + begin, end - begin});
+        const auto call = [&] {
+          service.on_events(std::span(events).subspan(begin, end - begin),
+                            {out.get() + begin, end - begin});
+        };
+        if (thread_per_call) {
+          std::thread(call).join();
+        } else {
+          call();
+        }
         begin = end;
       }
       return std::vector<bool>(out.get(), out.get() + events.size());
@@ -1015,7 +1019,7 @@ INSTANTIATE_TEST_SUITE_P(
       const bool int8 =
           std::get<0>(info.param) == serving::ScorePrecision::kInt8;
       return std::string(int8 ? "int8" : "f32") +
-             (std::get<1>(info.param) ? "_pool4" : "_inline");
+             (std::get<1>(info.param) ? "_thread_per_call" : "_inline");
     });
 
 }  // namespace

@@ -199,10 +199,8 @@ TEST(ObsStress, ScrapeDuringIngestAndTeardownSeesExactlyTheLiveStats) {
   bus_config.num_lanes = lg.num_producers;
   bus_config.lane_capacity = 8;
   auto bus = std::make_unique<ingest::EventBus>(bus_config);
-  auto pool = std::make_unique<ThreadPool>(2);
   ingest::ConsumerConfig consumer_config;
   consumer_config.batch_capacity = 16;
-  consumer_config.pool = pool.get();
   auto consumer = std::make_unique<ingest::IngestConsumer>(
       *bus, stack.service(), consumer_config);
   std::vector<Expected> live = owner_stats(stack, *bus);
@@ -265,7 +263,6 @@ TEST(ObsStress, ScrapeDuringIngestAndTeardownSeesExactlyTheLiveStats) {
   phase.store(2);
   while (!acked.load()) std::this_thread::yield();
   consumer.reset();
-  pool.reset();
   bus.reset();
   tenants.reset();
   phase.store(3);

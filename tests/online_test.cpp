@@ -22,7 +22,6 @@
 #include "serving/online_experiment.hpp"
 #include "serving/precompute_service.hpp"
 #include "serving_test_util.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pp::online {
 namespace {
@@ -432,7 +431,6 @@ TEST(ModelHotSwap, ThreadedShardedReplayAcrossPublishMatchesSequential) {
   serving::RnnPolicy policy_par(registry_par, store_par);
   serving::PrecomputeService service_seq(policy_seq, 0.5, 100, 10, 0);
   serving::PrecomputeService service_par(policy_par, 0.5, 100, 10, 0);
-  ThreadPool pool(4);
 
   std::uint64_t sid = 1;
   std::int64_t base = 1000;
@@ -458,14 +456,18 @@ TEST(ModelHotSwap, ThreadedShardedReplayAcrossPublishMatchesSequential) {
     std::swap(batch[0], batch[17]);
     std::swap(batch[3], batch[11]);
 
-    const std::vector<bool> par_decisions =
-        service_par.on_session_starts(batch, &pool);
+    // The batched replay runs on its own caller thread, concurrently with
+    // the sequential one on this thread.
+    std::vector<bool> par_decisions;
+    std::thread par_caller(
+        [&] { par_decisions = service_par.on_session_starts(batch); });
     std::vector<bool> seq_decisions(batch.size());
     for (const std::size_t i : serving::time_order(batch)) {
       seq_decisions[i] = service_seq.on_session_start(
           batch[i].session_id, batch[i].user_id, batch[i].t,
           batch[i].context);
     }
+    par_caller.join();
     EXPECT_EQ(par_decisions, seq_decisions) << "round " << round;
 
     for (std::size_t i = 0; i < batch.size(); i += 2) {
@@ -480,8 +482,8 @@ TEST(ModelHotSwap, ThreadedShardedReplayAcrossPublishMatchesSequential) {
   // Both policies really observed the swap...
   EXPECT_EQ(pinned_version(policy_seq), 2u);
   EXPECT_EQ(pinned_version(policy_par), 2u);
-  // ...and the threaded + sharded replay across it is bit-identical to
-  // the sequential replay: decisions (above), cost ledger, joiner stats,
+  // ...and the batched sharded replay across it is bit-identical to the
+  // sequential replay: decisions (above), cost ledger, joiner stats,
   // online metrics.
   serving::expect_equal_ledgers(policy_par.cost_summary(),
                                 policy_seq.cost_summary());
@@ -511,9 +513,8 @@ TEST(ModelHotSwap, ConcurrentPublisherNeverCrashesServing) {
   serving::HiddenStateStore store(kv);
   serving::RnnPolicy policy(registry, store);
   serving::PrecomputeService service(policy, 0.5, 100, 10, 0);
-  ThreadPool pool(3);
 
-  // A publisher hammers hot-swaps while the service replays threaded
+  // A publisher thread hammers hot-swaps while this thread replays
   // batches. Scores are version-dependent (no determinism asserted); the
   // invariants are: no crash, every session scored, versions only move
   // forward at group boundaries.
@@ -546,7 +547,7 @@ TEST(ModelHotSwap, ConcurrentPublisherNeverCrashesServing) {
       s.context = ctx(static_cast<std::uint32_t>(u % 3));
       batch.push_back(s);
     }
-    scored += service.on_session_starts(batch, &pool).size();
+    scored += service.on_session_starts(batch).size();
     base += 400;
   }
   stop.store(true);

@@ -25,6 +25,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "data/generators.hpp"
@@ -38,7 +39,6 @@
 #include "tensor/vmath.hpp"
 #include "train/sequence.hpp"
 #include "util/math.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pp::serving {
 namespace {
@@ -363,10 +363,10 @@ TEST(QuantizedInference, GoldenAccuracyWithinBudget) {
 }
 
 TEST(QuantizedInference, ThreadedShardedReplayMatchesSequentialExactly) {
-  // The PR 2 stress harness, int8 edition: batched session starts fanned
-  // out over a ThreadPool against a ShardedKvStore must be bit-identical
-  // to the same int8 policy replayed sequentially — decisions, cost
-  // ledger, joiner stats, and online metrics.
+  // The serving stress harness, int8 edition: batched session starts
+  // against a ShardedKvStore, driven on their own caller thread, must be
+  // bit-identical to the same int8 policy replayed sequentially on this
+  // one — decisions, cost ledger, joiner stats, and online metrics.
   const auto dataset = quant_dataset(40, 4);
   const models::RnnModel model = make_model(dataset, 12);
 
@@ -378,7 +378,6 @@ TEST(QuantizedInference, ThreadedShardedReplayMatchesSequentialExactly) {
   RnnPolicy policy_par(model, store_par, ScorePrecision::kInt8);
   PrecomputeService service_seq(policy_seq, 0.5, 100, 10, 0);
   PrecomputeService service_par(policy_par, 0.5, 100, 10, 0);
-  ThreadPool pool(4);
 
   std::uint64_t sid = 1;
   std::int64_t base = 1000;
@@ -399,15 +398,16 @@ TEST(QuantizedInference, ThreadedShardedReplayMatchesSequentialExactly) {
     std::swap(batch[0], batch[17]);
     std::swap(batch[3], batch[11]);
 
-    const std::vector<bool> par_decisions =
-        service_par.on_session_starts(batch, &pool);
-
+    std::vector<bool> par_decisions;
+    std::thread par_caller(
+        [&] { par_decisions = service_par.on_session_starts(batch); });
     std::vector<bool> seq_decisions(batch.size());
     for (const std::size_t i : time_order(batch)) {
       seq_decisions[i] = service_seq.on_session_start(
           batch[i].session_id, batch[i].user_id, batch[i].t,
           batch[i].context);
     }
+    par_caller.join();
     EXPECT_EQ(par_decisions, seq_decisions) << "round " << round;
 
     for (std::size_t i = 0; i < batch.size(); i += 2) {

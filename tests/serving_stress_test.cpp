@@ -1,70 +1,21 @@
-// The slow serving stress tier (ctest label `stress`): multi-round
-// threaded + sharded replays asserting bit-identical parity with the
-// sequential path, and the pool-worker-driver deadlock regression. Split
-// out of serving_test so ci/check.sh can fail fast on the cheap tiers
-// before paying for these.
+// The slow serving stress tier (ctest label `stress`, so the TSan lane runs
+// it): a multi-round sharded replay, driven on its own caller thread,
+// asserting bit-identical parity with the sequential path, and several
+// threads driving one service at once. Split out of serving_test so
+// ci/check.sh can fail fast on the cheap tiers before paying for these.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <future>
-#include <numeric>
-#include <set>
+#include <map>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "data/generators.hpp"
 #include "serving/precompute_service.hpp"
 #include "serving_test_util.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pp::serving {
 namespace {
-
-/// Delegating policy that records which threads ran score_sessions, so
-/// the stress test can assert the pool actually fanned out (and was not
-/// quietly routed through the sequential fallback).
-class ThreadObservingPolicy final : public PrecomputePolicy {
- public:
-  explicit ThreadObservingPolicy(RnnPolicy& inner) : inner_(&inner) {}
-
-  double score_session(std::uint64_t user_id, std::int64_t t,
-                       std::span<const std::uint32_t> context) override {
-    return inner_->score_session(user_id, t, context);
-  }
-  std::vector<double> score_sessions(
-      std::span<const SessionStart> sessions) override {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      scoring_threads_.insert(std::this_thread::get_id());
-    }
-    // Hold the partition open briefly: with caller-drains fan-out, the
-    // calling thread may otherwise claim every partition before a pool
-    // worker even wakes up (this is a 1-core CI reality, not a bug), and
-    // the fan-out observation below would be pure luck. Timing only —
-    // scores are unaffected.
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-    return inner_->score_sessions(sessions);
-  }
-  void on_session_complete(const JoinedSession& joined) override {
-    inner_->on_session_complete(joined);
-  }
-  bool concurrent_safe() const override { return true; }
-  ServingCostSummary cost_summary() const override {
-    return inner_->cost_summary();
-  }
-  const char* name() const override { return inner_->name(); }
-
-  std::size_t scoring_thread_count() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return scoring_threads_.size();
-  }
-
- private:
-  RnnPolicy* inner_;
-  mutable std::mutex mutex_;
-  std::set<std::thread::id> scoring_threads_;
-};
 
 TEST(PrecomputeService, ThreadedShardedReplayMatchesSequentialExactly) {
   data::MobileTabConfig config;
@@ -81,19 +32,12 @@ TEST(PrecomputeService, ThreadedShardedReplayMatchesSequentialExactly) {
   HiddenStateStore store_seq(kv_seq), store_par(kv_par);
   RnnPolicy policy_seq(model, store_seq);
   RnnPolicy policy_par(model, store_par);
-  ThreadObservingPolicy observed_par(policy_par);
   PrecomputeService service_seq(policy_seq, 0.5, 100, 10, 0);
-  PrecomputeService service_par(observed_par, 0.5, 100, 10, 0);
-  ThreadPool pool(4);
+  PrecomputeService service_par(policy_par, 0.5, 100, 10, 0);
 
   std::uint64_t sid = 1;
   std::int64_t base = 1000;
-  // At least 6 rounds; keep replaying (bounded) until scoring has been
-  // observed on a second thread, so the fan-out assertion cannot flake on
-  // a loaded single-core runner. Parity must hold at any round count.
-  for (int round = 0;
-       round < 6 || (observed_par.scoring_thread_count() < 2 && round < 100);
-       ++round) {
+  for (int round = 0; round < 6; ++round) {
     // Mixed timestamps spanning several window lengths (so joins fire
     // mid-batch and cut scoring groups), duplicate users — including the
     // same user twice at the same instant — and shuffled order.
@@ -112,15 +56,19 @@ TEST(PrecomputeService, ThreadedShardedReplayMatchesSequentialExactly) {
     std::swap(batch[0], batch[17]);
     std::swap(batch[3], batch[11]);
 
-    const std::vector<bool> par_decisions =
-        service_par.on_session_starts(batch, &pool);
-
+    // The batched replay runs on its own caller thread while this one
+    // replays sequentially: services parallelize across their callers, and
+    // the two share the model.
+    std::vector<bool> par_decisions;
+    std::thread par_caller(
+        [&] { par_decisions = service_par.on_session_starts(batch); });
     std::vector<bool> seq_decisions(batch.size());
     for (const std::size_t i : time_order(batch)) {
       seq_decisions[i] = service_seq.on_session_start(
           batch[i].session_id, batch[i].user_id, batch[i].t,
           batch[i].context);
     }
+    par_caller.join();
     EXPECT_EQ(par_decisions, seq_decisions) << "round " << round;
 
     // Half the sessions convert to accesses, fed to both services in the
@@ -134,9 +82,9 @@ TEST(PrecomputeService, ThreadedShardedReplayMatchesSequentialExactly) {
 
   service_par.flush();
   service_seq.flush();
-  // Multi-threaded sharded serving is bit-identical to the sequential
-  // replay: same decisions (above), same cost ledger, same joiner stats,
-  // same online metrics.
+  // Batched sharded serving is bit-identical to the sequential replay:
+  // same decisions (above), same cost ledger, same joiner stats, same
+  // online metrics.
   expect_equal_ledgers(policy_par.cost_summary(), policy_seq.cost_summary());
   expect_equal_joiners(service_par.joiner_stats(),
                        service_seq.joiner_stats());
@@ -149,9 +97,6 @@ TEST(PrecomputeService, ThreadedShardedReplayMatchesSequentialExactly) {
   EXPECT_EQ(service_par.metrics().accesses(),
             service_seq.metrics().accesses());
   EXPECT_GT(service_par.joiner_stats().joined, 0u);
-  // The parallel path genuinely fanned out: scoring ran on more than one
-  // pool worker (not the sequential fallback).
-  EXPECT_GE(observed_par.scoring_thread_count(), 2u);
   // The sharded store actually spread the users across shards.
   std::size_t shards_used = 0;
   for (std::size_t s = 0; s < kv_par.num_shards(); ++s) {
@@ -160,7 +105,7 @@ TEST(PrecomputeService, ThreadedShardedReplayMatchesSequentialExactly) {
   EXPECT_GE(shards_used, 2u);
 }
 
-TEST(PrecomputeService, SessionStartsFromPoolWorkerDoesNotDeadlock) {
+TEST(PrecomputeService, ConcurrentCallersOfOneServiceAddUp) {
   data::MobileTabConfig config;
   config.num_users = 8;
   config.days = 2;
@@ -174,42 +119,57 @@ TEST(PrecomputeService, SessionStartsFromPoolWorkerDoesNotDeadlock) {
   HiddenStateStore store(kv);
   RnnPolicy policy(model, store);
   PrecomputeService service(policy, 0.5, 1200, 60, 0);
-  ThreadPool pool(2);
 
-  // Two batch drivers enqueued into the same pool the service fans out
-  // on: one worker holds the service mutex, the other blocks on it, so a
-  // driver that submitted its partitions instead of running them inline
-  // would wait on tasks no free worker can ever take.
-  auto make_batch = [](std::uint64_t base_sid) {
-    std::vector<SessionStart> batch;
-    for (std::uint64_t u = 0; u < 6; ++u) {
-      SessionStart s;
-      s.session_id = base_sid + u;
-      s.user_id = u;
-      s.t = 5000;
-      s.context = {static_cast<std::uint32_t>(u % 3), 0, 0, 0};
-      batch.push_back(s);
-    }
-    return batch;
-  };
-  std::vector<std::future<void>> drivers;
-  std::atomic<std::size_t> scored{0};
-  for (std::uint64_t d = 0; d < 2; ++d) {
-    drivers.push_back(pool.submit([&service, &pool, &scored, make_batch, d] {
-      const auto batch = make_batch(100 * (d + 1));
-      scored += service.on_session_starts(batch, &pool).size();
-    }));
+  // Four callers drive the service at once, each with its own sessions
+  // over one shared set of users, half of them accessed. The service runs
+  // one call at a time, so nothing is lost: every session is scored, joined
+  // and folded into its user's state exactly once.
+  constexpr std::uint64_t kCallers = 4, kRounds = 12, kBatch = 6, kUsers = 5;
+  std::vector<std::thread> callers;
+  for (std::uint64_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (std::uint64_t r = 0; r < kRounds; ++r) {
+        std::vector<SessionStart> batch;
+        for (std::uint64_t b = 0; b < kBatch; ++b) {
+          SessionStart s;
+          s.session_id = 1 + (c * kRounds + r) * kBatch + b;
+          s.user_id = (c + b) % kUsers;
+          s.t = 5000 + static_cast<std::int64_t>(r * 2000 + b * 10);
+          s.context = {static_cast<std::uint32_t>(b % 3), 0, 0, 0};
+          batch.push_back(s);
+        }
+        EXPECT_EQ(service.on_session_starts(batch).size(), kBatch);
+        for (std::size_t b = 0; b < batch.size(); b += 2) {
+          service.on_access(batch[b].session_id, batch[b].t + 30);
+        }
+      }
+    });
   }
-  // The main thread drives a batch at the same time: it may win the
-  // service mutex while both workers sit blocked on it, so its fan-out
-  // helpers can never be scheduled — the caller-drains design must still
-  // complete the group on the calling thread.
-  scored += service.on_session_starts(make_batch(300), &pool).size();
-  for (auto& f : drivers) f.get();  // hangs forever without caller-runs
-  EXPECT_EQ(scored.load(), 18u);
-  EXPECT_EQ(service.metrics().predictions(), 0u);  // recorded at join
+  for (std::thread& caller : callers) caller.join();
   service.flush();
-  EXPECT_EQ(service.metrics().predictions(), 18u);
+
+  const std::size_t sessions = kCallers * kRounds * kBatch;
+  const JoinerStats joiner = service.joiner_stats();
+  EXPECT_EQ(joiner.contexts, sessions);
+  EXPECT_EQ(joiner.joined, sessions);
+  EXPECT_EQ(joiner.duplicate_contexts, 0u);
+  EXPECT_EQ(service.metrics().predictions(), sessions);
+  const ServingCostSummary cost = policy.cost_summary();
+  EXPECT_EQ(cost.predictions, sessions);
+  EXPECT_EQ(cost.state_updates, sessions);
+  EXPECT_EQ(cost.live_keys, kUsers);
+  // Each user's stored update count is its number of sessions.
+  std::map<std::uint64_t, std::uint32_t> per_user;
+  for (std::uint64_t c = 0; c < kCallers; ++c) {
+    for (std::uint64_t b = 0; b < kBatch; ++b) {
+      per_user[(c + b) % kUsers] += kRounds;
+    }
+  }
+  for (const auto& [user, updates] : per_user) {
+    const auto stored = store.get(user, model.network());
+    ASSERT_TRUE(stored.has_value()) << "user " << user;
+    EXPECT_EQ(stored->updates, updates) << "user " << user;
+  }
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include "serving_test_util.hpp"
 #include "util/math.hpp"
 #include "util/serialize.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pp::serving {
 namespace {
@@ -1064,9 +1063,9 @@ TEST(PrecomputeService, MixedTimestampBatchMatchesSequentialReplay) {
             service_seq.metrics().predictions());
 }
 
-// The multi-round threaded/sharded replay stress test and the
-// pool-worker-driver deadlock regression live in serving_stress_test.cpp
-// (ctest label `stress`), so the fast tiers can fail first.
+// The multi-round sharded replay stress test and the concurrent-callers
+// test live in serving_stress_test.cpp (ctest label `stress`), so the fast
+// tiers can fail first.
 
 TEST(OnlineMetrics, PrecisionRecallLedger) {
   OnlineMetrics metrics(0);

@@ -706,6 +706,42 @@ TEST(DurableKv, FailedAppendLeavesTheActiveCopyAtTheSegmentsValidPrefix) {
   EXPECT_EQ(l.active_copy_bytes, std::filesystem::file_size(segment));
 }
 
+TEST(DurableKv, PutsAfterAFailedRotationSurviveAReopen) {
+  // A rotation whose manifest write fails must leave the sealed segment the
+  // append target, so a put acknowledged afterwards lands in a segment the
+  // on-disk MANIFEST lists and reads back after a reopen.
+  TempDir dir("failed_rotation");
+  DurableKvConfig config;
+  config.dir = dir.sub("kv");
+  config.segment_bytes = 256;
+  config.compact_dead_ratio = 0;
+  DurableKvStore kv(config);
+  // One 204-byte record per segment; ten segments make a manifest longer
+  // than the cap below.
+  for (std::size_t i = 0; i < 10; ++i) kv.put(std::to_string(i), value_of(60));
+  ASSERT_EQ(kv.log_stats().segments, 10u);
+  {
+    FileSizeCap cap(100);  // MANIFEST.tmp outgrows it; the rotation throws
+    EXPECT_THROW(kv.put("refused", value_of(60)), std::runtime_error);
+  }
+  EXPECT_FALSE(kv.contains("refused"));
+  EXPECT_EQ(kv.log_stats().segments, 10u);
+  kv.put("acked", value_of(7));
+  ASSERT_EQ(*kv.get("acked"), value_of(7));
+
+  DurableKvStore reopened(config);
+  ASSERT_TRUE(reopened.contains("acked"));
+  EXPECT_EQ(*reopened.get("acked"), value_of(7));
+  for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(*reopened.get(std::to_string(i)), value_of(60)) << i;
+  }
+  EXPECT_FALSE(reopened.contains("refused"));
+  // `acked` fit in the tenth segment, which stayed the append target; the
+  // failed rotation's empty file was never listed and is swept as an orphan.
+  EXPECT_EQ(reopened.log_stats().segments, 10u);
+  EXPECT_EQ(reopened.log_stats().orphans_removed, 1u);
+}
+
 // ------------------------------------------- recovery sweeps (satellite 3)
 
 struct SegmentImage {

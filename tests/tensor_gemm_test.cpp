@@ -47,7 +47,7 @@ std::uint64_t shape_seed(const GemmShape& s) {
 /// Runs `product` on four threads at once and returns each caller's
 /// result. Products run on the calling thread with thread-local scratch,
 /// so callers that run in parallel (the trainer's per-user threads, the
-/// service's fan-out) must each get the bits of a sequential call.
+/// threaded replay) must each get the bits of a sequential call.
 template <typename Product>
 auto on_concurrent_callers(const Product& product) {
   constexpr std::size_t kCallers = 4;

@@ -219,10 +219,10 @@ TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
 }
 
 TEST(ThreadPool, NestedParallelForRunsInlineInsteadOfDeadlocking) {
-  // A pool worker that re-enters parallel_for (threaded GEMM inside a
-  // sharded serving worker) must run the nested chunks inline: queueing
-  // them would block on futures no free worker can ever schedule. Nest
-  // two deep to cover caller-runs re-entering caller-runs.
+  // A pool worker that re-enters parallel_for on its own pool must run
+  // the nested chunks inline: queueing them would block on futures no free
+  // worker can ever schedule. Nest two deep to cover caller-runs
+  // re-entering caller-runs.
   ThreadPool pool(2);
   std::vector<std::atomic<int>> hits(4 * 3 * 2);
   pool.parallel_for(4, [&](std::size_t i) {
