@@ -5,7 +5,8 @@
 #   ci/lint.sh --binary [build-dir]   # AVX2/AVX-512/SSE4.2 containment
 #   ci/lint.sh --source               # raw sync primitives outside src/util/,
 #                                     # threads and locks in src/tensor/,
-#                                     # pools in src/serving/ and src/ingest/
+#                                     # pools in src/serving/ and src/ingest/,
+#                                     # std::tanh/std::exp/pp::sigmoid in src/nn/
 #
 # --binary  Machine-checks the TU-isolation rule behind the runtime-
 #           dispatched kernels (CMakeLists.txt): only the *_avx2.cpp TUs
@@ -46,12 +47,15 @@
 #           per-user threads, the threaded replay). And it keeps pools out
 #           of serving: no file under src/serving/ or src/ingest/ may
 #           include util/thread_pool.hpp, because a service scores on its
-#           caller's thread.
+#           caller's thread. And it keeps one gate nonlinearity: no file
+#           under src/nn/ may call std::tanh, std::exp (or their f forms)
+#           or pp::sigmoid, because every inference cell, f32 and int8,
+#           computes its gates with the tensor/vmath.hpp lanes.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
-usage() { sed -n '2,9p' "${BASH_SOURCE[0]}"; }
+usage() { sed -n '2,10p' "${BASH_SOURCE[0]}"; }
 
 binary_lint() {
   local build_dir="$1"
@@ -195,15 +199,14 @@ source_lint() {
     exit 2
   fi
 
-  # forbid_include <dir> <headers> <what> <why>: no file under src/<dir>/
-  # may include a util/ header named in <headers> (an ERE alternation).
+  # forbid <dir> <pattern> <what> <why>: no comment-stripped file under
+  # src/<dir>/ may match <pattern> (an ERE).
   local layered=0
-  forbid_include() {
-    local dir="$1" what="$3" why="$4" found=0 f
-    local include='#[[:space:]]*include[[:space:]]*"util/('"$2"')\.hpp"'
+  forbid() {
+    local dir="$1" pattern="$2" what="$3" why="$4" found=0 f
     while IFS= read -r -d '' f; do
       found=$((found + 1))
-      hits="$(sed 's@//.*@@' "${f}" | grep -En "${include}" || true)"
+      hits="$(sed 's@//.*@@' "${f}" | grep -En "${pattern}" || true)"
       if [[ -n "${hits}" ]]; then
         bad=$((bad + 1))
         echo "source lint: ${what} in ${f#"${REPO_ROOT}"/} — ${why}:" >&2
@@ -217,25 +220,33 @@ source_lint() {
     fi
     layered=$((layered + found))
   }
+  # include_of <headers>: an #include of a util/ header named in
+  # <headers> (an ERE alternation).
+  include_of() {
+    printf '%s' '#[[:space:]]*include[[:space:]]*"util/('"$1"')\.hpp"'
+  }
   local callers="parallelism belongs to the callers"
-  forbid_include tensor 'thread_pool|thread|mutex' "thread or lock header" \
+  forbid tensor "$(include_of 'thread_pool|thread|mutex')" \
+    "thread or lock header" \
     "tensor products run on the calling thread; ${callers}"
   local dir
   for dir in serving ingest; do
-    forbid_include "${dir}" 'thread_pool' "thread pool header" \
+    forbid "${dir}" "$(include_of 'thread_pool')" "thread pool header" \
       "a service scores on its caller's thread; ${callers}"
   done
+  forbid nn '\b(std::(tanh|exp)f?|pp::sigmoid)\b' "scalar gate nonlinearity" \
+    "inference cells use tensor/vmath.hpp (tensor::sigmoid_f32, tanh_f32)"
 
   if [[ "${bad}" -gt 0 ]]; then
     echo "source lint: FAIL — ${bad} files use raw primitives outside" \
-         "src/util/, threads in src/tensor/ or pools in src/serving/ or" \
-         "src/ingest/" >&2
+         "src/util/, threads in src/tensor/, pools in src/serving/ or" \
+         "src/ingest/, or scalar nonlinearities in src/nn/" >&2
     exit 1
   fi
   echo "source lint: OK — ${checked} files outside src/util/ free of raw" \
-       "sync primitives; ${layered} in src/tensor/, src/serving/ and" \
-       "src/ingest/ free of the thread, lock and pool headers they may not" \
-       "include"
+       "sync primitives; ${layered} in src/tensor/, src/serving/," \
+       "src/ingest/ and src/nn/ free of the thread, lock and pool headers" \
+       "and the scalar nonlinearities they may not use"
 }
 
 case "${1:-}" in

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "tensor/vmath.hpp"
-#include "util/math.hpp"
 
 namespace pp::nn {
 
@@ -125,7 +124,8 @@ void TanhCell::infer_step(std::vector<Matrix>& state, const Matrix& x) const {
   Matrix pre = x.matmul(wx_.value());
   pre.add_inplace(state[0].matmul(wh_.value()));
   pre.add_row_broadcast_inplace(b_.value());
-  state[0] = pre.map([](float v) { return std::tanh(v); });
+  tensor::tanh_f32(pre.data(), pre.data(), pre.size());
+  state[0] = std::move(pre);
 }
 
 // ----------------------------------------------------------------- GruCell
@@ -163,15 +163,21 @@ void GruCell::infer_step(std::vector<Matrix>& state, const Matrix& x) const {
   gh.add_row_broadcast_inplace(bh_.value());
   Matrix& h = state[0];
   Matrix h_next(h.rows(), H);
-  for (std::size_t r = 0; r < h.rows(); ++r) {
+  // The gates are computed in gx's own row, [r | z | n], in the int8
+  // cell's op order and with its tensor/vmath.hpp lanes.
+  for (std::size_t b = 0; b < h.rows(); ++b) {
+    float* g = gx.row(b).data();
+    const float* ghb = gh.row(b).data();
+    for (std::size_t j = 0; j < 2 * H; ++j) g[j] = g[j] + ghb[j];
+    tensor::sigmoid_f32(g, g, 2 * H);
+    float* n = g + 2 * H;
+    for (std::size_t j = 0; j < H; ++j) n[j] = n[j] + g[j] * ghb[2 * H + j];
+    tensor::tanh_f32(n, n, H);
+    const float* hb = h.row(b).data();
+    float* out = h_next.row(b).data();
     for (std::size_t j = 0; j < H; ++j) {
-      const float rj = static_cast<float>(
-          pp::sigmoid(gx.at(r, j) + gh.at(r, j)));
-      const float zj = static_cast<float>(
-          pp::sigmoid(gx.at(r, H + j) + gh.at(r, H + j)));
-      const float nj =
-          std::tanh(gx.at(r, 2 * H + j) + rj * gh.at(r, 2 * H + j));
-      h_next.at(r, j) = (1.0f - zj) * nj + zj * h.at(r, j);
+      const float z = g[H + j];
+      out[j] = (1.0f - z) * n[j] + z * hb[j];
     }
   }
   state[0] = std::move(h_next);
@@ -279,18 +285,20 @@ void LstmCell::infer_step(std::vector<Matrix>& state, const Matrix& x) const {
   gates.add_row_broadcast_inplace(b_.value());
   Matrix& h = state[0];
   Matrix& c = state[1];
-  for (std::size_t r = 0; r < h.rows(); ++r) {
+  // The gates are computed in place, [i | f | g | o] per row; h, already
+  // consumed by the product, holds tanh(c') before the output gate.
+  for (std::size_t b = 0; b < h.rows(); ++b) {
+    float* g = gates.row(b).data();
+    tensor::sigmoid_f32(g, g, 2 * H);
+    tensor::tanh_f32(g + 2 * H, g + 2 * H, H);
+    tensor::sigmoid_f32(g + 3 * H, g + 3 * H, H);
+    float* cb = c.row(b).data();
     for (std::size_t j = 0; j < H; ++j) {
-      const float ij =
-          static_cast<float>(pp::sigmoid(gates.at(r, j)));
-      const float fj =
-          static_cast<float>(pp::sigmoid(gates.at(r, H + j)));
-      const float gj = std::tanh(gates.at(r, 2 * H + j));
-      const float oj =
-          static_cast<float>(pp::sigmoid(gates.at(r, 3 * H + j)));
-      c.at(r, j) = fj * c.at(r, j) + ij * gj;
-      h.at(r, j) = oj * std::tanh(c.at(r, j));
+      cb[j] = g[H + j] * cb[j] + g[j] * g[2 * H + j];
     }
+    float* hb = h.row(b).data();
+    tensor::tanh_f32(cb, hb, H);
+    for (std::size_t j = 0; j < H; ++j) hb[j] = g[3 * H + j] * hb[j];
   }
 }
 

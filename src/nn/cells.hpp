@@ -39,9 +39,10 @@ class RecurrentCell : public Module {
   /// returns the next state. state.front() is the exposed hidden vector.
   virtual CellState step(const CellState& state, const Variable& x) const = 0;
 
-  /// Tape-free step over raw matrices (serving path); mutates `state` in
-  /// place. Must compute exactly what step() computes (tested for
-  /// equivalence).
+  /// Tape-free step over raw matrices (serving path, offline replay and the
+  /// learner's gate); mutates `state` in place. Computes what step()
+  /// computes, with the gates on the tensor/vmath.hpp lanes the int8 cell
+  /// runs (tested for equivalence within float rounding).
   virtual void infer_step(std::vector<Matrix>& state, const Matrix& x)
       const = 0;
 

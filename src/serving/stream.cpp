@@ -1,15 +1,93 @@
 #include "serving/stream.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <limits>
 
 namespace pp::serving {
+
+// Ring positions are 32-bit, so at most 2^32 - 1 sessions are remembered.
+SessionJoiner::FiredSet::FiredSet(std::size_t capacity)
+    : capacity_(std::min<std::size_t>(capacity, kEmpty)) {}
+
+std::size_t SessionJoiner::FiredSet::home(std::uint64_t session_id) const {
+  // Fibonacci hashing: the top bits of the product spread sequential ids.
+  return static_cast<std::size_t>((session_id * 0x9E3779B97F4A7C15ull) >>
+                                  shift_);
+}
+
+std::size_t SessionJoiner::FiredSet::find(std::uint64_t session_id) const {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t slot = home(session_id);
+  while (index_[slot] != kEmpty && ring_[index_[slot]] != session_id) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+bool SessionJoiner::FiredSet::contains(std::uint64_t session_id) const {
+  return !index_.empty() && index_[find(session_id)] != kEmpty;
+}
+
+void SessionJoiner::FiredSet::erase(std::size_t slot) {
+  // Backward-shift deletion: an entry further along the probe run moves
+  // into the hole unless its home lies cyclically after the hole, so
+  // every remaining entry stays reachable from its home without
+  // tombstones.
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t next = (slot + 1) & mask; index_[next] != kEmpty;
+       next = (next + 1) & mask) {
+    const std::size_t from_home = (next - home(ring_[index_[next]])) & mask;
+    if (from_home >= ((next - slot) & mask)) {
+      index_[slot] = index_[next];
+      slot = next;
+    }
+  }
+  index_[slot] = kEmpty;
+}
+
+void SessionJoiner::FiredSet::grow() {
+  const std::size_t size =
+      std::min(capacity_, std::max<std::size_t>(16, 2 * ring_.size()));
+  std::vector<std::uint64_t> ring(size);
+  for (std::size_t i = 0; i < count_; ++i) {
+    ring[i] = ring_[(head_ + i) % ring_.size()];
+  }
+  ring_ = std::move(ring);
+  head_ = 0;
+  const std::size_t slots = std::bit_ceil(2 * size);
+  index_.assign(slots, kEmpty);
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
+  for (std::size_t i = 0; i < count_; ++i) {
+    index_[find(ring_[i])] = static_cast<std::uint32_t>(i);
+  }
+}
+
+void SessionJoiner::FiredSet::insert(std::uint64_t session_id) {
+  if (capacity_ == 0 || contains(session_id)) return;
+  if (count_ == ring_.size() && ring_.size() < capacity_) grow();
+  std::size_t pos;
+  if (count_ == ring_.size()) {
+    // Full: evict only the oldest id. A wholesale clear would misclassify
+    // every late access right after it as an orphan and grow dead pending
+    // slots from them.
+    erase(find(ring_[head_]));
+    pos = head_;
+    head_ = (head_ + 1) % ring_.size();
+  } else {
+    pos = (head_ + count_) % ring_.size();
+    ++count_;
+  }
+  ring_[pos] = session_id;
+  index_[find(session_id)] = static_cast<std::uint32_t>(pos);
+}
 
 SessionJoiner::SessionJoiner(std::int64_t window, std::int64_t grace,
                              Callback on_joined, std::size_t fired_capacity)
     : window_(window),
       grace_(grace),
       on_joined_(std::move(on_joined)),
-      fired_capacity_(fired_capacity) {}
+      fired_(fired_capacity) {}
 
 void SessionJoiner::on_context(
     std::uint64_t session_id, std::uint64_t user_id,
@@ -17,7 +95,7 @@ void SessionJoiner::on_context(
     const std::array<std::uint32_t, data::kMaxContextFields>& context,
     double score, bool prefetched) {
   ++stats_.contexts;
-  if (fired_.count(session_id) > 0) {
+  if (fired_.contains(session_id)) {
     ++stats_.duplicate_contexts;  // redelivered after its session fired
     return;
   }
@@ -42,7 +120,7 @@ void SessionJoiner::on_access(std::uint64_t session_id,
   ++stats_.accesses;
   const auto it = pending_.find(session_id);
   if (it == pending_.end()) {
-    if (fired_.count(session_id) > 0) {
+    if (fired_.contains(session_id)) {
       ++stats_.late_accesses;
     } else {
       // Access before its context: hold it in a context-less slot with an
@@ -71,7 +149,7 @@ void SessionJoiner::on_access(std::uint64_t session_id,
 
 std::optional<bool> SessionJoiner::duplicate_decision(
     std::uint64_t session_id) const {
-  if (fired_.count(session_id) > 0) return false;
+  if (fired_.contains(session_id)) return false;
   const auto it = pending_.find(session_id);
   if (it == pending_.end() || !it->second.has_context) return std::nullopt;
   return it->second.session.prefetched;
@@ -96,24 +174,9 @@ void SessionJoiner::fire(std::int64_t due) {
     JoinedSession joined = it->second.session;
     joined.completed_at = fire_time;
     pending_.erase(it);
-    remember_fired(timer.session_id, fire_time);
+    fired_.insert(timer.session_id);
     ++stats_.joined;
     if (on_joined_) on_joined_(joined);
-  }
-}
-
-void SessionJoiner::remember_fired(std::uint64_t session_id,
-                                   std::int64_t fire_time) {
-  const auto [it, inserted] = fired_.emplace(session_id, fire_time);
-  if (!inserted) return;
-  fired_order_.push_back(session_id);
-  // Bound the fired-session memory (late-access classification window) by
-  // evicting only the oldest entries; a wholesale clear would misclassify
-  // every late access right after the purge as an orphan and grow dead
-  // pending slots from them.
-  while (fired_order_.size() > fired_capacity_) {
-    fired_.erase(fired_order_.front());
-    fired_order_.pop_front();
   }
 }
 

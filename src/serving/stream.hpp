@@ -17,12 +17,12 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
-#include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "data/dataset.hpp"
 
@@ -84,7 +84,8 @@ class SessionJoiner {
   /// (duplicate_contexts) and late accesses: the oldest fired sessions are
   /// evicted FIFO once it is exceeded, so an event for a session more than
   /// `fired_capacity` joins old is treated as new (a context opens a new
-  /// session, an access an orphan slot).
+  /// session, an access an orphan slot). The memory grows with use, to
+  /// 16–24 bytes per remembered session once full.
   SessionJoiner(std::int64_t window, std::int64_t grace, Callback on_joined,
                 std::size_t fired_capacity = 100000);
 
@@ -143,22 +144,52 @@ class SessionJoiner {
     bool orphan = false;
   };
 
+  /// The fired-session memory: a FIFO set of session ids, kept as a ring
+  /// of ids (oldest at head_) plus an open-addressing index of ring
+  /// positions (linear probing, at most half full). Both grow with use up
+  /// to the capacity; once the ring holds `capacity` ids, an insert evicts
+  /// the oldest. Allocates only when it grows.
+  class FiredSet {
+   public:
+    explicit FiredSet(std::size_t capacity);
+    bool contains(std::uint64_t session_id) const;
+    /// Remembers `session_id` (a no-op when it is already remembered).
+    void insert(std::uint64_t session_id);
+
+   private:
+    static constexpr std::uint32_t kEmpty =
+        std::numeric_limits<std::uint32_t>::max();
+    std::size_t home(std::uint64_t session_id) const;
+    /// The index slot holding `session_id`, or the empty slot that ends
+    /// its probe.
+    std::size_t find(std::uint64_t session_id) const;
+    /// Empties an occupied slot, shifting its probe run back over it.
+    void erase(std::size_t slot);
+    /// Grows the ring (oldest first from 0) and rebuilds the index.
+    void grow();
+
+    std::size_t capacity_;
+    std::vector<std::uint64_t> ring_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
+    /// Ring positions, kEmpty where free; a power-of-two size.
+    std::vector<std::uint32_t> index_;
+    unsigned shift_ = 64;
+  };
+
   void fire(std::int64_t due);
-  void remember_fired(std::uint64_t session_id, std::int64_t fire_time);
 
   std::int64_t window_;
   std::int64_t grace_;
   /// High-water mark of advance_to(); see clock().
   std::int64_t clock_ = std::numeric_limits<std::int64_t>::min();
   Callback on_joined_;
-  std::size_t fired_capacity_;
   std::unordered_map<std::uint64_t, Pending> pending_;
   /// Timers ordered by fire time.
   std::multimap<std::int64_t, Timer> timers_;
-  /// Sessions already fired (to classify late accesses); bounded by
-  /// fired_capacity_ with FIFO eviction (fired_order_ is the queue).
-  std::unordered_map<std::uint64_t, std::int64_t> fired_;
-  std::deque<std::uint64_t> fired_order_;
+  /// Sessions already fired (to classify redelivered contexts and late
+  /// accesses), bounded by fired_capacity with FIFO eviction.
+  FiredSet fired_;
   JoinerStats stats_;
 };
 

@@ -120,6 +120,7 @@ SegmentLog::~SegmentLog() {
   for (Segment& seg : segments_) {
     if (seg.fd >= 0) ::close(seg.fd);
   }
+  if (unlisted_.fd >= 0) ::close(unlisted_.fd);
 }
 
 std::string SegmentLog::segment_path(std::uint64_t id) const {
@@ -358,20 +359,19 @@ void SegmentLog::rotate() {
   if (timed_fsync(active.fd) != 0) {
     fail("fsync seal", segment_path(active.id), errno);
   }
-  const Segment fresh = create_segment(next_id_++);
+  // A rotation whose manifest write failed left its fresh segment open and
+  // empty; the next attempt lists that one instead of creating another, so
+  // at most one unlisted segment file exists.
+  if (unlisted_.fd < 0) unlisted_ = create_segment(next_id_++);
   // The manifest lists the fresh segment before any byte lands in it; a
   // crash between create and this write leaves an orphan that open() GCs.
-  // If the write fails, the sealed segment stays the append target. The
-  // fresh file is left as it is: a write that failed after its rename
-  // (at the directory fsync) has already listed it, and open() then
-  // recovers it empty; otherwise open() removes it as an orphan.
-  try {
-    write_manifest(&fresh);
-  } catch (...) {
-    ::close(fresh.fd);
-    throw;
-  }
-  segments_.push_back(fresh);
+  // If the write fails, the sealed segment stays the append target and the
+  // fresh file stays where it is: a write that failed after its rename (at
+  // the directory fsync) has already listed it, and open() then recovers
+  // it empty; otherwise open() removes it as an orphan.
+  write_manifest(&unlisted_);
+  segments_.push_back(unlisted_);
+  unlisted_ = Segment{};
   // A loaded copy now mirrors the fresh, empty segment. One that grew past
   // segment_bytes for an oversized record is released instead; the next
   // active read reserves it again.

@@ -186,6 +186,9 @@ class SegmentLog {
   bool opened_ = false;
   /// Manifest (replay) order; back() is the active segment.
   std::vector<Segment> segments_;
+  /// The fresh segment of a rotation whose manifest write failed (fd -1
+  /// when none): empty, open, and the next rotation's target.
+  Segment unlisted_;
   std::uint64_t next_id_ = 1;
   /// Byte-for-byte copy of the active segment, valid while
   /// active_copy_loaded_; its size is then always segments_.back().size.

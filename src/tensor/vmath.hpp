@@ -1,6 +1,7 @@
-// f32 logistic sigmoid and tanh for the int8 GRU gates, written once as a
-// portable scalar function and again as an AVX2 lane (qgemm_avx2.cpp)
-// that returns the same bits.
+// f32 logistic sigmoid and tanh for the gates of every inference cell in
+// both precisions (the f32 GRU, LSTM and tanh cells and the int8 GRU),
+// written once as a portable scalar function and again as an AVX2 lane
+// (qgemm_avx2.cpp) that returns the same bits.
 //
 // Both run the same sequence of IEEE operations: separate mul and
 // add (-ffp-contract=off in every TU that implements one), division,

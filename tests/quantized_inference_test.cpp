@@ -13,8 +13,10 @@
 //    twin over a dense sweep, within a stated ulp bound of double,
 //  * the fused int8 step and head bit-identical to the unfused qgemm()
 //    chain on every kernel lane (portable, AVX2, AVX-512 VNNI),
-//  * and the fused f32 head, which shares the int8 one's shape, bit
-//    identical to its unfused Linear::infer chain on every kernel.
+//  * the fused f32 head, which shares the int8 one's shape, bit
+//    identical to its unfused Linear::infer chain on every kernel,
+//  * and the f32 GRU, LSTM and tanh steps, whose gates run the same
+//    lanes, bit identical to a scalar reference on every kernel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -1002,6 +1004,144 @@ TEST_P(FusedF32Head, MatchesUnfusedReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, FusedF32Head,
+                         ::testing::Values(tensor::GemmKernel::kNaive,
+                                           tensor::GemmKernel::kBlocked,
+                                           tensor::GemmKernel::kSimd),
+                         [](const auto& info) {
+                           return std::string(
+                               tensor::gemm_kernel_name(info.param));
+                         });
+
+// ---- the f32 cell steps -----------------------------------------------------
+
+/// a · b through the naive kernel into a zeroed output, as Matrix::matmul
+/// forms it (the kernels agree bit for bit).
+tensor::Matrix naive_product(const tensor::Matrix& a, const tensor::Matrix& b) {
+  tensor::Matrix c(a.rows(), b.cols());
+  tensor::gemm_nn_naive(a, b, c);
+  return c;
+}
+
+/// One f32 cell step written out per element: naive products, the biases,
+/// then the scalar gate twins of tensor/vmath.hpp in the cell's op order.
+/// `p` is the cell's parameters() (wx, wh, then its biases); `state` is
+/// {h} or, for the LSTM, {h, c}.
+void reference_cell_step(nn::CellType type,
+                         const std::vector<autograd::Variable>& p,
+                         std::vector<tensor::Matrix>& state,
+                         const tensor::Matrix& x) {
+  const tensor::Matrix ax = naive_product(x, p[0].value());
+  const tensor::Matrix ah = naive_product(state[0], p[1].value());
+  const tensor::Matrix& bias = p[2].value();
+  const std::size_t B = state[0].rows(), H = state[0].cols();
+  tensor::Matrix h_next(B, H);
+  for (std::size_t b = 0; b < B; ++b) {
+    for (std::size_t j = 0; j < H; ++j) {
+      const float h = state[0].at(b, j);
+      switch (type) {
+        case nn::CellType::kTanh:
+          h_next.at(b, j) =
+              tensor::tanh_f32((ax.at(b, j) + ah.at(b, j)) + bias[j]);
+          break;
+        case nn::CellType::kGru: {
+          const tensor::Matrix& bh = p[3].value();
+          const auto gx = [&](std::size_t c) { return ax.at(b, c) + bias[c]; };
+          const auto gh = [&](std::size_t c) { return ah.at(b, c) + bh[c]; };
+          const float r = tensor::sigmoid_f32(gx(j) + gh(j));
+          const float z = tensor::sigmoid_f32(gx(H + j) + gh(H + j));
+          const float n = tensor::tanh_f32(gx(2 * H + j) + r * gh(2 * H + j));
+          h_next.at(b, j) = (1.0f - z) * n + z * h;
+          break;
+        }
+        case nn::CellType::kLstm: {
+          const auto gate = [&](std::size_t c) {
+            return (ax.at(b, c) + ah.at(b, c)) + bias[c];
+          };
+          const float i = tensor::sigmoid_f32(gate(j));
+          const float f = tensor::sigmoid_f32(gate(H + j));
+          const float g = tensor::tanh_f32(gate(2 * H + j));
+          const float o = tensor::sigmoid_f32(gate(3 * H + j));
+          float& c = state[1].at(b, j);
+          c = f * c + i * g;
+          h_next.at(b, j) = o * tensor::tanh_f32(c);
+          break;
+        }
+      }
+    }
+  }
+  state[0] = std::move(h_next);
+}
+
+/// Each cell at hidden 1 (scalar tails only), 8, 33 and 128 (the serving
+/// size), 1 and 3 rows, one-hot and dense inputs 37 wide, from random
+/// nonzero states and biases; three chained steps. memcmp, not ==: -0 and
+/// +0 must match too.
+void check_f32_cell_step(tensor::GemmKernel kernel) {
+  constexpr std::size_t kInput = 37;
+  for (const nn::CellType type :
+       {nn::CellType::kGru, nn::CellType::kLstm, nn::CellType::kTanh}) {
+    for (const std::size_t H : {1u, 8u, 33u, 128u}) {
+      for (const std::size_t B : {1u, 3u}) {
+        for (const bool one_hot : {true, false}) {
+          const std::string where = std::string(nn::to_string(type)) +
+                                    " H=" + std::to_string(H) +
+                                    " B=" + std::to_string(B) +
+                                    " one_hot=" + std::to_string(one_hot);
+          Rng rng(5000 + 10 * H + B + (one_hot ? 1 : 0) +
+                  100000 * static_cast<int>(type));
+          const auto cell = nn::make_cell(type, kInput, H, rng);
+          std::vector<autograd::Variable> params = cell->parameters();
+          for (std::size_t i = 2; i < params.size(); ++i) {
+            params[i].mutable_value() = tensor::Matrix::randn(
+                1, params[i].value().cols(), rng, 0.0f, 0.5f);
+          }
+          std::vector<tensor::Matrix> state = cell->infer_initial_state(B);
+          for (tensor::Matrix& part : state) {
+            part = tensor::Matrix::randn(B, H, rng, 0.0f, 0.5f);
+          }
+          std::vector<tensor::Matrix> want = state;
+          for (int step = 0; step < 3; ++step) {
+            const tensor::Matrix x =
+                one_hot ? one_hot_rows(B, kInput, rng)
+                        : tensor::Matrix::randn(B, kInput, rng, 0.0f, 1.0f);
+            reference_cell_step(type, params, want, x);
+            {
+              tensor::GemmConfigScope scope(kernel);
+              cell->infer_step(state, x);
+            }
+            ASSERT_EQ(state.size(), want.size()) << where;
+            for (std::size_t part = 0; part < want.size(); ++part) {
+              ASSERT_EQ(state[part].rows(), B) << where;
+              ASSERT_EQ(state[part].cols(), H) << where;
+              EXPECT_EQ(std::memcmp(state[part].data(), want[part].data(),
+                                    B * H * sizeof(float)),
+                        0)
+                  << where << " step " << step << " part " << part;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+class F32CellStep : public ::testing::TestWithParam<tensor::GemmKernel> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == tensor::GemmKernel::kSimd &&
+        !tensor::gemm_simd_available()) {
+      GTEST_SKIP() << "no AVX2 kernels on this host";
+    }
+  }
+};
+
+// Serving, the offline replay and the learner's gate all run these steps;
+// GateMath.VectorLaneMatchesScalarTwinWithinUlpBound pins the lanes.
+TEST_P(F32CellStep, MatchesScalarReference) {
+  check_f32_cell_step(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, F32CellStep,
                          ::testing::Values(tensor::GemmKernel::kNaive,
                                            tensor::GemmKernel::kBlocked,
                                            tensor::GemmKernel::kSimd),

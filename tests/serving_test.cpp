@@ -6,11 +6,15 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <limits>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "data/generators.hpp"
 #include "kv_reference.hpp"
@@ -329,6 +333,261 @@ TEST(SessionJoiner, FiredFifoEvictsOldestNotEverything) {
   joiner.on_access(1, 10050);
   EXPECT_EQ(joiner.stats().late_accesses, 4u);
   EXPECT_EQ(joiner.stats().orphan_accesses, 1u);
+}
+
+/// A node-based SessionJoiner: the same joins, with the fired-session
+/// memory kept as a std::unordered_set of ids and a std::deque as its
+/// FIFO. The differential test below drives it and SessionJoiner with the
+/// same streams.
+class ReferenceJoiner {
+ public:
+  ReferenceJoiner(std::int64_t window, std::int64_t grace,
+                  std::size_t fired_capacity)
+      : window_(window), grace_(grace), fired_capacity_(fired_capacity) {}
+
+  void on_context(std::uint64_t id, std::uint64_t user, std::int64_t start,
+                  double score, bool prefetched) {
+    ++stats.contexts;
+    if (fired_.count(id) > 0) {
+      ++stats.duplicate_contexts;
+      return;
+    }
+    Pending& p = pending_[id];
+    if (p.has_context) {
+      ++stats.duplicate_contexts;
+      return;
+    }
+    p.has_context = true;
+    p.session.session_id = id;
+    p.session.user_id = user;
+    p.session.session_start = start;
+    p.session.score = score;
+    p.session.prefetched = prefetched;
+    timers_.emplace(start + window_ + grace_, std::make_pair(id, false));
+  }
+
+  void on_access(std::uint64_t id, std::int64_t t) {
+    ++stats.accesses;
+    const auto it = pending_.find(id);
+    if (it == pending_.end()) {
+      if (fired_.count(id) > 0) {
+        ++stats.late_accesses;
+      } else {
+        Pending& slot = pending_[id];
+        slot.session.session_id = id;
+        slot.session.access = true;
+        timers_.emplace(t + window_ + grace_, std::make_pair(id, true));
+        ++stats.orphan_accesses;
+      }
+    } else if (it->second.session.access) {
+      ++stats.duplicate_accesses;
+    } else {
+      it->second.session.access = true;
+    }
+  }
+
+  std::optional<bool> duplicate_decision(std::uint64_t id) const {
+    if (fired_.count(id) > 0) return false;
+    const auto it = pending_.find(id);
+    if (it == pending_.end() || !it->second.has_context) return std::nullopt;
+    return it->second.session.prefetched;
+  }
+
+  void advance_to(std::int64_t now) {
+    if (now < clock_) {
+      ++stats.clock_rewinds;
+      now = clock_;
+    }
+    clock_ = now;
+    while (!timers_.empty() && timers_.begin()->first <= now) {
+      const auto [fire_time, timer] = *timers_.begin();
+      const auto [id, orphan] = timer;
+      timers_.erase(timers_.begin());
+      const auto it = pending_.find(id);
+      if (it == pending_.end()) continue;
+      if (orphan) {
+        if (!it->second.has_context) {
+          pending_.erase(it);
+          ++stats.orphan_drops;
+        }
+        continue;
+      }
+      JoinedSession done = it->second.session;
+      done.completed_at = fire_time;
+      pending_.erase(it);
+      fired_.insert(id);
+      fired_order_.push_back(id);
+      while (fired_order_.size() > fired_capacity_) {
+        fired_.erase(fired_order_.front());
+        fired_order_.pop_front();
+      }
+      ++stats.joined;
+      joined.push_back(done);
+    }
+  }
+
+  std::size_t buffered() const { return pending_.size(); }
+
+  JoinerStats stats;
+  std::vector<JoinedSession> joined;
+
+ private:
+  struct Pending {
+    JoinedSession session;
+    bool has_context = false;
+  };
+  std::int64_t window_;
+  std::int64_t grace_;
+  std::size_t fired_capacity_;
+  std::int64_t clock_ = std::numeric_limits<std::int64_t>::min();
+  std::unordered_map<std::uint64_t, Pending> pending_;
+  std::multimap<std::int64_t, std::pair<std::uint64_t, bool>> timers_;
+  std::unordered_set<std::uint64_t> fired_;
+  std::deque<std::uint64_t> fired_order_;
+};
+
+void expect_same_stats(const JoinerStats& got, const JoinerStats& want,
+                       const std::string& where) {
+  EXPECT_EQ(got.contexts, want.contexts) << where;
+  EXPECT_EQ(got.accesses, want.accesses) << where;
+  EXPECT_EQ(got.joined, want.joined) << where;
+  EXPECT_EQ(got.duplicate_contexts, want.duplicate_contexts) << where;
+  EXPECT_EQ(got.duplicate_accesses, want.duplicate_accesses) << where;
+  EXPECT_EQ(got.orphan_accesses, want.orphan_accesses) << where;
+  EXPECT_EQ(got.orphan_drops, want.orphan_drops) << where;
+  EXPECT_EQ(got.late_accesses, want.late_accesses) << where;
+  EXPECT_EQ(got.clock_rewinds, want.clock_rewinds) << where;
+}
+
+void expect_same_joins(const std::vector<JoinedSession>& got,
+                       const std::vector<JoinedSession>& want,
+                       const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].session_id, want[i].session_id) << where << " #" << i;
+    EXPECT_EQ(got[i].user_id, want[i].user_id) << where << " #" << i;
+    EXPECT_EQ(got[i].session_start, want[i].session_start)
+        << where << " #" << i;
+    EXPECT_EQ(got[i].access, want[i].access) << where << " #" << i;
+    EXPECT_EQ(got[i].completed_at, want[i].completed_at) << where << " #" << i;
+    EXPECT_EQ(got[i].score, want[i].score) << where << " #" << i;
+    EXPECT_EQ(got[i].prefetched, want[i].prefetched) << where << " #" << i;
+  }
+}
+
+TEST(SessionJoiner, FiredMemoryMatchesTheNodeBasedFifo) {
+  for (const std::size_t capacity : {0u, 1u, 7u, 100000u}) {
+    // Seeded streams: new contexts, redelivered ones and accesses for
+    // recent ids (pending, remembered as fired, or already evicted),
+    // accesses ahead of their context, clock advances and rewinds.
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      const std::string where = "capacity " + std::to_string(capacity) +
+                                " seed " + std::to_string(seed);
+      std::vector<JoinedSession> joined;
+      SessionJoiner joiner(
+          100, 10, [&](const JoinedSession& s) { joined.push_back(s); },
+          capacity);
+      ReferenceJoiner ref(100, 10, capacity);
+      Rng rng(seed);
+      std::uint64_t next_id = 1;
+      std::int64_t clock = 0;
+      const auto recent = [&] {
+        return next_id - 1 - rng.uniform_index(std::min<std::uint64_t>(
+                                 next_id - 1, 40));
+      };
+      for (int op = 0; op < 20000; ++op) {
+        const double u = rng.uniform();
+        std::uint64_t id = 0;
+        if (u < 0.3 || next_id == 1) {
+          id = next_id++;
+          const std::int64_t start =
+              clock - 10 + static_cast<std::int64_t>(rng.uniform_index(50));
+          const double score = rng.uniform();
+          const bool prefetched = score > 0.5;
+          joiner.on_context(id, id % 13, start, {}, score, prefetched);
+          ref.on_context(id, id % 13, start, score, prefetched);
+        } else if (u < 0.4) {
+          id = recent();
+          const std::int64_t start = clock;
+          joiner.on_context(id, id % 13, start, {}, 0.25, false);
+          ref.on_context(id, id % 13, start, 0.25, false);
+        } else if (u < 0.65) {
+          id = recent();
+          joiner.on_access(id, clock);
+          ref.on_access(id, clock);
+        } else if (u < 0.7) {
+          id = next_id + rng.uniform_index(3);  // ahead of its context
+          joiner.on_access(id, clock);
+          ref.on_access(id, clock);
+        } else if (u < 0.95) {
+          clock += static_cast<std::int64_t>(rng.uniform_index(40));
+          joiner.advance_to(clock);
+          ref.advance_to(clock);
+        } else {
+          const std::int64_t behind =
+              clock - static_cast<std::int64_t>(rng.uniform_index(30));
+          joiner.advance_to(behind);
+          ref.advance_to(behind);
+        }
+        if (id != 0) {
+          ASSERT_EQ(joiner.duplicate_decision(id), ref.duplicate_decision(id))
+              << where << " op " << op << " id " << id;
+        }
+        ASSERT_EQ(joiner.buffered(), ref.buffered()) << where << " op " << op;
+        ASSERT_EQ(joiner.stats().joined, ref.stats.joined)
+            << where << " op " << op;
+      }
+      joiner.advance_to(clock + 1000);
+      ref.advance_to(clock + 1000);
+      expect_same_stats(joiner.stats(), ref.stats, where);
+      expect_same_joins(joined, ref.joined, where);
+      EXPECT_EQ(ref.stats.late_accesses > 0, capacity > 0) << where;
+      EXPECT_GT(ref.stats.orphan_accesses, 0u) << where;
+      EXPECT_GT(ref.stats.orphan_drops, 0u) << where;
+      EXPECT_GT(ref.stats.clock_rewinds, 0u) << where;
+    }
+    if (capacity == 0) continue;
+
+    // Directed: fire capacity + 1 sessions, so the first one was evicted
+    // by the last fire. Its late access then opens an orphan slot and
+    // its redelivered context a new session, which joins that access;
+    // the second session is still remembered.
+    const std::string where = "capacity " + std::to_string(capacity);
+    std::vector<JoinedSession> joined;
+    SessionJoiner joiner(
+        100, 10, [&](const JoinedSession& s) { joined.push_back(s); },
+        capacity);
+    ReferenceJoiner ref(100, 10, capacity);
+    for (std::uint64_t id = 1; id <= capacity + 1; ++id) {
+      joiner.on_context(id, 1, 0, {});
+      ref.on_context(id, 1, 0, 0.0, false);
+    }
+    joiner.advance_to(110);
+    ref.advance_to(110);
+    ASSERT_EQ(joined.size(), capacity + 1) << where;
+    joiner.on_access(1, 120);
+    ref.on_access(1, 120);
+    EXPECT_EQ(joiner.stats().orphan_accesses, 1u) << where;
+    EXPECT_EQ(joiner.stats().late_accesses, 0u) << where;
+    EXPECT_EQ(joiner.buffered(), 1u) << where;
+    joiner.on_access(2, 120);
+    ref.on_access(2, 120);
+    EXPECT_EQ(joiner.stats().late_accesses, 1u) << where;
+    EXPECT_EQ(joiner.duplicate_decision(1), std::nullopt) << where;
+    joiner.on_context(1, 1, 125, {}, 0.5, true);
+    ref.on_context(1, 1, 125, 0.5, true);
+    EXPECT_EQ(joiner.stats().duplicate_contexts, 0u) << where;
+    EXPECT_EQ(joiner.duplicate_decision(1), std::optional<bool>(true))
+        << where;
+    joiner.advance_to(235);
+    ref.advance_to(235);
+    ASSERT_EQ(joined.size(), capacity + 2) << where;
+    EXPECT_EQ(joined.back().session_id, 1u) << where;
+    EXPECT_TRUE(joined.back().access) << where;
+    EXPECT_EQ(joined.back().completed_at, 235) << where;
+    expect_same_stats(joiner.stats(), ref.stats, where);
+    expect_same_joins(joined, ref.joined, where);
+  }
 }
 
 class HiddenStoreCodec : public ::testing::TestWithParam<StateCodec> {};

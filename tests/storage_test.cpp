@@ -742,6 +742,66 @@ TEST(DurableKv, PutsAfterAFailedRotationSurviveAReopen) {
   EXPECT_EQ(reopened.log_stats().orphans_removed, 1u);
 }
 
+TEST(DurableKv, RefusedRotationsReuseOneUnlistedSegment) {
+  // While the manifest write keeps failing, every refused put retries the
+  // rotation. Each retry must list the fresh segment the first one left,
+  // not create another: at most one segment file is unlisted. Closing the
+  // store closes it, and the next open sweeps it, or lists it once a
+  // rotation succeeds.
+  TempDir dir("refused_rotations");
+  DurableKvConfig config;
+  config.dir = dir.sub("kv");
+  config.segment_bytes = 256;
+  config.compact_dead_ratio = 0;
+  const auto segment_files = [&] {
+    std::size_t n = 0;
+    for (const auto& e : std::filesystem::directory_iterator(config.dir)) {
+      n += e.path().filename().string().starts_with("seg-") ? 1 : 0;
+    }
+    return n;
+  };
+  const auto refuse_five = [](DurableKvStore& kv) {
+    FileSizeCap cap(100);  // MANIFEST.tmp outgrows it; each rotation throws
+    for (std::size_t i = 0; i < 5; ++i) {
+      EXPECT_THROW(kv.put("refused" + std::to_string(i), value_of(60)),
+                   std::runtime_error);
+    }
+  };
+  {
+    DurableKvStore kv(config);
+    for (std::size_t i = 0; i < 10; ++i) {
+      kv.put(std::to_string(i), value_of(60));
+    }
+    refuse_five(kv);
+    EXPECT_EQ(kv.log_stats().segments, 10u);
+    EXPECT_EQ(segment_files(), 11u);  // not 15
+    kv.put("acked", value_of(7));     // fits in the tenth segment
+  }
+  {
+    DurableKvStore kv(config);
+    EXPECT_EQ(kv.log_stats().orphans_removed, 1u);
+    EXPECT_EQ(kv.log_stats().segments, 10u);
+    EXPECT_EQ(segment_files(), 10u);
+    refuse_five(kv);
+    EXPECT_EQ(segment_files(), 11u);
+    // With the cap lifted, the rotation lists the unlisted file.
+    kv.put("rotated", value_of(60));
+    EXPECT_EQ(kv.log_stats().segments, 11u);
+    EXPECT_EQ(segment_files(), 11u);
+  }
+  DurableKvStore reopened(config);
+  EXPECT_EQ(reopened.log_stats().orphans_removed, 0u);
+  EXPECT_EQ(reopened.log_stats().segments, 11u);
+  for (std::size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(*reopened.get(std::to_string(i)), value_of(60)) << i;
+  }
+  EXPECT_EQ(*reopened.get("acked"), value_of(7));
+  EXPECT_EQ(*reopened.get("rotated"), value_of(60));
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_FALSE(reopened.contains("refused" + std::to_string(i))) << i;
+  }
+}
+
 // ------------------------------------------- recovery sweeps (satellite 3)
 
 struct SegmentImage {
