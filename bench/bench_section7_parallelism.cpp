@@ -130,19 +130,18 @@ int main() {
       padding_factor, std::thread::hardware_concurrency(), kTrainerThreads,
       padded / median[0], padded / median[2], median[2] / median[0]);
 
-  // ---- old vs new GEMM kernel under the padded-batch strategy ----------
+  // ---- portable vs SIMD GEMM kernel under the padded-batch strategy ----
   // The padded strategy is the GEMM-bound one (every step is a [B x d]
-  // product), so it is where the blocked kernel shows up end-to-end.
+  // product), so it is where the kernel choice shows up end-to-end.
   struct KernelChoice {
     const char* name;
     tensor::GemmKernel kernel;
   };
   // The simd rows dispatch to the AVX2/FMA kernels when the host has them
-  // and degrade to blocked otherwise (resolve_kernel in gemm.cpp), so the
+  // and degrade to naive otherwise (resolve_kernel in gemm.cpp), so the
   // table stays runnable on any machine.
   const KernelChoice kernels[] = {
-      {"naive (seed)", tensor::GemmKernel::kNaive},
-      {"blocked", tensor::GemmKernel::kBlocked},
+      {"naive (portable)", tensor::GemmKernel::kNaive},
       {"simd", tensor::GemmKernel::kSimd},
   };
   Table kernel_table({"gemm_kernel", "seconds_per_epoch", "speedup_vs_naive"});
@@ -172,10 +171,9 @@ int main() {
         .cell(seconds, 2)
         .cell(naive_time / seconds, 2);
   }
-  kernel_table.print(
-      "Padded-batch epoch, seed GEMM vs blocked and simd kernels");
+  kernel_table.print("Padded-batch epoch, naive vs simd GEMM kernel");
 
-  // ---- raw kernel throughput (the isolated old-vs-new comparison) ------
+  // ---- raw kernel throughput (the isolated naive-vs-simd comparison) ---
   const std::size_t dims[] = {128, 384};
   Table gemm_table({"shape", "kernel", "seconds", "gflops", "speedup"});
   for (const std::size_t d : dims) {
@@ -204,6 +202,6 @@ int main() {
           .cell(base / seconds, 2);
     }
   }
-  gemm_table.print("Raw C += A*B kernel throughput, old (naive) vs new");
+  gemm_table.print("Raw C += A*B kernel throughput, naive vs simd");
   return 0;
 }

@@ -192,14 +192,14 @@ run_tier '^lint$' "lint (binary/source/negative-compile)"
 run_tier '^(unit|obs|quant)$' "unit + obs + quant (fail fast)"
 
 # Forced-portable lane: on AVX2 runners the dispatcher resolves to the
-# SIMD kernels, which would leave the blocked fallback (the only path
-# non-AVX2 hosts ever run) untested. Re-run the kernel parity suite (the
-# f32 head's gemv_nz lanes among it) and the serving-kernel suite (fused
-# int8 step and head, fused f32 head, gate sigmoid/tanh) with the
-# portable kernel forced via the env override.
+# SIMD kernels, which would leave the naive loops (the only path non-AVX2
+# hosts and -DPP_SIMD_KERNELS=OFF builds ever run) untested end to end.
+# Re-run the kernel parity suite (the f32 head's gemv_nz lanes among it)
+# and the serving-kernel suite (fused int8 step and head, fused f32 head,
+# gate sigmoid/tanh) with the portable kernel forced via the env override.
 for suite in tensor_gemm_test quantized_inference_test; do
-  echo "== ${suite} (PP_GEMM_FORCE_KERNEL=blocked, portable path) =="
-  PP_GEMM_FORCE_KERNEL=blocked "${BUILD_DIR}/${suite}" --gtest_brief=1
+  echo "== ${suite} (PP_GEMM_FORCE_KERNEL=naive, portable path) =="
+  PP_GEMM_FORCE_KERNEL=naive "${BUILD_DIR}/${suite}" --gtest_brief=1
 done
 
 if [[ "${SANITIZE}" == asan || "${SANITIZE}" == address ]]; then
@@ -223,7 +223,7 @@ if [[ "${RUN_STRESS}" == 1 ]]; then
 fi
 
 if [[ "${RUN_BENCH}" == 1 ]]; then
-  echo "== bench smoke: section 7.1 parallelism (old vs new GEMM kernel) =="
+  echo "== bench smoke: section 7.1 parallelism (naive vs simd GEMM kernel) =="
   "${BUILD_DIR}/bench_section7_parallelism"
 
   echo "== perfbench self-test (build + every workload, tiny) =="

@@ -49,10 +49,6 @@ void encode_time_of_day(std::int64_t timestamp, std::span<float> out) {
   out[24 + static_cast<std::size_t>(data::day_of_week(timestamp))] = 1.0f;
 }
 
-std::size_t context_one_hot_width(const data::ContextSchema& schema) {
-  return schema.one_hot_width();
-}
-
 void encode_context(const data::ContextSchema& schema,
                     std::span<const std::uint32_t> context,
                     std::span<float> out) {

@@ -42,10 +42,6 @@ class LogBucketizer {
 inline constexpr std::size_t kTimeOfDayWidth = 24 + 7;
 void encode_time_of_day(std::int64_t timestamp, std::span<float> out);
 
-/// Width of the one-hot context encoding for a schema (hashed fields use
-/// their post-hash cardinality).
-std::size_t context_one_hot_width(const data::ContextSchema& schema);
-
 /// One-hot encodes every context field back to back.
 void encode_context(const data::ContextSchema& schema,
                     std::span<const std::uint32_t> context,

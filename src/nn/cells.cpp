@@ -9,13 +9,6 @@ namespace pp::nn {
 
 using namespace autograd;
 
-CellType cell_type_from_string(const std::string& name) {
-  if (name == "tanh") return CellType::kTanh;
-  if (name == "gru") return CellType::kGru;
-  if (name == "lstm") return CellType::kLstm;
-  throw std::invalid_argument("unknown cell type: " + name);
-}
-
 const char* to_string(CellType type) {
   switch (type) {
     case CellType::kTanh:

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "autograd/ops.hpp"
@@ -24,8 +23,6 @@ using CellState = std::vector<Variable>;
 
 enum class CellType { kTanh, kGru, kLstm };
 
-/// Parses "tanh" / "gru" / "lstm" (throws on anything else).
-CellType cell_type_from_string(const std::string& name);
 const char* to_string(CellType type);
 
 class RecurrentCell : public Module {

@@ -14,19 +14,7 @@ Variable Linear::forward(const Variable& x) const {
   return autograd::add_broadcast(autograd::matmul(x, weight_), bias_);
 }
 
-tensor::Matrix Linear::infer(const tensor::Matrix& x) const {
-  tensor::Matrix out = x.matmul(weight_.value());
-  out.add_row_broadcast_inplace(bias_.value());
-  return out;
-}
-
 QuantizedLinear::QuantizedLinear(const Linear& layer)
     : weight_(layer.weight().value()), bias_(layer.bias().value()) {}
-
-tensor::Matrix QuantizedLinear::infer(const tensor::QuantizedMatrix& x) const {
-  tensor::Matrix out = tensor::qgemm(x, weight_.matrix());
-  out.add_row_broadcast_inplace(bias_);
-  return out;
-}
 
 }  // namespace pp::nn

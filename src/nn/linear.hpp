@@ -21,9 +21,6 @@ class Linear : public Module {
   /// x: [batch x in] -> [batch x out].
   Variable forward(const Variable& x) const;
 
-  /// Tape-free forward over raw matrices (serving path).
-  tensor::Matrix infer(const tensor::Matrix& x) const;
-
   std::size_t in_features() const { return in_; }
   std::size_t out_features() const { return out_; }
   const Variable& weight() const { return weight_; }
@@ -44,11 +41,6 @@ class Linear : public Module {
 class QuantizedLinear {
  public:
   explicit QuantizedLinear(const Linear& layer);
-
-  /// x: pre-quantized [batch x in] -> f32 [batch x out] through qgemm().
-  /// Row b of a batch equals the same row inferred alone (per-row
-  /// quantization upstream + exact integer accumulation).
-  tensor::Matrix infer(const tensor::QuantizedMatrix& x) const;
 
   std::size_t in_features() const { return weight_.rows(); }
   std::size_t out_features() const { return weight_.cols(); }

@@ -74,7 +74,6 @@ class ModelRegistry {
   bool rollback();
 
   ModelRegistryStats stats() const;
-  std::size_t retained_versions() const;
   bool quantize_replicas() const { return quantize_replicas_; }
 
  private:

@@ -4,18 +4,6 @@
 
 namespace pp::storage {
 
-const char* kv_backend_name(KvBackendKind kind) {
-  switch (kind) {
-    case KvBackendKind::kLocal:
-      return "local";
-    case KvBackendKind::kSharded:
-      return "sharded";
-    case KvBackendKind::kDurable:
-      return "durable";
-  }
-  return "unknown";
-}
-
 void validate(const KvBackendSpec& spec) {
   switch (spec.kind) {
     case KvBackendKind::kLocal:

@@ -41,9 +41,6 @@ struct KvBackendSpec {
   }
 };
 
-/// Human-readable backend name for logs/metrics labels.
-const char* kv_backend_name(KvBackendKind kind);
-
 /// Throws std::invalid_argument with a precise message on a bad spec:
 /// zero shards, empty durable dir, zero segment size, or a compaction
 /// ratio outside [0, 1].

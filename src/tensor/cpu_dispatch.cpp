@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 namespace pp::tensor {
 
@@ -52,8 +54,6 @@ const char* gemm_kernel_name(GemmKernel kernel) {
   switch (kernel) {
     case GemmKernel::kNaive:
       return "naive";
-    case GemmKernel::kBlocked:
-      return "blocked";
     case GemmKernel::kSimd:
       return "simd";
     case GemmKernel::kAuto:
@@ -88,15 +88,14 @@ bool gemm_kernel_from_env(GemmKernel* out) {
     *out = GemmKernel::kNaive;
     return true;
   }
-  if (std::strcmp(value, "blocked") == 0) {
-    *out = GemmKernel::kBlocked;
-    return true;
-  }
   if (std::strcmp(value, "simd") == 0) {
     *out = GemmKernel::kSimd;
     return true;
   }
-  return false;
+  std::string message = "PP_GEMM_FORCE_KERNEL=";
+  message += value;
+  message += ": expected naive or simd";
+  throw std::invalid_argument(message);
 }
 
 }  // namespace pp::tensor

@@ -4,10 +4,10 @@
 // is baseline x86-64, so the binaries stay portable and the fast kernels
 // are selected per process at first use:
 //
-//   resolved kernel = PP_GEMM_FORCE_KERNEL env override, if set and valid
+//   resolved kernel = PP_GEMM_FORCE_KERNEL env override, if set
 //                   | GemmKernel::kSimd  when the host has AVX2+FMA and
 //                   |                    the SIMD TUs were compiled in
-//                   | GemmKernel::kBlocked otherwise
+//                   | GemmKernel::kNaive otherwise (the portable lane)
 //
 // kSimd has a second, wider lane: on hosts that also pass the AVX-512
 // VNNI probe (avx512_vnni_available), the int8 serving products run the
@@ -15,7 +15,7 @@
 // its AVX2 kernel there, and every lane returns the same bits.
 //
 // Forcing kSimd (via env or set_gemm_kernel) on a host without AVX2+FMA
-// falls back to kBlocked at dispatch time — the AVX2 code is never
+// falls back to kNaive at dispatch time — the AVX2 code is never
 // executed on a CPU that cannot run it. Benches and tests read the
 // resolved kernel through gemm_dispatched_kernel() so recorded numbers
 // carry the ISA + kernel that actually produced them.
@@ -35,7 +35,7 @@ CpuIsa detected_cpu_isa();
 /// Stable identifier for bench JSON / logs: "generic" | "avx2_fma".
 const char* cpu_isa_name(CpuIsa isa);
 
-/// Stable identifier: "naive" | "blocked" | "simd" | "auto".
+/// Stable identifier: "naive" | "simd" | "auto".
 const char* gemm_kernel_name(GemmKernel kernel);
 
 /// True when the AVX2/FMA kernel TUs were compiled into this binary
@@ -53,11 +53,13 @@ bool gemm_simd_available();
 /// keyed on kAvx2Fma stay as they are on AVX-512 hosts.
 bool avx512_vnni_available();
 
-/// Parses PP_GEMM_FORCE_KERNEL ("naive" | "blocked" | "simd"). Returns
-/// true and writes *out when the variable is set to a valid value; an
-/// unknown value is ignored (returns false) so a typo cannot silently
-/// select an unintended kernel. Reads the environment on every call —
-/// the process-default caching happens in the gemm dispatcher.
+/// Parses PP_GEMM_FORCE_KERNEL ("naive" | "simd"). Returns true and
+/// writes *out when the variable is set; returns false when it is unset
+/// or empty. Any other value throws std::invalid_argument naming the
+/// accepted ones, so a typo or a retired kernel name fails the first
+/// product instead of silently running the default kernel. Reads the
+/// environment on every call — the process-default caching happens in
+/// the gemm dispatcher.
 bool gemm_kernel_from_env(GemmKernel* out);
 
 }  // namespace pp::tensor

@@ -2,18 +2,16 @@
 // hot path of both training (§7: every BPTT step is two gate matmuls) and
 // serving (§9: FLOPs per prediction).
 //
-// Three kernels are provided, selected per process by runtime CPU
-// dispatch (tensor/cpu_dispatch.hpp):
+// Two kernels are provided, selected per process by runtime CPU dispatch
+// (tensor/cpu_dispatch.hpp):
 //  * kNaive   — the seed's reference loops (i-k-j with a zero-skip for
-//               one-hot rows). Kept as the parity baseline and for the
-//               old-vs-new bench comparison.
-//  * kBlocked — cache-tiled with a 4-row micro-kernel that reuses each B
-//               row across four output rows. Portable baseline x86-64;
-//               the fallback when AVX2/FMA is absent.
+//               one-hot rows): the parity reference every other lane is
+//               tested against, and the one portable lane, which hosts
+//               without AVX2/FMA and -DPP_SIMD_KERNELS=OFF builds run.
 //  * kSimd    — explicit register-blocked AVX2/FMA micro-kernels (6x16
 //               broadcast for f32, vpmaddubsw/vpmaddwd for int8) in
 //               dedicated -mavx2 -mfma TUs. Selected by default when the
-//               host CPU supports it; falls back to kBlocked otherwise.
+//               host CPU supports it; falls back to kNaive otherwise.
 //               On AVX-512 VNNI hosts the fused int8 serving products
 //               (tensor::QuantizedWeights) run a vpdpbusd lane of kSimd
 //               instead (qgemm_avx512.cpp).
@@ -22,16 +20,16 @@
 // to the callers (§7.1's per-user threads, the threaded replay), which run
 // whole users on their own threads; the kernels keep only thread-local
 // scratch.
-// PP_GEMM_FORCE_KERNEL=naive|blocked|simd overrides the process default
-// (CI uses it to keep the portable path tested on AVX2 runners);
-// gemm_dispatched_kernel() reports what would actually run.
+// PP_GEMM_FORCE_KERNEL=naive|simd overrides the process default (CI uses
+// it to keep the portable path tested on AVX2 runners; any other value
+// throws); gemm_dispatched_kernel() reports what would actually run.
 //
 // Parity contract (pinned by tests/tensor_gemm_test.cpp):
 //  * Accumulation order over the shared dimension is identical
 //    (ascending p per output element) in every kernel, and FP
 //    contraction is pinned OFF in every kernel TU (-ffp-contract=off; the
 //    SIMD kernels use explicit separate vmulps+vaddps, never fused FMA),
-//    so naive == blocked == simd bit-for-bit, int8 and f32 alike.
+//    so naive == simd bit-for-bit, int8 and f32 alike.
 //  * Zero-skip contract: the nn/tn kernels skip an individual (row, p)
 //    term exactly when the A operand is 0.0f. Every kernel skips at the
 //    same per-(row, p) granularity, so the equivalence holds bitwise
@@ -56,7 +54,10 @@ namespace pp::tensor {
 
 class Matrix;
 
-enum class GemmKernel { kNaive, kBlocked, kSimd, kAuto };
+/// Explicit values: gtest prints a GemmKernel parameter's bytes into the
+/// ids of parametrized tests, so an enumerator keeps its value once
+/// assigned (1 is retired).
+enum class GemmKernel { kNaive = 0, kSimd = 2, kAuto = 3 };
 
 /// The configured kernel knob (possibly kAuto). See
 /// gemm_dispatched_kernel() for what will actually run.
@@ -65,9 +66,9 @@ void set_gemm_kernel(GemmKernel kernel);
 
 /// Resolves the configured knob to the concrete kernel a product would
 /// use right now: kAuto becomes the process default (PP_GEMM_FORCE_KERNEL
-/// env override, else kSimd when the host supports AVX2+FMA and the SIMD
-/// TUs are compiled in, else kBlocked), and kSimd degrades to kBlocked
-/// when SIMD is unavailable. Never returns kAuto.
+/// env override, else kSimd), and kSimd degrades to kNaive when the host
+/// lacks AVX2+FMA or the SIMD TUs are not compiled in. Never returns
+/// kAuto.
 GemmKernel gemm_dispatched_kernel();
 
 /// Always 1: every product runs on the calling thread. Kept for the
@@ -94,15 +95,12 @@ class GemmConfigScope {
 //   nt: c[m x n] += a[m x k] * b[n x k]^T
 // The *_simd entry points run the AVX2/FMA kernels when
 // gemm_simd_available() (tensor/cpu_dispatch.hpp) and fall back to the
-// blocked kernel otherwise — results are identical either way.
+// naive kernel otherwise — results are identical either way.
 void gemm_nn_naive(const Matrix& a, const Matrix& b, Matrix& c);
-void gemm_nn_blocked(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_nn_simd(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_tn_naive(const Matrix& a, const Matrix& b, Matrix& c);
-void gemm_tn_blocked(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_tn_simd(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_nt_naive(const Matrix& a, const Matrix& b, Matrix& c);
-void gemm_nt_blocked(const Matrix& a, const Matrix& b, Matrix& c);
 void gemm_nt_simd(const Matrix& a, const Matrix& b, Matrix& c);
 
 // ---- gemv over a nonzero list (the fused f32 serving head) ----
@@ -113,7 +111,7 @@ void gemm_nt_simd(const Matrix& a, const Matrix& b, Matrix& c);
 /// ascending row order with a separate mul and add, zero terms skipped
 /// (the zero-skip contract above; debug builds assert `w` finite). Runs on
 /// the calling thread with no allocation, on the dispatched kernel: the
-/// portable loop under kNaive and kBlocked, the AVX2 lane (up to 8 ymm
+/// portable loop under kNaive, the AVX2 lane (up to 8 ymm
 /// accumulators, 64 columns per pass) under kSimd, AVX-512 hosts
 /// included. Both agree bit for bit.
 void gemv_nz(const float* vals, const std::uint32_t* rows, std::size_t nnz,

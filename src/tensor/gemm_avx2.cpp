@@ -5,7 +5,7 @@
 // contract (gemm.hpp). -ffp-contract=off on this TU keeps the compiler
 // from re-fusing the intrinsics.
 //
-// Parity-critical structure, shared with the naive/blocked kernels:
+// Parity-critical structure, shared with the naive kernels:
 //  * every output element accumulates in ascending p order;
 //  * nn/tn skip individual (row, p) terms when a == 0.0f (the zero-skip
 //    contract in gemm.hpp) — nn materializes the skip as a per-row

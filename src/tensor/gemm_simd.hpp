@@ -10,7 +10,7 @@
 // compiled with it they execute that ISA unconditionally.
 //
 // The f32 kernels implement the same per-element accumulation chains as
-// the naive/blocked kernels (ascending p, separate mul+add rounding, and
+// the naive kernels (ascending p, separate mul+add rounding, and
 // the per-(row, p) zero-skip), so their results are bit-identical — for
 // finite and non-finite operands alike. The int8 kernel is exact integer
 // arithmetic. Range signatures mirror the static *_range helpers in

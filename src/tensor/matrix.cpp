@@ -48,12 +48,6 @@ Matrix Matrix::xavier(std::size_t fan_out, std::size_t fan_in, Rng& rng) {
   return rand_uniform(fan_out, fan_in, rng, -bound, bound);
 }
 
-Matrix Matrix::row_vector(std::span<const float> values) {
-  Matrix out(1, values.size());
-  std::memcpy(out.data(), values.data(), values.size() * sizeof(float));
-  return out;
-}
-
 void Matrix::fill(float value) {
   std::fill(data_.begin(), data_.end(), value);
 }

@@ -7,8 +7,8 @@
 //  * All shape mismatches throw std::invalid_argument; training code relies
 //    on these checks instead of silent broadcasting surprises.
 //  * The kernels that dominate training time (gemm/gemv) live in
-//    tensor/gemm.hpp: cache-blocked and AVX2 kernels plus the naive
-//    reference loops, all on the calling thread.
+//    tensor/gemm.hpp: the AVX2 kernels and the naive loops (the
+//    reference and the portable lane), all on the calling thread.
 //    matmul/matmul_transposed_*/gemm_accumulate dispatch through them.
 #pragma once
 
@@ -43,8 +43,6 @@ class Matrix {
                              float lo, float hi);
   /// Xavier/Glorot uniform initialization for a [fan_out x fan_in] weight.
   static Matrix xavier(std::size_t fan_out, std::size_t fan_in, Rng& rng);
-  /// A [1 x n] row vector from values.
-  static Matrix row_vector(std::span<const float> values);
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
@@ -69,7 +67,6 @@ class Matrix {
   std::span<const float> row(std::size_t r) const {
     return {data_.data() + r * cols_, cols_};
   }
-  std::span<const float> flat() const { return {data_.data(), data_.size()}; }
 
   void fill(float value);
   void set_zero() { fill(0.0f); }

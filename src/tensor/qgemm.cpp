@@ -61,8 +61,8 @@ float finite_max_abs(const float* v, std::size_t n) {
 
 /// Whether the quantization codec loops should run through the AVX2
 /// kernels in qgemm_avx2.cpp. Gated on the *dispatched* GEMM kernel, not
-/// just ISA support, so PP_GEMM_FORCE_KERNEL=blocked|naive exercises the
-/// fully portable pipeline end to end; the vector codec is bit-exact to
+/// just ISA support, so PP_GEMM_FORCE_KERNEL=naive exercises the fully
+/// portable pipeline end to end; the vector codec is bit-exact to
 /// the scalar loops (same rounding, clamps, NaN handling and
 /// order-independent reductions), so the choice never changes encoded
 /// bytes or scales.
@@ -70,17 +70,6 @@ bool simd_codec_active() {
   return gemm_simd_available() &&
          gemm_dispatched_kernel() == GemmKernel::kSimd;
 }
-
-float finite_max_abs_dispatch(const float* v, std::size_t n);
-
-void encode_symmetric_dispatch(const float* v, std::int8_t* out,
-                               std::size_t n, float inv_scale);
-
-// Same tiling as the f32 kernel; the B tile is half the bytes, the C tile
-// (i32) the same.
-constexpr std::size_t kMc = 64;
-constexpr std::size_t kKc = 128;
-constexpr std::size_t kNc = 256;
 
 void nn_i32_naive_range(const std::int8_t* a, const std::int8_t* b,
                         std::int32_t* c, std::size_t k, std::size_t n,
@@ -94,58 +83,6 @@ void nn_i32_naive_range(const std::int8_t* a, const std::int8_t* b,
       const std::int8_t* b_row = b + p * n;
       for (std::size_t j = 0; j < n; ++j) {
         c_row[j] += a_ip * static_cast<std::int32_t>(b_row[j]);
-      }
-    }
-  }
-}
-
-void nn_i32_blocked_range(const std::int8_t* a, const std::int8_t* b,
-                          std::int32_t* c, std::size_t k, std::size_t n,
-                          std::size_t i0, std::size_t i1) {
-  for (std::size_t ib = i0; ib < i1; ib += kMc) {
-    const std::size_t i_end = std::min(ib + kMc, i1);
-    for (std::size_t pb = 0; pb < k; pb += kKc) {
-      const std::size_t p_end = std::min(pb + kKc, k);
-      for (std::size_t jb = 0; jb < n; jb += kNc) {
-        const std::size_t j_end = std::min(jb + kNc, n);
-        std::size_t i = ib;
-        // 4-row micro-kernel: each B row is read once and folded into four
-        // output rows from registers (mirrors the f32 kernel).
-        for (; i + 4 <= i_end; i += 4) {
-          const std::int8_t* a0 = a + (i + 0) * k;
-          const std::int8_t* a1 = a + (i + 1) * k;
-          const std::int8_t* a2 = a + (i + 2) * k;
-          const std::int8_t* a3 = a + (i + 3) * k;
-          std::int32_t* c0 = c + (i + 0) * n;
-          std::int32_t* c1 = c + (i + 1) * n;
-          std::int32_t* c2 = c + (i + 2) * n;
-          std::int32_t* c3 = c + (i + 3) * n;
-          for (std::size_t p = pb; p < p_end; ++p) {
-            const std::int32_t v0 = a0[p], v1 = a1[p], v2 = a2[p],
-                               v3 = a3[p];
-            if (v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0) continue;
-            const std::int8_t* b_row = b + p * n;
-            for (std::size_t j = jb; j < j_end; ++j) {
-              const std::int32_t bv = b_row[j];
-              c0[j] += v0 * bv;
-              c1[j] += v1 * bv;
-              c2[j] += v2 * bv;
-              c3[j] += v3 * bv;
-            }
-          }
-        }
-        for (; i < i_end; ++i) {
-          const std::int8_t* a_row = a + i * k;
-          std::int32_t* c_row = c + i * n;
-          for (std::size_t p = pb; p < p_end; ++p) {
-            const std::int32_t a_ip = a_row[p];
-            if (a_ip == 0) continue;
-            const std::int8_t* b_row = b + p * n;
-            for (std::size_t j = jb; j < j_end; ++j) {
-              c_row[j] += a_ip * static_cast<std::int32_t>(b_row[j]);
-            }
-          }
-        }
       }
     }
   }
@@ -321,19 +258,13 @@ void qgemm_nn_i32_naive(const std::int8_t* a, const std::int8_t* b,
   nn_i32_naive_range(a, b, c, k, n, 0, m);
 }
 
-void qgemm_nn_i32_blocked(const std::int8_t* a, const std::int8_t* b,
-                          std::int32_t* c, std::size_t m, std::size_t k,
-                          std::size_t n) {
-  nn_i32_blocked_range(a, b, c, k, n, 0, m);
-}
-
 void qgemm_nn_i32_simd(const std::int8_t* a, const std::int8_t* b,
                        std::int32_t* c, std::size_t m, std::size_t k,
                        std::size_t n) {
   // The u8 x s8 kernel's i32 headroom bound (gemm_simd.hpp) caps k; the
-  // blocked kernel is exact for any k reachable here, so fall back.
+  // naive kernel is exact for any k reachable here, so fall back.
   if (!gemm_simd_available() || k > simd::kQGemmSimdMaxK) {
-    qgemm_nn_i32_blocked(a, b, c, m, k, n);
+    qgemm_nn_i32_naive(a, b, c, m, k, n);
     return;
   }
   simd::nn_i8i32_range(a, b, c, k, n, 0, m);
@@ -356,16 +287,10 @@ Matrix qgemm(const QuantizedMatrix& a, const QuantizedMatrix& b) {
   // gemv-sized products (B = 1 scoring).
   thread_local std::vector<std::int32_t> acc;
   acc.assign(m * n, 0);
-  switch (gemm_dispatched_kernel()) {
-    case GemmKernel::kNaive:
-      qgemm_nn_i32_naive(a.data(), b.data(), acc.data(), m, k, n);
-      break;
-    case GemmKernel::kSimd:
-      qgemm_nn_i32_simd(a.data(), b.data(), acc.data(), m, k, n);
-      break;
-    default:
-      qgemm_nn_i32_blocked(a.data(), b.data(), acc.data(), m, k, n);
-      break;
+  if (gemm_dispatched_kernel() == GemmKernel::kSimd) {
+    qgemm_nn_i32_simd(a.data(), b.data(), acc.data(), m, k, n);
+  } else {
+    qgemm_nn_i32_naive(a.data(), b.data(), acc.data(), m, k, n);
   }
 
   // Zero-point correction: sum_p (qa - za) * qb = acc - za * colsum(B).
@@ -429,12 +354,10 @@ void QuantizedWeights::multiply(const std::int8_t* a, std::size_t m,
     return;
   }
   std::fill_n(c, m * n, 0);
-  if (kernel == GemmKernel::kNaive) {
-    nn_i32_naive_range(a, q_.data(), c, k, n, 0, m);
-  } else if (kernel == GemmKernel::kSimd && k <= simd::kQGemmSimdMaxK) {
+  if (kernel == GemmKernel::kSimd && k <= simd::kQGemmSimdMaxK) {
     simd::nn_i8i32_range(a, q_.data(), c, k, n, 0, m);
   } else {
-    nn_i32_blocked_range(a, q_.data(), c, k, n, 0, m);
+    nn_i32_naive_range(a, q_.data(), c, k, n, 0, m);
   }
 }
 

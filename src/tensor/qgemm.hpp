@@ -17,10 +17,10 @@
 // match the HiddenStateStore int8 codec exactly; one-sided activations
 // (ReLU outputs) use the full affine form for an extra bit of resolution.
 //
-// qgemm computes C = dequant(A) * dequant(B) through an int8 x int8 -> i32
-// blocked kernel (same tiles and 4-row micro-kernel as the f32 kernel, on
-// the calling thread). Integer accumulation is exact, so blocked == naive
-// bit-for-bit with no ±0 caveats. B must be per-tensor symmetric
+// qgemm computes C = dequant(A) * dequant(B) through the dispatched
+// int8 x int8 -> i32 kernel (naive or AVX2, on the calling thread).
+// Integer accumulation is exact, so every lane agrees bit-for-bit with no
+// ±0 caveats. B must be per-tensor symmetric
 // (weights); A zero points are folded in afterwards via the standard
 // column-sum correction:
 //
@@ -33,7 +33,8 @@
 // holds a weight packed once for every kernel lane, and its multiply()
 // writes raw i32 products into caller-owned scratch, which the fused GRU
 // step and head (nn::QuantizedGruCell, train::RnnNetwork) dequantize
-// themselves. qgemm() stays as the reference those are tested against.
+// themselves. qgemm() and the QuantizedMatrix row encoders stay as the
+// int8 reference those are tested against.
 #pragma once
 
 #include <cstdint>
@@ -129,8 +130,8 @@ class QuantizedWeights {
 
   /// c[m x n] = a[m x k] * W with exact i32 accumulation; c is
   /// overwritten. Runs on the calling thread with no allocation, on the
-  /// dispatched kernel: naive, blocked, or kSimd's VNNI lane (where the
-  /// panel exists) or AVX2 lane. All agree bit for bit.
+  /// dispatched kernel: naive, or kSimd's VNNI lane (where the panel
+  /// exists) or AVX2 lane. All agree bit for bit.
   void multiply(const std::int8_t* a, std::size_t m, std::int32_t* c) const;
 
   const QuantizedMatrix& matrix() const noexcept { return q_; }
@@ -150,15 +151,11 @@ class QuantizedWeights {
 // c[m x n] += a[m x k] * b[k x n] over int8 operands with int32
 // accumulation, on the calling thread. `simd` runs the AVX2
 // vpmaddubsw/vpmaddwd kernel (qgemm_avx2.cpp) when gemm_simd_available()
-// and k fits the u8 x s8 accumulator bound, and falls back to `blocked`
-// otherwise — integer arithmetic is exact, so all three agree
-// bit-for-bit.
+// and k fits the u8 x s8 accumulator bound, and falls back to `naive`
+// otherwise — integer arithmetic is exact, so both agree bit-for-bit.
 void qgemm_nn_i32_naive(const std::int8_t* a, const std::int8_t* b,
                         std::int32_t* c, std::size_t m, std::size_t k,
                         std::size_t n);
-void qgemm_nn_i32_blocked(const std::int8_t* a, const std::int8_t* b,
-                          std::int32_t* c, std::size_t m, std::size_t k,
-                          std::size_t n);
 void qgemm_nn_i32_simd(const std::int8_t* a, const std::int8_t* b,
                        std::int32_t* c, std::size_t m, std::size_t k,
                        std::size_t n);

@@ -26,7 +26,7 @@
 // (blo + bhi) * a == bu * a exactly in integer arithmetic. Each i16
 // pair-sum vector is widened with vpmaddwd against ones and accumulated
 // in i32, which is exact while k <= kQGemmSimdMaxK (gemm_simd.hpp); the
-// dispatcher falls back to the blocked kernel beyond that.
+// dispatcher falls back to the naive kernel beyond that.
 //
 // B is packed per 16-column tile in k-quads (panel[q][t][0..3] =
 // swizzled b[4q+s][j+t], zero-padded), so one 32-byte load feeds 8

@@ -37,8 +37,8 @@ float tanh_f32(float x);
 
 /// y[i] = sigmoid_f32(x[i]) / tanh_f32(x[i]) for i < n; x may alias y.
 /// Runs the AVX2 lane under the kSimd GEMM kernel (AVX-512 hosts
-/// included) and the scalar twin under kBlocked / kNaive — bit-identical
-/// either way.
+/// included) and the scalar twin under kNaive — bit-identical either
+/// way.
 void sigmoid_f32(const float* x, float* y, std::size_t n);
 void tanh_f32(const float* x, float* y, std::size_t n);
 

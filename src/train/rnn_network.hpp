@@ -105,9 +105,9 @@ class RnnNetwork : public nn::Module {
   /// (tensor::gemv_nz), forms h' = h ∘ (1 + (L(x) + b)), runs W1 over one
   /// list (h''s nonzeros, then x's shifted by hidden: no concat), then
   /// bias, ReLU and W2 as a scalar chain, all in per-thread scratch. Every
-  /// output keeps the unfused Linear::infer chain: accumulation from +0.0f
-  /// over ascending nonzero inputs with separate mul and add, the bias
-  /// after the sum, ReLU as v > 0 ? v : 0. So the scores are bit for bit
+  /// output keeps the unfused matmul-then-bias chain: accumulation from
+  /// +0.0f over ascending nonzero inputs with separate mul and add, the
+  /// bias after the sum, ReLU as v > 0 ? v : 0. So the scores are bit for bit
   /// the unfused head's on every kernel lane, and row b equals the same
   /// row scored alone. Allocates only the returned vector.
   std::vector<double> infer_logits(const float* h, const float* x,

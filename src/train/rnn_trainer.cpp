@@ -509,15 +509,4 @@ void ScoredSeries::append_series(const ScoredSeries& other) {
                     other.timestamps.end());
 }
 
-ScoredSeries ScoredSeries::filter_time(std::int64_t from,
-                                       std::int64_t to) const {
-  ScoredSeries out;
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    if (timestamps[i] >= from && (to == 0 || timestamps[i] < to)) {
-      out.append(scores[i], labels[i], timestamps[i]);
-    }
-  }
-  return out;
-}
-
 }  // namespace pp::train

@@ -96,8 +96,6 @@ struct ScoredSeries {
     timestamps.push_back(ts);
   }
   void append_series(const ScoredSeries& other);
-  /// Keeps only entries with from <= timestamp < to (to = 0 means open).
-  ScoredSeries filter_time(std::int64_t from, std::int64_t to) const;
 };
 
 /// Tape-free scoring of every prediction of the given users; emits only

@@ -15,15 +15,15 @@ namespace {
 /// precision (function-local static at the call site) and per GEMM kernel,
 /// so a sampled call does no registry lookup — only two clock reads.
 struct HeadStageHists {
-  std::array<obs::LatencyHistogram*, 3> gemm{};  // naive / blocked / simd
+  std::array<obs::LatencyHistogram*, 2> gemm{};  // naive / simd
   obs::LatencyHistogram* sigmoid = nullptr;
 };
 
 HeadStageHists make_head_hists(const char* precision) {
   auto& registry = obs::MetricsRegistry::global();
   HeadStageHists hists;
-  const char* kernels[3] = {"naive", "blocked", "simd"};
-  for (std::size_t k = 0; k < 3; ++k) {
+  const char* kernels[2] = {"naive", "simd"};
+  for (std::size_t k = 0; k < 2; ++k) {
     hists.gemm[k] = &registry.histogram(
         "pp_serving_stage_ns", {{"stage", "head_gemm"},
                                 {"precision", precision},
@@ -35,14 +35,7 @@ HeadStageHists make_head_hists(const char* precision) {
 }
 
 std::size_t gemm_kernel_slot() {
-  switch (tensor::gemm_dispatched_kernel()) {
-    case tensor::GemmKernel::kNaive:
-      return 0;
-    case tensor::GemmKernel::kBlocked:
-      return 1;
-    default:
-      return 2;
-  }
+  return tensor::gemm_dispatched_kernel() == tensor::GemmKernel::kSimd ? 1 : 0;
 }
 
 /// The batched head `logits()` -> sigmoid, timed under Scorer's label.

@@ -42,10 +42,4 @@ inline double logit(double p, double eps = 1e-12) noexcept {
   return std::log(p / (1.0 - p));
 }
 
-inline bool nearly_equal(double a, double b, double rel = 1e-9,
-                         double abs = 1e-12) noexcept {
-  const double diff = std::fabs(a - b);
-  return diff <= abs || diff <= rel * std::max(std::fabs(a), std::fabs(b));
-}
-
 }  // namespace pp

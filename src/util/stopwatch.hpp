@@ -48,8 +48,6 @@ class Stopwatch {
     return static_cast<double>(elapsed_ns()) * 1e-9;
   }
 
-  double elapsed_ms() const { return elapsed_seconds() * 1e3; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

@@ -23,7 +23,6 @@ class Thread {
 
   bool joinable() const noexcept { return t_.joinable(); }
   void join() { t_.join(); }
-  void detach() { t_.detach(); }
 
   static unsigned hardware_concurrency() noexcept {
     return std::thread::hardware_concurrency();

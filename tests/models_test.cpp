@@ -11,7 +11,6 @@
 #include "features/examples.hpp"
 #include "models/gbdt_model.hpp"
 #include "models/logistic_regression.hpp"
-#include "models/mlp_model.hpp"
 #include "models/percentage.hpp"
 #include "models/rnn_model.hpp"
 #include "util/math.hpp"
@@ -107,30 +106,6 @@ TEST(LogisticRegression, SerializeRoundTrip) {
   const auto copy = LogisticRegressionModel::deserialize(reader);
   EXPECT_EQ(copy.weights(), model.weights());
   EXPECT_EQ(copy.bias(), model.bias());
-}
-
-TEST(MlpModel, BeatsChanceOnInteraction) {
-  // XOR-like signal that LR cannot express.
-  Rng rng(5);
-  features::ExampleBatch train;
-  train.dimension = 2;
-  for (int i = 0; i < 4000; ++i) {
-    const bool a = rng.bernoulli(0.5), b = rng.bernoulli(0.5);
-    features::SparseRow row;
-    if (a) row.emplace_back(0, 1.0f);
-    if (b) row.emplace_back(1, 1.0f);
-    const bool y = (a != b) ? rng.bernoulli(0.9) : rng.bernoulli(0.1);
-    train.add_row(row, y ? 1.0f : 0.0f, i, 0);
-  }
-  MlpModel model;
-  MlpModelConfig config;
-  config.epochs = 12;
-  config.learning_rate = 5e-3;
-  config.hidden_sizes = {16};
-  config.dropout = 0.0f;
-  model.fit(train, config);
-  const auto scores = model.predict(train);
-  EXPECT_GT(eval::roc_auc(scores, train.labels), 0.85);
 }
 
 TEST(GbdtModel, DepthSearchAndPredictions) {

@@ -4,7 +4,6 @@
 #include "autograd/ops.hpp"
 #include "nn/cells.hpp"
 #include "nn/linear.hpp"
-#include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
 
 namespace pp::nn {
@@ -15,6 +14,22 @@ using autograd::check_gradients;
 using autograd::Variable;
 using tensor::Matrix;
 
+/// Two registered Linear layers: the parameter layout of a one-hidden-layer
+/// network, for the Module bookkeeping tests.
+class TwoLayers : public Module {
+ public:
+  TwoLayers(std::size_t in, std::size_t hidden, std::size_t out, Rng& rng)
+      : hidden_(in, hidden, rng, "hidden0"),
+        output_(hidden, out, rng, "output") {
+    register_submodule("hidden0", hidden_);
+    register_submodule("output", output_);
+  }
+
+ private:
+  Linear hidden_;
+  Linear output_;
+};
+
 TEST(Linear, ForwardShapeAndInferEquivalence) {
   Rng rng(1);
   Linear layer(4, 3, rng);
@@ -22,7 +37,10 @@ TEST(Linear, ForwardShapeAndInferEquivalence) {
   Variable y = layer.forward(Variable(x));
   EXPECT_EQ(y.rows(), 2u);
   EXPECT_EQ(y.cols(), 3u);
-  EXPECT_TRUE(y.value().approx_equal(layer.infer(x), 1e-6f));
+  // The tape-free chain the fused serving head keeps: product, then bias.
+  Matrix inferred = x.matmul(layer.weight().value());
+  inferred.add_row_broadcast_inplace(layer.bias().value());
+  EXPECT_TRUE(y.value().approx_equal(inferred, 1e-6f));
 }
 
 TEST(Linear, GradientCheck) {
@@ -131,9 +149,8 @@ TEST(Module, CopyAndAccumulateAcrossReplicas) {
 
 TEST(Module, SerializeRoundTripPreservesParameters) {
   Rng rng(12);
-  MlpConfig config{.input_size = 4, .hidden_sizes = {5}, .output_size = 1};
-  Mlp a(config, rng);
-  Mlp b(config, rng);
+  TwoLayers a(4, 5, 1, rng);
+  TwoLayers b(4, 5, 1, rng);
   BinaryWriter writer;
   a.serialize(writer);
   BinaryReader reader(writer.take());
@@ -148,9 +165,8 @@ TEST(Module, SerializeRoundTripPreservesParameters) {
 
 TEST(Module, ParameterNamesAreQualified) {
   Rng rng(13);
-  MlpConfig config{.input_size = 2, .hidden_sizes = {3}, .output_size = 1};
-  Mlp mlp(config, rng);
-  const auto names = mlp.parameter_names();
+  TwoLayers net(2, 3, 1, rng);
+  const auto names = net.parameter_names();
   ASSERT_EQ(names.size(), 4u);
   EXPECT_EQ(names[0], "hidden0.hidden0.weight");
   EXPECT_EQ(names[3], "output.output.bias");
@@ -193,55 +209,6 @@ TEST(Sgd, MomentumConvergesOnQuadratic) {
     opt.step();
   }
   EXPECT_TRUE(w.value().approx_equal(target, 5e-2f));
-}
-
-TEST(Mlp, LearnsXor) {
-  Rng rng(15);
-  MlpConfig config{
-      .input_size = 2, .hidden_sizes = {8}, .output_size = 1, .dropout = 0.0f};
-  Mlp mlp(config, rng);
-  const Matrix x(4, 2, std::vector<float>{0, 0, 0, 1, 1, 0, 1, 1});
-  const Matrix y(4, 1, std::vector<float>{0, 1, 1, 0});
-  const Matrix w(4, 1, 0.25f);
-  Adam opt(mlp.parameters(), {.learning_rate = 0.05});
-  for (int i = 0; i < 800; ++i) {
-    opt.zero_grad();
-    Variable logits = mlp.forward(Variable(x), rng);
-    backward(autograd::bce_with_logits_sum(logits, y, w));
-    opt.step();
-  }
-  mlp.set_training(false);
-  Variable logits = mlp.forward(Variable(x), rng);
-  EXPECT_LT(logits.value().at(0, 0), 0.0f);
-  EXPECT_GT(logits.value().at(1, 0), 0.0f);
-  EXPECT_GT(logits.value().at(2, 0), 0.0f);
-  EXPECT_LT(logits.value().at(3, 0), 0.0f);
-}
-
-TEST(Mlp, InferMatchesForwardOutsideTraining) {
-  Rng rng(9);
-  MlpConfig config;
-  config.input_size = 6;
-  config.hidden_sizes = {8, 5};
-  config.output_size = 2;
-  config.dropout = 0.3f;  // identity at inference
-  Mlp mlp(config, rng);
-  mlp.set_training(false);
-
-  const Matrix x = Matrix::randn(7, 6, rng);
-  const Matrix via_graph = mlp.forward(Variable(x), rng).value();
-  const Matrix via_infer = mlp.infer(x);
-  EXPECT_TRUE(via_infer.approx_equal(via_graph, 1e-6f));
-
-  // Batch transparency: scoring row-by-row equals the batched block.
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    Matrix row(1, x.cols());
-    for (std::size_t c = 0; c < x.cols(); ++c) row[c] = x.at(r, c);
-    const Matrix single = mlp.infer(row);
-    for (std::size_t c = 0; c < single.cols(); ++c) {
-      EXPECT_EQ(single.at(0, c), via_infer.at(r, c));
-    }
-  }
 }
 
 }  // namespace

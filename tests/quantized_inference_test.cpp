@@ -14,7 +14,7 @@
 //  * the fused int8 step and head bit-identical to the unfused qgemm()
 //    chain on every kernel lane (portable, AVX2, AVX-512 VNNI),
 //  * the fused f32 head, which shares the int8 one's shape, bit
-//    identical to its unfused Linear::infer chain on every kernel,
+//    identical to its unfused matmul-then-bias chain on every kernel,
 //  * and the f32 GRU, LSTM and tanh steps, whose gates run the same
 //    lanes, bit identical to a scalar reference on every kernel.
 #include <gtest/gtest.h>
@@ -62,14 +62,28 @@ models::RnnModel make_model(const data::Dataset& dataset,
   return model;
 }
 
+/// The unfused int8 layer: qgemm() over pre-quantized rows, then the
+/// layer's f32 bias.
+tensor::Matrix quantized_layer(const nn::QuantizedLinear& layer,
+                               const tensor::QuantizedMatrix& x) {
+  tensor::Matrix out = tensor::qgemm(x, layer.weight().matrix());
+  for (std::size_t b = 0; b < out.rows(); ++b) {
+    for (std::size_t j = 0; j < out.cols(); ++j) {
+      out.at(b, j) += layer.bias()[j];
+    }
+  }
+  return out;
+}
+
 TEST(QuantizedLinear, TracksF32LayerWithinQuantizationBudget) {
   Rng rng(5);
   nn::Linear layer(24, 10, rng);
   nn::QuantizedLinear qlayer(layer);
   const tensor::Matrix x = tensor::Matrix::randn(3, 24, rng, 0.0f, 0.8f);
-  const tensor::Matrix ref = layer.infer(x);
+  tensor::Matrix ref = x.matmul(layer.weight().value());
+  ref.add_row_broadcast_inplace(layer.bias().value());
   const tensor::Matrix out =
-      qlayer.infer(tensor::QuantizedMatrix::quantize_rows(x));
+      quantized_layer(qlayer, tensor::QuantizedMatrix::quantize_rows(x));
   // Error budget: each operand is within half a quantization step, so the
   // dot product of k=24 terms stays within a few steps of the f32 result.
   float budget = 0.0f;
@@ -592,7 +606,7 @@ TEST(GateMath, VectorLaneMatchesScalarTwinWithinUlpBound) {
     check("avx2 tanh", tensor::simd::tanh_f32_avx2, want_t, false);
   }
   for (const tensor::GemmKernel kernel :
-       {tensor::GemmKernel::kBlocked, tensor::GemmKernel::kSimd}) {
+       {tensor::GemmKernel::kNaive, tensor::GemmKernel::kSimd}) {
     tensor::GemmConfigScope scope(kernel);
     const std::string name = tensor::gemm_kernel_name(kernel);
     check(name + " sigmoid", tensor::sigmoid_f32, want_s, true);
@@ -703,8 +717,8 @@ tensor::Matrix reference_step(const nn::GruCell& cell,
   return h_next;
 }
 
-/// The unfused int8 head: each layer through QuantizedLinear::infer
-/// (qgemm() then bias) on quantize_rows() / quantize_rows_affine() rows.
+/// The unfused int8 head: each layer through quantized_layer() (qgemm()
+/// then bias) on quantize_rows() / quantize_rows_affine() rows.
 std::vector<double> reference_head(const train::RnnNetwork& net,
                                    const tensor::QuantizedMatrix& h,
                                    const tensor::Matrix& x) {
@@ -712,7 +726,8 @@ std::vector<double> reference_head(const train::RnnNetwork& net,
   const std::size_t B = h.rows(), H = net.config().hidden_size;
   tensor::Matrix factor;
   if (net.config().latent_cross) {
-    factor = qw.latent->infer(tensor::QuantizedMatrix::quantize_rows(x));
+    factor =
+        quantized_layer(*qw.latent, tensor::QuantizedMatrix::quantize_rows(x));
   }
   tensor::Matrix crossed(B, H);
   for (std::size_t b = 0; b < B; ++b) {
@@ -722,13 +737,14 @@ std::vector<double> reference_head(const train::RnnNetwork& net,
                              : h.dequant(b, j);
     }
   }
-  tensor::Matrix hidden = qw.w1->infer(tensor::QuantizedMatrix::quantize_rows(
-      tensor::Matrix::concat_cols(crossed, x)));
+  tensor::Matrix hidden = quantized_layer(
+      *qw.w1, tensor::QuantizedMatrix::quantize_rows(
+                  tensor::Matrix::concat_cols(crossed, x)));
   for (std::size_t i = 0; i < hidden.size(); ++i) {
     hidden[i] = hidden[i] > 0 ? hidden[i] : 0.0f;
   }
-  const tensor::Matrix logit =
-      qw.w2->infer(tensor::QuantizedMatrix::quantize_rows_affine(hidden));
+  const tensor::Matrix logit = quantized_layer(
+      *qw.w2, tensor::QuantizedMatrix::quantize_rows_affine(hidden));
   std::vector<double> out(B);
   for (std::size_t b = 0; b < B; ++b) out[b] = logit.at(b, 0);
   return out;
@@ -770,7 +786,7 @@ void check_fused_step(tensor::GemmKernel kernel) {
         const tensor::Matrix x = sparse_rows(B, kInput, rng);
         tensor::Matrix want1, want2;
         {
-          tensor::GemmConfigScope scope(tensor::GemmKernel::kBlocked);
+          tensor::GemmConfigScope scope(tensor::GemmKernel::kNaive);
           want1 = reference_step(*cell1, ref1, x);
           want2 = reference_step(*cell2, ref2, want1);
         }
@@ -829,7 +845,7 @@ void check_fused_head(tensor::GemmKernel kernel) {
             sparse_rows(B, net->config().predict_input_size(), rng);
         std::vector<double> want;
         {
-          tensor::GemmConfigScope scope(tensor::GemmKernel::kBlocked);
+          tensor::GemmConfigScope scope(tensor::GemmKernel::kNaive);
           want = reference_head(*net, h, x);
         }
         tensor::GemmConfigScope scope(kernel);
@@ -856,7 +872,6 @@ TEST_P(FusedInt8, HeadMatchesUnfusedReference) { check_fused_head(GetParam()); }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, FusedInt8,
                          ::testing::Values(tensor::GemmKernel::kNaive,
-                                           tensor::GemmKernel::kBlocked,
                                            tensor::GemmKernel::kSimd),
                          [](const auto& info) {
                            return std::string(
@@ -877,10 +892,10 @@ TEST(FusedInt8Vnni, StepAndHeadMatchUnfusedReference) {
 
 // ---- the fused f32 head ----------------------------------------------------
 
-/// The network's layer `name` ("latent", "w1", "w2") as a standalone
-/// nn::Linear holding the same weight and bias.
-std::unique_ptr<nn::Linear> layer_copy(const train::RnnNetwork& net,
-                                       const std::string& name) {
+/// The network's layer `name` ("latent", "w1", "w2") applied to `x`
+/// unfused: the GEMM into a zeroed output, then the bias.
+tensor::Matrix f32_layer(const train::RnnNetwork& net, const std::string& name,
+                         const tensor::Matrix& x) {
   const std::vector<std::string> names = net.parameter_names();
   const std::vector<autograd::Variable> params = net.parameters();
   tensor::Matrix weight, bias;
@@ -888,34 +903,30 @@ std::unique_ptr<nn::Linear> layer_copy(const train::RnnNetwork& net,
     if (!names[i].starts_with(name + ".")) continue;
     (names[i].ends_with(".weight") ? weight : bias) = params[i].value();
   }
-  Rng rng(0);
-  auto layer = std::make_unique<nn::Linear>(weight.rows(), weight.cols(), rng);
-  autograd::Variable w = layer->weight();
-  autograd::Variable b = layer->bias();
-  w.mutable_value() = weight;
-  b.mutable_value() = bias;
-  return layer;
+  tensor::Matrix out = x.matmul(weight);
+  out.add_row_broadcast_inplace(bias);
+  return out;
 }
 
 /// The unfused f32 head the fused RnnNetwork::infer_logits replaced:
-/// Linear::infer per layer (the GEMM into a zeroed output, then the bias),
-/// the latent cross h ∘ (1 + L(x)), a concat and the ReLU.
+/// f32_layer() per layer, the latent cross h ∘ (1 + L(x)), a concat and
+/// the ReLU.
 std::vector<double> reference_f32_head(const train::RnnNetwork& net,
                                        const tensor::Matrix& h,
                                        const tensor::Matrix& x) {
   tensor::Matrix crossed = h;
   if (net.config().latent_cross) {
-    const tensor::Matrix factor = layer_copy(net, "latent")->infer(x);
+    const tensor::Matrix factor = f32_layer(net, "latent", x);
     for (std::size_t i = 0; i < crossed.size(); ++i) {
       crossed[i] *= 1.0f + factor[i];
     }
   }
   tensor::Matrix hidden =
-      layer_copy(net, "w1")->infer(tensor::Matrix::concat_cols(crossed, x));
+      f32_layer(net, "w1", tensor::Matrix::concat_cols(crossed, x));
   for (std::size_t i = 0; i < hidden.size(); ++i) {
     hidden[i] = hidden[i] > 0 ? hidden[i] : 0.0f;
   }
-  const tensor::Matrix logit = layer_copy(net, "w2")->infer(hidden);
+  const tensor::Matrix logit = f32_layer(net, "w2", hidden);
   std::vector<double> out(logit.rows());
   for (std::size_t b = 0; b < logit.rows(); ++b) out[b] = logit.at(b, 0);
   return out;
@@ -1005,7 +1016,6 @@ TEST_P(FusedF32Head, MatchesUnfusedReference) {
 
 INSTANTIATE_TEST_SUITE_P(Kernels, FusedF32Head,
                          ::testing::Values(tensor::GemmKernel::kNaive,
-                                           tensor::GemmKernel::kBlocked,
                                            tensor::GemmKernel::kSimd),
                          [](const auto& info) {
                            return std::string(
@@ -1143,7 +1153,6 @@ TEST_P(F32CellStep, MatchesScalarReference) {
 
 INSTANTIATE_TEST_SUITE_P(Kernels, F32CellStep,
                          ::testing::Values(tensor::GemmKernel::kNaive,
-                                           tensor::GemmKernel::kBlocked,
                                            tensor::GemmKernel::kSimd),
                          [](const auto& info) {
                            return std::string(
@@ -1171,8 +1180,7 @@ TEST(QuantizedWeights, MultiplyMatchesNaiveProductOnEveryKernel) {
         tensor::qgemm_nn_i32_naive(a.data(), w.matrix().data(), want.data(),
                                    m, k, n);
         for (const tensor::GemmKernel kernel :
-             {tensor::GemmKernel::kNaive, tensor::GemmKernel::kBlocked,
-              tensor::GemmKernel::kSimd}) {
+             {tensor::GemmKernel::kNaive, tensor::GemmKernel::kSimd}) {
           tensor::GemmConfigScope scope(kernel);
           std::vector<std::int32_t> got(m * n, 0x5a5a5a5a);
           w.multiply(a.data(), m, got.data());

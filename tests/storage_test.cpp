@@ -857,8 +857,11 @@ TEST(DurableKv, TornTailTruncationSweepEveryByte) {
     SCOPED_TRACE("cut=" + std::to_string(cut));
     std::vector<std::uint8_t> torn(image.segment.begin(),
                                    image.segment.begin() + cut);
-    const std::string sub =
-        plant_image(dir, "t" + std::to_string(cut), image, torn);
+    // Appended, not "t" + std::to_string(cut): GCC 12 warns a false
+    // -Wrestrict on that concatenation (GCC bug 105651).
+    std::string name = "t";
+    name += std::to_string(cut);
+    const std::string sub = plant_image(dir, name, image, torn);
     DurableKvConfig config;
     config.dir = sub;
     DurableKvStore kv(config);
@@ -896,8 +899,9 @@ TEST(DurableKv, BitFlipSweepRejectsCorruptRecords) {
     SCOPED_TRACE("pos=" + std::to_string(pos));
     std::vector<std::uint8_t> flipped = image.segment;
     flipped[pos] ^= 0xFF;
-    const std::string sub =
-        plant_image(dir, "f" + std::to_string(pos), image, flipped);
+    std::string name = "f";  // appended: see the truncation sweep
+    name += std::to_string(pos);
+    const std::string sub = plant_image(dir, name, image, flipped);
     DurableKvConfig config;
     config.dir = sub;
     DurableKvStore kv(config);

@@ -1,15 +1,19 @@
-// Parity and property tests for the blocked and SIMD GEMM kernels
-// (tensor/gemm.hpp). The naive loops are the reference; the blocked and
-// AVX2 kernels must agree with them bit-for-bit (the parity contract in
-// gemm.hpp), on every shape and for concurrent callers, for f32 and int8
-// alike — including the full int8 range with the -128 maddubs edge case
-// and non-finite B under the zero-skip contract.
+// Parity and property tests for the GEMM kernels (tensor/gemm.hpp). The
+// naive loops are the reference and the portable lane, checked against an
+// independent double-precision product; the AVX2 kernels must agree with
+// them bit-for-bit (the parity contract in gemm.hpp), on every shape and
+// for concurrent callers, for f32 and int8 alike — including the full
+// int8 range with the -128 maddubs edge case and non-finite B under the
+// zero-skip contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,16 +81,18 @@ Matrix reference_matmul(const Matrix& a, const Matrix& b) {
 
 class GemmParity : public ::testing::TestWithParam<GemmShape> {};
 
+// The naive loops against the independent double-precision product, so
+// the bit-for-bit SIMD tests below compare against a checked reference.
+// (Named for the cache-blocked kernel they once compared with naive; the
+// names stay so these parametrized test ids stay continuous.)
 TEST_P(GemmParity, BlockedMatchesNaive_NN) {
   const auto [m, k, n] = GetParam();
   Rng rng(shape_seed(GetParam()));
   const Matrix a = Matrix::randn(m, k, rng);
   const Matrix b = Matrix::randn(k, n, rng);
-  Matrix c_naive(m, n), c_blocked(m, n);
-  gemm_nn_naive(a, b, c_naive);
-  gemm_nn_blocked(a, b, c_blocked);
-  EXPECT_TRUE(c_blocked.approx_equal(c_naive, 1e-4f));
-  EXPECT_TRUE(c_blocked.approx_equal(reference_matmul(a, b), 1e-3f));
+  Matrix c(m, n);
+  gemm_nn_naive(a, b, c);
+  EXPECT_TRUE(c.approx_equal(reference_matmul(a, b), 1e-3f));
 }
 
 TEST_P(GemmParity, BlockedMatchesNaive_TN) {
@@ -94,12 +100,9 @@ TEST_P(GemmParity, BlockedMatchesNaive_TN) {
   Rng rng(shape_seed(GetParam()) ^ 0xabcd);
   const Matrix a = Matrix::randn(k, m, rng);  // c = a^T * b
   const Matrix b = Matrix::randn(k, n, rng);
-  Matrix c_naive(m, n), c_blocked(m, n);
-  gemm_tn_naive(a, b, c_naive);
-  gemm_tn_blocked(a, b, c_blocked);
-  EXPECT_TRUE(c_blocked.approx_equal(c_naive, 1e-4f));
-  EXPECT_TRUE(
-      c_blocked.approx_equal(reference_matmul(a.transposed(), b), 1e-3f));
+  Matrix c(m, n);
+  gemm_tn_naive(a, b, c);
+  EXPECT_TRUE(c.approx_equal(reference_matmul(a.transposed(), b), 1e-3f));
 }
 
 TEST_P(GemmParity, BlockedMatchesNaive_NT) {
@@ -107,12 +110,9 @@ TEST_P(GemmParity, BlockedMatchesNaive_NT) {
   Rng rng(shape_seed(GetParam()) ^ 0x1234);
   const Matrix a = Matrix::randn(m, k, rng);  // c = a * b^T
   const Matrix b = Matrix::randn(n, k, rng);
-  Matrix c_naive(m, n), c_blocked(m, n);
-  gemm_nt_naive(a, b, c_naive);
-  gemm_nt_blocked(a, b, c_blocked);
-  EXPECT_TRUE(c_blocked.approx_equal(c_naive, 1e-4f));
-  EXPECT_TRUE(
-      c_blocked.approx_equal(reference_matmul(a, b.transposed()), 1e-3f));
+  Matrix c(m, n);
+  gemm_nt_naive(a, b, c);
+  EXPECT_TRUE(c.approx_equal(reference_matmul(a, b.transposed()), 1e-3f));
 }
 
 TEST_P(GemmParity, ThreadedMatchesSequentialBitForBit) {
@@ -122,8 +122,7 @@ TEST_P(GemmParity, ThreadedMatchesSequentialBitForBit) {
   const Matrix b = Matrix::randn(k, n, rng);
   // The threads are the callers': each runs whole products, so every
   // kernel must give each of them the sequential bits.
-  for (const GemmKernel kernel :
-       {GemmKernel::kNaive, GemmKernel::kBlocked, GemmKernel::kSimd}) {
+  for (const GemmKernel kernel : {GemmKernel::kNaive, GemmKernel::kSimd}) {
     GemmConfigScope scope(kernel);
     const Matrix sequential = a.matmul(b);
     for (const Matrix& threaded :
@@ -148,10 +147,10 @@ TEST_P(GemmParity, MatmulEntryPointsAgreeAcrossKernels) {
     naive_tn = at.matmul_transposed_self(b);
     naive_nt = a.matmul_transposed_other(bt);
   }
-  GemmConfigScope scope(GemmKernel::kBlocked);
-  EXPECT_TRUE(a.matmul(b).approx_equal(naive_nn, 1e-4f));
-  EXPECT_TRUE(at.matmul_transposed_self(b).approx_equal(naive_tn, 1e-4f));
-  EXPECT_TRUE(a.matmul_transposed_other(bt).approx_equal(naive_nt, 1e-4f));
+  GemmConfigScope scope(GemmKernel::kSimd);
+  EXPECT_EQ(a.matmul(b), naive_nn);
+  EXPECT_EQ(at.matmul_transposed_self(b), naive_tn);
+  EXPECT_EQ(a.matmul_transposed_other(bt), naive_nt);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, GemmParity,
@@ -171,36 +170,41 @@ TEST(Gemm, RandomizedShapesMatchReference) {
     Rng rng(shape_rng.fork());
     const Matrix a = Matrix::randn(m, k, rng);
     const Matrix b = Matrix::randn(k, n, rng);
-    Matrix c_naive(m, n), c_blocked(m, n);
+    Matrix c_naive(m, n), c_simd(m, n);
     gemm_nn_naive(a, b, c_naive);
-    gemm_nn_blocked(a, b, c_blocked);
-    EXPECT_TRUE(c_blocked.approx_equal(c_naive, 1e-4f))
+    gemm_nn_simd(a, b, c_simd);
+    EXPECT_TRUE(c_naive.approx_equal(reference_matmul(a, b), 1e-3f))
         << "shape " << m << "x" << k << "x" << n;
+    EXPECT_EQ(c_naive, c_simd) << "shape " << m << "x" << k << "x" << n;
   }
 }
 
 TEST(Gemm, DeterministicAcrossRepeatedRuns) {
   // Same seed -> bitwise-identical inputs and outputs: the
   // reproducibility contract the training seeds rely on.
-  auto run = [] {
-    Rng rng(42);
-    const Matrix a = Matrix::randn(37, 53, rng);
-    const Matrix b = Matrix::randn(53, 29, rng);
-    GemmConfigScope scope(GemmKernel::kBlocked);
-    return a.matmul(b);
-  };
-  EXPECT_EQ(run(), run());
+  for (const GemmKernel kernel : {GemmKernel::kNaive, GemmKernel::kSimd}) {
+    auto run = [kernel] {
+      Rng rng(42);
+      const Matrix a = Matrix::randn(37, 53, rng);
+      const Matrix b = Matrix::randn(53, 29, rng);
+      GemmConfigScope scope(kernel);
+      return a.matmul(b);
+    };
+    EXPECT_EQ(run(), run()) << gemm_kernel_name(kernel);
+  }
 }
 
 TEST(Gemm, AccumulatesIntoExistingOutput) {
   Rng rng(7);
   const Matrix a = Matrix::randn(6, 9, rng);
   const Matrix b = Matrix::randn(9, 5, rng);
-  Matrix c = Matrix::ones(6, 5);
-  gemm_nn_blocked(a, b, c);
   Matrix expected = reference_matmul(a, b);
   expected.add_inplace(Matrix::ones(6, 5));
-  EXPECT_TRUE(c.approx_equal(expected, 1e-3f));
+  for (const auto gemm : {gemm_nn_naive, gemm_nn_simd}) {
+    Matrix c = Matrix::ones(6, 5);
+    gemm(a, b, c);
+    EXPECT_TRUE(c.approx_equal(expected, 1e-3f));
+  }
 }
 
 TEST(Gemm, BatchedRowsMatchSingleRowProducts) {
@@ -234,22 +238,22 @@ std::vector<std::int8_t> random_int8(std::size_t n, Rng& rng) {
 class QGemmParity : public ::testing::TestWithParam<GemmShape> {};
 
 TEST_P(QGemmParity, BlockedAndThreadedMatchNaiveExactly) {
-  // Integer accumulation is exact, so naive and blocked must be identical
+  // Integer accumulation is exact, so naive and simd must be identical
   // — no float-tolerance escape hatch — on one caller and on concurrent
-  // ones.
+  // ones. (The name is historical, like GemmParity.BlockedMatchesNaive_*.)
   const GemmShape s = GetParam();
   Rng rng(shape_seed(s) ^ 0x1111);
   const auto a = random_int8(s.m * s.k, rng);
   const auto b = random_int8(s.k * s.n, rng);
-  const auto blocked = [&a, &b, s] {
+  const auto simd = [&a, &b, s] {
     std::vector<std::int32_t> c(s.m * s.n, 0);
-    qgemm_nn_i32_blocked(a.data(), b.data(), c.data(), s.m, s.k, s.n);
+    qgemm_nn_i32_simd(a.data(), b.data(), c.data(), s.m, s.k, s.n);
     return c;
   };
   std::vector<std::int32_t> c_naive(s.m * s.n, 0);
   qgemm_nn_i32_naive(a.data(), b.data(), c_naive.data(), s.m, s.k, s.n);
-  EXPECT_EQ(c_naive, blocked());
-  for (const auto& c_threaded : on_concurrent_callers(blocked)) {
+  EXPECT_EQ(c_naive, simd());
+  for (const auto& c_threaded : on_concurrent_callers(simd)) {
     EXPECT_EQ(c_naive, c_threaded);
   }
 }
@@ -338,7 +342,7 @@ TEST_P(GemmParity, SimdMatchesNaiveBitForBit_NN) {
   const Matrix b = Matrix::randn(k, n, rng);
   Matrix c_naive(m, n), c_simd(m, n);
   gemm_nn_naive(a, b, c_naive);
-  gemm_nn_simd(a, b, c_simd);  // falls back to blocked off-AVX2; same bits
+  gemm_nn_simd(a, b, c_simd);  // falls back to naive off-AVX2; same bits
   EXPECT_EQ(c_naive, c_simd);
 }
 
@@ -365,12 +369,9 @@ TEST_P(GemmParity, SimdMatchesNaiveBitForBit_NT) {
 }
 
 // ---- dispatch matrix sweep -------------------------------------------------
-// Every kernel must produce identical bits on odd / remainder-heavy
-// shapes: the micro-kernel edges (6-row f32 blocks, 16-column panels,
-// 4-byte k-quads) all see partial tiles here.
-
-const GemmKernel kDispatchKernels[] = {GemmKernel::kBlocked,
-                                       GemmKernel::kSimd};
+// The SIMD kernels must produce the naive kernel's bits on odd /
+// remainder-heavy shapes: the micro-kernel edges (6-row f32 blocks,
+// 16-column panels, 4-byte k-quads) all see partial tiles here.
 
 TEST(GemmDispatchMatrix, AllKernelsAndThreadCountsBitExactF32) {
   constexpr std::size_t kOddK = 33;  // 8 full k-quads + 1, odd
@@ -388,16 +389,12 @@ TEST(GemmDispatchMatrix, AllKernelsAndThreadCountsBitExactF32) {
         ref_tn = at.matmul_transposed_self(b);
         ref_nt = a.matmul_transposed_other(bt);
       }
-      for (const GemmKernel kernel : kDispatchKernels) {
-        GemmConfigScope scope(kernel);
-        const char* tag = gemm_kernel_name(kernel);
-        EXPECT_EQ(ref_nn, a.matmul(b))
-            << tag << " nn " << m << "x" << kOddK << "x" << n;
-        EXPECT_EQ(ref_tn, at.matmul_transposed_self(b))
-            << tag << " tn " << m << "x" << kOddK << "x" << n;
-        EXPECT_EQ(ref_nt, a.matmul_transposed_other(bt))
-            << tag << " nt " << m << "x" << kOddK << "x" << n;
-      }
+      GemmConfigScope scope(GemmKernel::kSimd);
+      EXPECT_EQ(ref_nn, a.matmul(b)) << "nn " << m << "x" << kOddK << "x" << n;
+      EXPECT_EQ(ref_tn, at.matmul_transposed_self(b))
+          << "tn " << m << "x" << kOddK << "x" << n;
+      EXPECT_EQ(ref_nt, a.matmul_transposed_other(bt))
+          << "nt " << m << "x" << kOddK << "x" << n;
     }
   }
 }
@@ -421,16 +418,9 @@ TEST(GemmDispatchMatrix, QGemmKernelsBitExactOverFullInt8Range) {
         const auto b = random_int8_full(k * n, rng);
         std::vector<std::int32_t> ref(m * n, 0);
         qgemm_nn_i32_naive(a.data(), b.data(), ref.data(), m, k, n);
-        for (const GemmKernel kernel : kDispatchKernels) {
-          std::vector<std::int32_t> out(m * n, 0);
-          if (kernel == GemmKernel::kSimd) {
-            qgemm_nn_i32_simd(a.data(), b.data(), out.data(), m, k, n);
-          } else {
-            qgemm_nn_i32_blocked(a.data(), b.data(), out.data(), m, k, n);
-          }
-          EXPECT_EQ(ref, out) << gemm_kernel_name(kernel) << " " << m << "x"
-                              << k << "x" << n;
-        }
+        std::vector<std::int32_t> out(m * n, 0);
+        qgemm_nn_i32_simd(a.data(), b.data(), out.data(), m, k, n);
+        EXPECT_EQ(ref, out) << m << "x" << k << "x" << n;
       }
     }
   }
@@ -491,7 +481,7 @@ TEST(QGemm, QuantizationCodecParityAcrossKernels) {
       qr_simd = QuantizedMatrix::quantize_rows(m);
       qa_simd = QuantizedMatrix::quantize_rows_affine(m);
     }
-    GemmConfigScope scope(GemmKernel::kBlocked);
+    GemmConfigScope scope(GemmKernel::kNaive);
     const QuantizedMatrix q = QuantizedMatrix::quantize(m);
     const QuantizedMatrix qr = QuantizedMatrix::quantize_rows(m);
     const QuantizedMatrix qa = QuantizedMatrix::quantize_rows_affine(m);
@@ -523,18 +513,18 @@ TEST(QGemm, FullProductBitExactAcrossDispatchedKernels) {
   for (std::size_t i = 0; i < w.size(); ++i) {
     w[i] = static_cast<float>(rng.normal());
   }
-  Matrix out_simd, out_blocked;
+  Matrix out_simd, out_naive;
   {
     GemmConfigScope scope(GemmKernel::kSimd);
     out_simd = qgemm(QuantizedMatrix::quantize_rows(a),
                      QuantizedMatrix::quantize(w));
   }
   {
-    GemmConfigScope scope(GemmKernel::kBlocked);
-    out_blocked = qgemm(QuantizedMatrix::quantize_rows(a),
-                        QuantizedMatrix::quantize(w));
+    GemmConfigScope scope(GemmKernel::kNaive);
+    out_naive = qgemm(QuantizedMatrix::quantize_rows(a),
+                      QuantizedMatrix::quantize(w));
   }
-  EXPECT_EQ(out_simd, out_blocked);
+  EXPECT_EQ(out_simd, out_naive);
 }
 
 // ---- zero-skip vs non-finite B ---------------------------------------------
@@ -550,15 +540,14 @@ TEST(Gemm, ZeroSkipParityWithNonFiniteB) {
   // The pinned semantics for non-finite B (gemm.hpp): zero A entries
   // contribute nothing, nonzero A entries propagate Inf/NaN — identically
   // in every kernel, because all of them skip at per-(row, p) granularity.
-  // The old blocked kernel skipped per 4-row GROUP, which turned a
-  // skipped 0 * Inf into NaN whenever a sibling row was nonzero at the
-  // same p; this is its regression test. (Raw kernel entry points: the
-  // matmul dispatchers assert finite B in debug builds.)
+  // A kernel that skipped per group of rows would turn a skipped 0 * Inf
+  // into NaN whenever a sibling row was nonzero at the same p. (Raw kernel
+  // entry points: the matmul dispatchers assert finite B in debug builds.)
   constexpr std::size_t m = 13, k = 9, n = 19;
   Rng rng(20260808);
   Matrix a = Matrix::randn(m, k, rng);
-  // Mixed zero/nonzero scatter: every 4-row group has rows that disagree
-  // about zeroness at some p, forcing the blocked kernel's mixed path.
+  // Mixed zero/nonzero scatter: every group of rows has rows that disagree
+  // about zeroness at some p.
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t p = 0; p < k; ++p) {
       if ((i + p) % 3 == 0) a.at(i, p) = 0.0f;
@@ -573,11 +562,9 @@ TEST(Gemm, ZeroSkipParityWithNonFiniteB) {
   b.at(7, 2) = nan;
   b.at(7, 16) = inf;
 
-  Matrix c_naive(m, n), c_blocked(m, n), c_simd(m, n);
+  Matrix c_naive(m, n), c_simd(m, n);
   gemm_nn_naive(a, b, c_naive);
-  gemm_nn_blocked(a, b, c_blocked);
   gemm_nn_simd(a, b, c_simd);
-  EXPECT_TRUE(bits_equal(c_naive, c_blocked));
   EXPECT_TRUE(bits_equal(c_naive, c_simd));
   // Rows whose A entries are zero at every non-finite p stay finite.
   for (std::size_t i = 0; i < m; ++i) {
@@ -590,11 +577,9 @@ TEST(Gemm, ZeroSkipParityWithNonFiniteB) {
 
   // Same contract on the tn path (A is [k x m] there).
   const Matrix at = a.transposed();
-  Matrix t_naive(m, n), t_blocked(m, n), t_simd(m, n);
+  Matrix t_naive(m, n), t_simd(m, n);
   gemm_tn_naive(at, b, t_naive);
-  gemm_tn_blocked(at, b, t_blocked);
   gemm_tn_simd(at, b, t_simd);
-  EXPECT_TRUE(bits_equal(t_naive, t_blocked));
   EXPECT_TRUE(bits_equal(t_naive, t_simd));
 }
 
@@ -603,10 +588,10 @@ TEST(Gemm, ZeroSkipParityWithNonFiniteB) {
 TEST(GemvNz, EveryLaneMatchesTheNnProduct) {
   // The fused f32 head's primitive: a row's ascending nonzero list against
   // a [k x n] weight must give the nn product of the whole row (zero-skip,
-  // +0.0f start, ascending chain) bit for bit on every kernel: naive and
-  // blocked run the portable lane, simd the AVX2 one. n covers 64-column
-  // passes, narrower passes and scalar column tails; the row holds +0 and
-  // -0 entries, and the empty list is included.
+  // +0.0f start, ascending chain) bit for bit on every kernel: naive runs
+  // the portable lane, simd the AVX2 one. n covers 64-column passes,
+  // narrower passes and scalar column tails; the row holds +0 and -0
+  // entries, and the empty list is included.
   for (const std::size_t n : {1u, 7u, 8u, 9u, 17u, 33u, 63u, 64u, 65u, 128u,
                               131u, 200u}) {
     for (const std::size_t k : {1u, 19u, 160u}) {
@@ -631,7 +616,7 @@ TEST(GemvNz, EveryLaneMatchesTheNnProduct) {
                                   " k=" + std::to_string(k) +
                                   " nnz=" + std::to_string(vals.size());
         for (const GemmKernel kernel :
-             {GemmKernel::kNaive, GemmKernel::kBlocked, GemmKernel::kSimd}) {
+             {GemmKernel::kNaive, GemmKernel::kSimd}) {
           GemmConfigScope scope(kernel);
           std::vector<float> got(n, std::numeric_limits<float>::quiet_NaN());
           gemv_nz(vals.data(), rows.data(), vals.size(), w.data(), k, n,
@@ -654,21 +639,63 @@ TEST(Gemm, DispatchResolutionInvariants) {
     EXPECT_EQ(gemm_dispatched_kernel(), GemmKernel::kNaive);
   }
   {
-    GemmConfigScope scope(GemmKernel::kBlocked);
-    EXPECT_EQ(gemm_dispatched_kernel(), GemmKernel::kBlocked);
-  }
-  {
-    // kSimd degrades to kBlocked when the host or build can't run it.
+    // kSimd degrades to kNaive when the host or build can't run it.
     GemmConfigScope scope(GemmKernel::kSimd);
     EXPECT_EQ(gemm_dispatched_kernel(), gemm_simd_available()
                                             ? GemmKernel::kSimd
-                                            : GemmKernel::kBlocked);
+                                            : GemmKernel::kNaive);
+  }
+  // A forced run (PP_GEMM_FORCE_KERNEL, as ci/check.sh's portable lane
+  // sets it) must dispatch the forced kernel under kAuto, naive where
+  // simd cannot run, or it proves nothing.
+  const char* forced = std::getenv("PP_GEMM_FORCE_KERNEL");
+  if (forced != nullptr && *forced != '\0') {
+    GemmConfigScope scope(GemmKernel::kAuto);
+    const bool simd = std::string(forced) == "simd" && gemm_simd_available();
+    EXPECT_EQ(gemm_dispatched_kernel(),
+              simd ? GemmKernel::kSimd : GemmKernel::kNaive)
+        << "PP_GEMM_FORCE_KERNEL=" << forced;
   }
   // gemm_simd_available() implies both the runtime and compile-time legs.
   if (gemm_simd_available()) {
     EXPECT_TRUE(simd_kernels_compiled());
     EXPECT_EQ(detected_cpu_isa(), CpuIsa::kAvx2Fma);
   }
+}
+
+TEST(GemmDeathTest, UnknownForcedKernelThrows) {
+  // Only naive and simd are accepted: a retired or misspelled kernel name
+  // must not silently run the default lane. The child sets the variable,
+  // so this process's environment is never written.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const char* value : {"blocked", "Naive", "simd2"}) {
+    EXPECT_EXIT(
+        {
+          setenv("PP_GEMM_FORCE_KERNEL", value, 1);
+          GemmKernel kernel = GemmKernel::kAuto;
+          try {
+            gemm_kernel_from_env(&kernel);
+          } catch (const std::invalid_argument& e) {
+            std::fprintf(stderr, "%s\n", e.what());
+            std::exit(3);
+          }
+          std::exit(0);
+        },
+        ::testing::ExitedWithCode(3),
+        std::string("PP_GEMM_FORCE_KERNEL=") + value +
+            ": expected naive or simd")
+        << value;
+  }
+  EXPECT_EXIT(
+      {
+        setenv("PP_GEMM_FORCE_KERNEL", "naive", 1);
+        GemmKernel kernel = GemmKernel::kAuto;
+        std::exit(gemm_kernel_from_env(&kernel) &&
+                          kernel == GemmKernel::kNaive
+                      ? 0
+                      : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Gemm, ConfigScopeRestoresGlobals) {
